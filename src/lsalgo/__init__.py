@@ -9,11 +9,8 @@ from .laurent import (
     ZERO,
     HalfLaurent,
     NonExactDivision,
-    RationalHL,
-    ZeroDenominator,
     bar,
     exact_div,
-    rational_reduce,
     t_half_power,
     t_power,
 )

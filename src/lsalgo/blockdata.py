@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import ZERO, HalfLaurent
+from .laurent import ZERO, DataFormatError, HalfLaurent
 from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, partitions_of
 
 __all__ = [
@@ -53,10 +53,6 @@ __all__ = [
 # Springer blocks beyond this size are refused: the character-table and
 # pairing computations stay exact but stop being desk-checkable.
 MAX_SPRINGER_N = 8
-
-
-class DataFormatError(ValueError):
-    """A dataset file is structurally unusable (missing keys, ragged matrix)."""
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,11 @@ __all__ = ["main"]
 
 VERIFY_MAX_N = 7
 
+# exthom size bounds: the truncation degree and the built-in S_n table both
+# stay well under a second at these values
+EXTHOM_MAX_K = 1000
+EXTHOM_MAX_SN = 12
+
 OK, VIOLATION, ERROR = 0, 1, 2
 _STATUS = {OK: "ok", VIOLATION: "violation", ERROR: "error"}
 
@@ -203,14 +208,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_exthom(args) -> int:
+    bad = None
+    if args.max_k < 0:
+        bad = ("BadArgument", "--max-k must be nonnegative")
+    elif args.max_k > EXTHOM_MAX_K:
+        bad = ("ResourceLimit", f"exthom supports --max-k up to {EXTHOM_MAX_K}")
+    elif args.sn is not None and args.sn < 1:
+        bad = ("BadArgument", "--sn must be at least 1")
+    elif args.sn is not None and args.sn > EXTHOM_MAX_SN:
+        bad = ("ResourceLimit", f"exthom supports --sn up to {EXTHOM_MAX_SN}")
+    if bad:
+        _emit(_report("exthom", ERROR, diagnostics=[_diag("error", *bad)]))
+        return ERROR
     if args.sn is not None:
-        try:
-            table = char_table_sn(args.sn)
-        except ValueError as exc:
-            _emit(_report("exthom", ERROR,
-                          diagnostics=[_diag("error", "BadArgument", str(exc))]))
-            return ERROR
+        source = f"S_{args.sn}"
+        table = char_table_sn(args.sn)
     else:
+        source = args.table
         try:
             with open(args.table, "r", encoding="utf-8") as fh:
                 table = CharTable.from_json(json.load(fh))
@@ -218,7 +232,7 @@ def cmd_exthom(args) -> int:
             _emit(_report("exthom", ERROR,
                           diagnostics=[_diag("error", "IOError", str(exc))]))
             return ERROR
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             _emit(_report("exthom", VIOLATION,
                           diagnostics=[_diag("error", "DataFormatError", str(exc))]))
             return VIOLATION
@@ -227,6 +241,11 @@ def cmd_exthom(args) -> int:
     except KeyError as exc:
         _emit(_report("exthom", VIOLATION,
                       diagnostics=[_diag("error", "UnknownLabel", str(exc))]))
+        return VIOLATION
+    except ArithmeticError as exc:
+        _emit(_report("exthom", VIOLATION, diagnostics=[_diag(
+            "error", type(exc).__name__,
+            f"table {source!r}, pair ({args.chi}, {args.psi}): {exc}")]))
         return VIOLATION
     _emit({"chi": args.chi, "psi": args.psi,
            "dims": list(dims.dims), "max_k": dims.max_degree})
@@ -304,11 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
     ext = sub.add_parser("exthom", help="graded Hom dimensions for a character pair")
     source = ext.add_mutually_exclusive_group(required=True)
     source.add_argument("--table", help="character table JSON path")
-    source.add_argument("--sn", type=int, help="use the built-in S_n table")
+    source.add_argument("--sn", type=int,
+                        help=f"use the built-in S_n table (1..{EXTHOM_MAX_SN})")
     ext.add_argument("--chi", required=True, help="first character id")
     ext.add_argument("--psi", required=True, help="second character id")
     ext.add_argument("--max-k", type=int, required=True,
-                     help="truncation bound: degrees 0..2*max_k are reported")
+                     help=f"truncation bound (0..{EXTHOM_MAX_K}): degrees "
+                          f"0..2*max_k are reported")
     ext.set_defaults(func=cmd_exthom)
 
     dua = sub.add_parser("dualize", help="print the dual stalk tables of a "

@@ -10,9 +10,11 @@ the Molien series
 
 Odd cohomological degrees vanish identically and are never stored.  The
 series is infinite, so every interface takes an explicit truncation bound;
-no Euler characteristic of it is ever formed.  Expansion runs in exact
-rational arithmetic and every dimension is certified to be a nonnegative
-integer: anything else is a hard error, not a warning.
+no Euler characteristic of it is ever formed.  Each 1/det(1 - u*w_c) has
+constant term 1, so the sum is expanded as an integer power series and
+divided by |W| coefficient by coefficient.  A remainder or a negative
+dimension proves the table inconsistent and raises an ArithmeticError
+(NonExactDivision for a remainder), never a number.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .laurent import rational_series
 from .weyl import CharTable, class_pair_series, coinvariant_pairing, degrees_product
 
 __all__ = [
@@ -58,20 +59,13 @@ def graded_hom_dims(table: CharTable, chi: str, psi: str, max_k: int) -> GradedD
     Symmetric in chi and psi; the k=0 entry is 1 on the diagonal and 0 off
     it, because degree-0 maps between simples are scalars.
     """
-    series = class_pair_series(table, chi, psi)
-    coefficients = rational_series(series, 2 * max_k + 1)
-    dims = []
-    for k in range(max_k + 1):
-        value = coefficients[2 * k]
-        if value.denominator != 1 or value < 0:
+    dims = class_pair_series(table, chi, psi, max_k + 1)
+    for k, value in enumerate(dims):
+        if value < 0:
             raise ArithmeticError(
-                f"non-integral graded dimension {value} at degree {2 * k}: "
+                f"negative graded dimension {value} at degree {2 * k}: "
                 f"the character table is inconsistent")
-        dims.append(int(value))
-    for position, value in enumerate(coefficients):
-        if position % 2 and value != 0:
-            raise ArithmeticError("odd-degree term in an even Molien series")
-    return GradedDims(tuple(dims), max_k)
+    return GradedDims(dims, max_k)
 
 
 def lusztig_sheaf_endo_dims(table: CharTable, rank: int, max_k: int) -> GradedDims:

@@ -1,28 +1,27 @@
-"""Exact arithmetic in Z[t^(1/2), t^(-1/2)] and in its fraction field.
+"""Exact arithmetic in the ring Z[t^(1/2), t^(-1/2)].
 
 Every matrix entry in this package lives in the ring of Laurent polynomials
 in a square root of t with integer coefficients.  Half powers are genuinely
 needed: diagonal normalizations are t^(-d/2) for an orbit dimension d that
 need not be even.  A polynomial is stored sparsely as a map from *doubled*
 exponents to nonzero integer coefficients, so t^(k/2) is stored under the
-integer key k and exponent arithmetic never leaves the integers.
+integer key k and exponent arithmetic never leaves the integers.  The only
+division is `exact_div`, which either returns a ring element or raises.
 
 Values are immutable after construction and all operations are pure, so they
 may be shared freely between workers.  Coefficients are plain Python ints,
-hence arbitrary precision.
+hence arbitrary precision.  Decoding from JSON is strict: an exponent or a
+coefficient that is not exactly an integer raises DataFormatError.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Iterator, Mapping
 
 __all__ = [
     "HalfLaurent",
-    "RationalHL",
     "NonExactDivision",
-    "ZeroDenominator",
+    "DataFormatError",
     "ZERO",
     "ONE",
     "T",
@@ -30,7 +29,7 @@ __all__ = [
     "t_half_power",
     "exact_div",
     "bar",
-    "rational_reduce",
+    "decode_int",
 ]
 
 
@@ -42,8 +41,32 @@ class NonExactDivision(ArithmeticError):
     """
 
 
-class ZeroDenominator(ZeroDivisionError):
-    """Denominator of a rational function is the zero polynomial."""
+class DataFormatError(ValueError):
+    """Input data is structurally unusable (missing keys, ragged matrix) or
+    holds a value that does not decode exactly."""
+
+
+def decode_int(value, what: str) -> int:
+    """A JSON integer as an int; bool, float, str and anything else raise
+    DataFormatError instead of being coerced."""
+    if type(value) is not int:
+        raise DataFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _decode_exponent(key) -> int:
+    # JSON object keys are strings; only the canonical decimal form is taken
+    if type(key) is int:
+        return key
+    if isinstance(key, str):
+        try:
+            e = int(key)
+        except ValueError:
+            pass
+        else:
+            if str(e) == key:
+                return e
+    raise DataFormatError(f"exponent key {key!r} is not an integer")
 
 
 class HalfLaurent:
@@ -210,7 +233,10 @@ class HalfLaurent:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, int]) -> HalfLaurent:
-        return cls({int(e): int(v) for e, v in obj.items()})
+        if not isinstance(obj, Mapping):
+            raise DataFormatError(f"a polynomial must be a JSON object, got {obj!r}")
+        return cls({_decode_exponent(e): decode_int(v, "a coefficient")
+                    for e, v in obj.items()})
 
     def pretty(self) -> str:
         """Human-readable form, ascending exponents: "t^-2 + 2*t^-1 - 1"."""
@@ -307,209 +333,3 @@ def exact_div(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
             else:
                 rem.pop(k, None)
     return HalfLaurent({e + shift: v for e, v in q.items()})
-
-
-# -- dense integer polynomials, used only for gcd ---------------------------
-#
-# A HalfLaurent with valuation shifted to 0 is an ordinary polynomial in
-# s = t^(1/2); gcd runs on its dense coefficient list via the primitive
-# polynomial remainder sequence, which keeps everything in integers.
-
-
-def _dense(f: HalfLaurent) -> list[int]:
-    v = f.valuation()
-    d = f.degree()
-    out = [0] * (d - v + 1)
-    for e, c in f._c.items():
-        out[e - v] = c
-    return out
-
-
-def _content(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g
-
-
-def _primitive(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    if not a:
-        return a
-    g = _content(a)
-    if a[-1] < 0:
-        g = -g
-    return [c // g for c in a]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    # lc(b)^(deg a - deg b + 1) * a  mod  b, computed in place on a copy
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        r = [c * lb for c in r]
-        for i, bc in enumerate(b):
-            r[shift + i] -= lead * bc
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd in Z[s] of two nonzero dense polynomials."""
-    a = _primitive(list(a))
-    b = _primitive(list(b))
-    while b:
-        a, b = b, _primitive(_pseudo_rem(a, b))
-    return a
-
-
-def _from_dense(a: list[int], double_val: int = 0) -> HalfLaurent:
-    return HalfLaurent({i + double_val: c for i, c in enumerate(a) if c})
-
-
-class RationalHL:
-    """A rational function num/den over HalfLaurent, kept in canonical form.
-
-    The canonical form divides out the polynomial gcd (computed over the
-    rationals, then cleared to a primitive integer pair), moves the whole
-    monomial factor into the numerator so the denominator has valuation 0,
-    and makes the denominator's lowest coefficient positive.  Reduction is
-    idempotent; equality is by cross-multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: HalfLaurent | int, den: HalfLaurent | int = 1):
-        num = _coerce(num)
-        den = _coerce(den)
-        if den.is_zero():
-            raise ZeroDenominator("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = ZERO, ONE
-            return
-        vn, vd = num.valuation(), den.valuation()
-        n = _dense(num)
-        d = _dense(den)
-        g = _poly_gcd(n, d)
-        if len(g) > 1:
-            n = _dense(exact_div(_from_dense(n), _from_dense(g)))
-            d = _dense(exact_div(_from_dense(d), _from_dense(g)))
-        c = gcd(_content(n), _content(d))
-        if d[0] < 0:
-            c = -c
-        self.num = HalfLaurent({i + vn - vd: v // c for i, v in enumerate(n) if v})
-        self.den = HalfLaurent({i: v // c for i, v in enumerate(d) if v})
-
-    # -- field structure ---------------------------------------------------
-
-    def __add__(self, other: RationalHL | HalfLaurent | int) -> RationalHL:
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalHL(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> RationalHL:
-        out = RationalHL.__new__(RationalHL)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __sub__(self, other: RationalHL | HalfLaurent | int) -> RationalHL:
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: RationalHL | HalfLaurent | int) -> RationalHL:
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other: RationalHL | HalfLaurent | int) -> RationalHL:
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalHL(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalHL | HalfLaurent | int) -> RationalHL:
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalHL(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other: RationalHL | HalfLaurent | int) -> RationalHL:
-        other = _coerce_rational(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, HalfLaurent)):
-            other = _coerce_rational(other)
-        if not isinstance(other, RationalHL):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def is_polynomial(self) -> bool:
-        return self.den == ONE
-
-    def to_polynomial(self) -> HalfLaurent:
-        """The underlying polynomial, certified by exact division."""
-        return exact_div(self.num, self.den)
-
-    def __repr__(self) -> str:
-        if self.den == ONE:
-            return self.num.pretty()
-        return f"({self.num.pretty()}) / ({self.den.pretty()})"
-
-
-def _coerce_rational(x: RationalHL | HalfLaurent | int) -> RationalHL:
-    if isinstance(x, RationalHL):
-        return x
-    if isinstance(x, (HalfLaurent, int)):
-        return RationalHL(x, 1)
-    return NotImplemented
-
-
-def rational_reduce(r: RationalHL) -> RationalHL:
-    """Re-canonicalize a rational function (idempotent by construction)."""
-    return RationalHL(r.num, r.den)
-
-
-def rational_series(r: RationalHL, n_terms: int) -> list[Fraction]:
-    """First n_terms coefficients of r as a power series in t^(1/2).
-
-    Requires the denominator to be nonzero at 0, which canonical form
-    guarantees, and the numerator to have no pole (valuation >= 0).  Index k
-    of the result is the coefficient of t^(k/2).
-    """
-    den0 = r.den.coefficient(0)
-    num = {e: Fraction(v) for e, v in r.num._c.items()}
-    if num and min(num) < 0:
-        raise ValueError("series expansion of a function with a pole at 0")
-    den = {e: v for e, v in r.den._c.items() if e != 0}
-    out: list[Fraction] = []
-    for k in range(n_terms):
-        acc = num.get(k, Fraction(0))
-        for e, v in den.items():
-            if 0 <= k - e < k:
-                acc -= v * out[k - e]
-        out.append(acc / den0)
-    return out

@@ -9,13 +9,16 @@ downstream works at the level of characters with no group theory attached.
 
 The coinvariant pairing of two characters chi, psi is the graded multiplicity
 
-    P(q) * (1/|W|) * sum_c |c| * chi(c) * psi(c) / det(1 - q*w_c)
+    (1/|W|) * sum_c |c| * chi(c) * psi(c) * c_w(q),   c_w = P(q) / det(1 - q*w_c)
 
 where P(q) is the product of (1 - q^d) over the fundamental invariant
-degrees; for S_n these are 1..n.  P(q) is itself recovered from the table as
-the reciprocal of the invariant Molien series, so no degree list is stored.
-The sum is formed in exact rational arithmetic and the final division is an
-exact polynomial division: a failure proves the table invalid.
+degrees; for S_n these are 1..n.  By Chevalley's theorem c_w is the graded
+trace of w on the coinvariant algebra, a polynomial for every class, so the
+whole computation stays in integer polynomials and integer power series.
+P(q) is recovered from the table as the reciprocal of the invariant Molien
+series, so no degree list is stored.  Each class sum is divided by |W| once,
+coefficient by coefficient; a remainder, or a c_w that fails to divide,
+proves the table invalid and raises NonExactDivision.
 """
 
 from __future__ import annotations
@@ -25,7 +28,16 @@ from functools import lru_cache
 from math import factorial
 from typing import Mapping
 
-from .laurent import ONE, HalfLaurent, RationalHL, t_power
+from .laurent import (
+    ONE,
+    T,
+    DataFormatError,
+    HalfLaurent,
+    NonExactDivision,
+    decode_int,
+    exact_div,
+    t_power,
+)
 
 __all__ = [
     "SizeMismatch",
@@ -257,18 +269,29 @@ class CharTable:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> CharTable:
-        return cls(
-            group_order=int(obj["group_order"]),
-            classes=tuple(
-                ClassData(str(c["id"]), int(c["size"]),
-                          HalfLaurent.from_json(c["molien_det"]))
-                for c in obj["classes"]
-            ),
-            irreducibles=tuple(
-                IrrData(str(i["id"]), tuple(int(v) for v in i["values"]))
-                for i in obj["irreducibles"]
-            ),
-        )
+        """Decode a table; every number must be a JSON integer, and anything
+        else, including bool and float, raises DataFormatError."""
+        try:
+            table = cls(
+                group_order=decode_int(obj["group_order"], "group_order"),
+                classes=tuple(
+                    ClassData(str(c["id"]), decode_int(c["size"], f"size of class {c['id']!r}"),
+                              HalfLaurent.from_json(c["molien_det"]))
+                    for c in obj["classes"]
+                ),
+                irreducibles=tuple(
+                    IrrData(str(i["id"]), tuple(
+                        decode_int(v, f"value of character {i['id']!r}") for v in i["values"]))
+                    for i in obj["irreducibles"]
+                ),
+            )
+        except (KeyError, TypeError) as exc:
+            raise DataFormatError(f"malformed character table: {exc!r}") from exc
+        for irr in table.irreducibles:
+            if len(irr.values) != len(table.classes):
+                raise DataFormatError(f"character {irr.id!r} has {len(irr.values)} "
+                                      f"values for {len(table.classes)} classes")
+        return table
 
 
 @lru_cache(maxsize=None)
@@ -290,38 +313,130 @@ def char_table_sn(n: int) -> CharTable:
     return CharTable(factorial(n), classes, irreducibles)
 
 
-def class_pair_series(table: CharTable, chi: str, psi: str) -> RationalHL:
-    """(1/|W|) * sum over classes of size * chi * psi / det(1 - q*w).
+# -- Molien and coinvariant series ----------------------------------------------
+#
+# Every series below is in q = t and held as a dense tuple of integer
+# coefficients, index k for q^k.  A sum over classes is formed in the integers
+# and divided by |W| once at the end; a remainder proves the table invalid.
 
-    This is the graded multiplicity series of the pair in the full symmetric
-    algebra; exact arithmetic makes the summation order irrelevant.
-    """
+
+def _q_coefficients(f: HalfLaurent) -> tuple[int, ...]:
+    """Dense coefficients of a nonzero polynomial in q = t, index k for q^k."""
+    out = [0] * (f.degree() // 2 + 1)
+    for e, v in f.items():
+        out[e // 2] = v
+    return tuple(out)
+
+
+def _molien_det_q(c: ClassData) -> tuple[int, ...]:
+    """det(1 - q*w) of one class as dense coefficients in q."""
+    f = c.molien_det
+    if (f.is_zero() or f.coefficient(0) != 1
+            or any(e % 2 or e < 0 for e in f.support())):
+        raise NonExactDivision(
+            f"Molien determinant {f} of class {c.id} is not a polynomial in q "
+            f"with constant term 1, so 1/det(1 - q*w) is not an integer series")
+    return _q_coefficients(f)
+
+
+def _average(table: CharTable, weights, series) -> tuple[int, ...]:
+    """(1/|W|) * sum over classes of weights[c] * series[c], coefficientwise,
+    with every division certified exact."""
+    acc = [0] * max(map(len, series))
+    for w, s in zip(weights, series):
+        if w:
+            for k, v in enumerate(s):
+                acc[k] += w * v
+    out = []
+    for k, v in enumerate(acc):
+        quotient, remainder = divmod(v, table.group_order)
+        if remainder:
+            raise NonExactDivision(
+                f"coefficient {v} of q^{k} is not divisible by |W| = "
+                f"{table.group_order}: the character table is inconsistent")
+        out.append(quotient)
+    return tuple(out)
+
+
+def _pair_weights(table: CharTable, chi: str, psi: str) -> list[int]:
     xv = table.character(chi).values
     yv = table.character(psi).values
-    total = RationalHL(0)
-    for c, x, y in zip(table.classes, xv, yv):
-        total = total + RationalHL(c.size * x * y * ONE, c.molien_det)
-    return total / table.group_order
+    return [c.size * x * y for c, x, y in zip(table.classes, xv, yv, strict=True)]
+
+
+@lru_cache(maxsize=32)
+def _inverse_dets(table: CharTable, n_terms: int):
+    """First n_terms coefficients of 1/det(1 - q*w) for every class, and of
+    their invariant average, the Molien series of W.
+
+    The constant term of each determinant is 1, so the inverse is an integer
+    power series.  The Molien series must itself be an integer series with
+    constant term 1; that certifies the class sizes before any pair is
+    summed.
+    """
+    out = []
+    for c in table.classes:
+        det = _molien_det_q(c)
+        terms = [(j, -v) for j, v in enumerate(det) if j and v]
+        inv = [1] + [0] * (n_terms - 1)
+        for k in range(1, n_terms):
+            inv[k] = sum(v * inv[k - j] for j, v in terms if j <= k)
+        out.append(tuple(inv))
+    molien = _average(table, [c.size for c in table.classes], out)
+    if molien[0] != 1:
+        raise NonExactDivision(
+            f"class sizes sum to {molien[0]} * |W|: the character table is inconsistent")
+    return tuple(out), molien
+
+
+def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tuple[int, ...]:
+    """First n_terms coefficients of (1/|W|) * sum_c |c| * chi * psi / det(1 - q*w).
+
+    This is the graded multiplicity series of the pair in the full symmetric
+    algebra; index k is the coefficient of q^k.
+    """
+    if n_terms < 1:
+        raise ValueError("n_terms must be positive")
+    return _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, n_terms)[0])
 
 
 @lru_cache(maxsize=None)
-def _degrees_product_cached(table: CharTable) -> HalfLaurent:
-    inv = RationalHL(0)
+def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, ...], ...]]:
+    """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class.
+
+    P has degree N + r, where r is the rank and N the number of reflections
+    (the classes with det = (1-q)^(r-1) * (1+q)), so inverting the Molien
+    series to that degree recovers it.  Each c_w must divide exactly, and
+    sum |c| * c_w == |W| certifies P * Molien == 1 as a power series.
+    """
     for c in table.classes:
-        inv = inv + RationalHL(c.size * ONE, c.molien_det)
-    series = inv / table.group_order
-    return (1 / series).to_polynomial()
+        _molien_det_q(c)  # reject a malformed determinant before reading degrees
+    r = table.rank()
+    reflection = (ONE - T) ** (r - 1) * (ONE + T)
+    top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
+    molien = _inverse_dets(table, top + 1)[1]
+    p = [1] + [0] * top
+    for k in range(1, top + 1):
+        p[k] = -sum(molien[j] * p[k - j] for j in range(1, k + 1))
+    product = HalfLaurent({2 * k: v for k, v in enumerate(p)})
+    graded = tuple(_q_coefficients(exact_div(product, c.molien_det))
+                   for c in table.classes)
+    certificate = _average(table, [c.size for c in table.classes], graded)
+    if certificate[0] != 1 or any(certificate[1:]):
+        raise NonExactDivision(
+            "the inverted Molien series is not a polynomial of degree N + r: "
+            "the table is not reflection data")
+    return product, graded
 
 
 def degrees_product(table: CharTable) -> HalfLaurent:
     """prod (1 - q^d_j) over the fundamental invariant degrees.
 
     Computed as the reciprocal of the invariant Molien series
-    (1/|W|) sum |c| / det(1 - q*w); exact division certifies that the
-    reciprocal is a polynomial, which characterizes valid reflection data.
-    For S_n this returns (1-q)(1-q^2)...(1-q^n).
+    (1/|W|) sum |c| / det(1 - q*w), truncated at its degree N + r and
+    certified exactly.  For S_n this returns (1-q)(1-q^2)...(1-q^n).
     """
-    return _degrees_product_cached(table)
+    return _coinvariant_setup(table)[0]
 
 
 def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
@@ -331,5 +446,6 @@ def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
     evaluates at q=1 to deg(chi)*deg(psi).  Raises NonExactDivision when the
     table data is not internally consistent.
     """
-    series = class_pair_series(table, chi, psi)
-    return (series * degrees_product(table)).to_polynomial()
+    weights = _pair_weights(table, chi, psi)
+    coefficients = _average(table, weights, _coinvariant_setup(table)[1])
+    return HalfLaurent({2 * k: v for k, v in enumerate(coefficients)})

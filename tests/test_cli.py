@@ -1,12 +1,15 @@
 import json
 
+import pytest
+
 from lsalgo.blockdata import (
     Dataset,
     block_to_json,
     build_springer_block_a,
     save_dataset,
 )
-from lsalgo.cli import main
+from lsalgo.cli import EXTHOM_MAX_K, EXTHOM_MAX_SN, main
+from lsalgo.weyl import char_table_sn
 
 from conftest import DATASETS, singular_lambda_block, synthetic_dual_pair
 
@@ -109,6 +112,22 @@ class TestSolve:
         kinds = {d["kind"] for d in report["diagnostics"]}
         assert "SymmetryViolation" in kinds
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: b["omega"]["entries"][0].__setitem__(0, {"0": 1.9}),
+        lambda b: b["omega"]["entries"][0].__setitem__(0, {"0": True}),
+        lambda b: b["omega"]["entries"][0].__setitem__(0, {"x": 1}),
+    ], ids=["coefficient-1.9", "coefficient-true", "exponent-x"])
+    def test_inexact_number_exit1(self, tmp_path, capsys, edit):
+        # nothing is rounded or coerced: 1.9 must not be read as 1 and solved
+        obj = block_to_json(build_springer_block_a(2))
+        edit(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([obj]))
+        code, out = run(capsys, "solve", str(bad), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
+
     def test_cross_block_nonzero_exit1(self, tmp_path, capsys):
         springer = block_to_json(build_springer_block_a(2))
         solo = block_to_json(synthetic_dual_pair())
@@ -191,6 +210,67 @@ class TestExthom:
         assert code == 1
         assert any(d["kind"] == "UnknownLabel"
                    for d in read_report(out)["diagnostics"])
+
+    @staticmethod
+    def s3_table_file(tmp_path, edit):
+        obj = char_table_sn(3).to_json()
+        edit(obj)
+        path = tmp_path / "s3.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t["classes"][1].update(size=4),
+        lambda t: t["classes"][0].update(molien_det={"0": 2, "6": -1}),
+    ], ids=["class-size", "molien-constant-term-2"])
+    def test_inconsistent_table_is_a_violation(self, tmp_path, capsys, edit):
+        path = self.s3_table_file(tmp_path, edit)
+        code, out = run(capsys, "exthom", "--table", str(path),
+                        "--chi", "2.1", "--psi", "2.1", "--max-k", "6")
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        (diag,) = report["diagnostics"]
+        assert diag["kind"] == "NonExactDivision"
+        assert str(path) in diag["message"] and "(2.1, 2.1)" in diag["message"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t["irreducibles"][1]["values"].__setitem__(0, 1.9),
+        lambda t: t["classes"][1].update(size=3.0),
+        lambda t: t.update(group_order=True),
+        lambda t: t["classes"][0].update(molien_det={"0": 1, "6": -1.9}),
+        lambda t: t["classes"][0].update(molien_det={"0": 1, "x": -1}),
+        lambda t: t.pop("classes"),
+    ], ids=["value-1.9", "size-float", "order-bool", "molien-float",
+            "molien-key", "missing-classes"])
+    def test_inexact_table_value_is_a_format_error(self, tmp_path, capsys, edit):
+        path = self.s3_table_file(tmp_path, edit)
+        code, out = run(capsys, "exthom", "--table", str(path),
+                        "--chi", "2.1", "--psi", "2.1", "--max-k", "6")
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
+
+    @pytest.mark.parametrize("argv,kind", [
+        (("--sn", "2", "--max-k", "-1"), "BadArgument"),
+        (("--sn", "2", "--max-k", str(EXTHOM_MAX_K + 1)), "ResourceLimit"),
+        (("--sn", "0", "--max-k", "2"), "BadArgument"),
+        (("--sn", str(EXTHOM_MAX_SN + 1), "--max-k", "2"), "ResourceLimit"),
+    ])
+    def test_size_bounds_exit2(self, capsys, argv, kind):
+        code, out = run(capsys, "exthom", "--chi", "2", "--psi", "2", *argv)
+        assert code == 2
+        report = read_report(out)
+        assert report["status"] == "error"
+        assert [d["kind"] for d in report["diagnostics"]] == [kind]
+
+    def test_size_bounds_inclusive(self, capsys):
+        code, out = run(capsys, "exthom", "--sn", "2", "--chi", "2",
+                        "--psi", "2", "--max-k", str(EXTHOM_MAX_K))
+        assert code == 0
+        assert len(json.loads(out)["dims"]) == EXTHOM_MAX_K + 1
+        # the benchmark's largest exthom call stays in range
+        assert EXTHOM_MAX_SN >= 8 and EXTHOM_MAX_K >= 20
 
 
 class TestDualize:

@@ -31,6 +31,10 @@ class TestGradedHomDims:
         # 1/((1-u)^2) - 1/(1-u^2) halved: 0, 1, 1, 2, 2, ...
         assert graded_hom_dims(table, "2", "1.1", 4).dims == (0, 1, 1, 2, 2)
 
+    def test_negative_truncation_rejected(self):
+        with pytest.raises(ValueError):
+            graded_hom_dims(char_table_sn(2), "2", "2", -1)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_degree_zero_entries(self, n):
         table = char_table_sn(n)

@@ -5,13 +5,11 @@ from lsalgo.laurent import (
     ONE,
     ZERO,
     HalfLaurent,
+    DataFormatError,
     NonExactDivision,
-    RationalHL,
-    ZeroDenominator,
     bar,
+    decode_int,
     exact_div,
-    rational_reduce,
-    rational_series,
     t_half_power,
     t_power,
 )
@@ -120,62 +118,6 @@ class TestExactDiv:
         assert exact_div(q * g, g) == q
 
 
-class TestRationalHL:
-    def test_reduction(self):
-        r = RationalHL(t_power(2) - 1, t_power(1) - 1)
-        assert r.num == t_power(1) + 1
-        assert r.den == ONE
-
-    def test_self_quotient(self):
-        f = hl({2: 3, -1: 1})
-        r = RationalHL(f, f)
-        assert r.num == ONE and r.den == ONE
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            RationalHL(ONE, ZERO)
-
-    def test_reduce_idempotent(self):
-        r = RationalHL(hl({4: 2, 2: 2}), hl({2: 4}))
-        again = rational_reduce(r)
-        assert again.num == r.num and again.den == r.den
-
-    def test_denominator_normalization(self):
-        # denominator must come out with valuation 0 and positive lowest term
-        r = RationalHL(t_power(1), hl({2: -2, 4: 2}))
-        assert r.den.valuation() == 0
-        assert r.den.coefficient(0) > 0
-
-    def test_non_polynomial_fraction_kept(self):
-        r = RationalHL(ONE, 2 * ONE)
-        assert not r.is_polynomial()
-        with pytest.raises(NonExactDivision):
-            r.to_polynomial()
-
-    @given(polys, polys)
-    def test_embedding_respects_ring_ops(self, f, g):
-        rf, rg = RationalHL(f), RationalHL(g)
-        assert rf + rg == RationalHL(f + g)
-        assert rf * rg == RationalHL(f * g)
-
-    @given(polys, nonzero_polys, nonzero_polys)
-    def test_equality_cross_multiplication(self, f, g, h):
-        assert RationalHL(f, g) == RationalHL(f * h, g * h)
-
-    def test_arithmetic(self):
-        half = RationalHL(1, 2 * ONE)
-        assert half + half == RationalHL(1)
-        assert half * 2 == RationalHL(1)
-        assert 1 / RationalHL(t_power(1)) == RationalHL(1, t_power(1))
-
-    def test_series(self):
-        # 1/(1-t) = 1 + t + t^2 + ...
-        r = RationalHL(ONE, ONE - t_power(1))
-        s = rational_series(r, 7)
-        assert [s[2 * k] for k in range(3)] == [1, 1, 1]
-        assert all(s[2 * k + 1] == 0 for k in range(3))
-
-
 class TestSerialization:
     def test_json_encoding(self):
         assert t_power(-1).to_json() == {"-2": 1}
@@ -192,6 +134,29 @@ class TestSerialization:
         assert t_half_power(3).pretty() == "t^(3/2)"
         assert t_half_power(-1).pretty() == "t^(-1/2)"
         assert t_power(1).pretty() == "t"
+
+    @pytest.mark.parametrize("obj", [
+        {"0": 1.9},
+        {"0": 2.0},
+        {"0": True},
+        {"0": "3"},
+        {"0": None},
+        {"x": 1},
+        {"1.5": 1},
+        {" 2": 1},
+        {"+2": 1},
+        [1, 2],
+        None,
+    ])
+    def test_from_json_rejects_inexact_values(self, obj):
+        with pytest.raises(DataFormatError):
+            HalfLaurent.from_json(obj)
+
+    def test_decode_int(self):
+        assert decode_int(-7, "x") == -7
+        for bad in (True, 1.0, "1", None):
+            with pytest.raises(DataFormatError):
+                decode_int(bad, "x")
 
     def test_evaluate_at_one(self):
         assert (t_power(2) - 1 + 3 * t_power(-1)).evaluate_at_one() == 3

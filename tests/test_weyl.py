@@ -1,8 +1,10 @@
+import json
 from math import factorial
 
 import pytest
 
-from lsalgo.laurent import ONE, t_power
+from lsalgo.exthom import graded_hom_dims, series_consistency
+from lsalgo.laurent import ONE, DataFormatError, NonExactDivision, t_power
 from lsalgo.weyl import (
     CharTable,
     Partition,
@@ -253,3 +255,105 @@ class TestCoinvariantPairing:
     def test_unknown_character(self):
         with pytest.raises(KeyError):
             coinvariant_pairing(char_table_sn(2), "nope", "2")
+
+
+# B_2, the signed permutations of two coordinates (order 8), on its rank-2
+# reflection representation.  Classes: identity, -1, the two sign-change
+# reflections, the two coordinate-swap reflections, the two quarter turns.
+B2_TABLE_JSON = {
+    "group_order": 8,
+    "classes": [
+        {"id": "e", "size": 1, "molien_det": {"0": 1, "2": -2, "4": 1}},
+        {"id": "-1", "size": 1, "molien_det": {"0": 1, "2": 2, "4": 1}},
+        {"id": "s", "size": 2, "molien_det": {"0": 1, "4": -1}},
+        {"id": "t", "size": 2, "molien_det": {"0": 1, "4": -1}},
+        {"id": "r", "size": 2, "molien_det": {"0": 1, "4": 1}},
+    ],
+    "irreducibles": [
+        {"id": "triv", "values": [1, 1, 1, 1, 1]},
+        {"id": "sign", "values": [1, 1, -1, -1, 1]},
+        {"id": "eps_s", "values": [1, 1, 1, -1, -1]},
+        {"id": "eps_t", "values": [1, 1, -1, 1, -1]},
+        {"id": "refl", "values": [2, -2, 0, 0, 0]},
+    ],
+}
+
+
+class TestB2Table:
+    table = CharTable.from_json(B2_TABLE_JSON)
+
+    def pairs(self, table=None):
+        ids = (table or self.table).char_ids()
+        return [(chi, psi) for chi in ids for psi in ids]
+
+    def test_shape(self):
+        assert self.table.group_order == 8
+        assert len(self.table.classes) == 5
+        assert self.table.rank() == 2
+        assert self.table.validate() == []
+
+    def test_degrees_product(self):
+        q = t_power(1)
+        assert degrees_product(self.table) == (ONE - q**2) * (ONE - q**4)
+
+    def test_series_consistency(self):
+        for chi, psi in self.pairs():
+            assert series_consistency(self.table, chi, psi, 12)
+
+    def test_pairings_at_one(self):
+        degree = {irr.id: irr.values[0] for irr in self.table.irreducibles}
+        for chi, psi in self.pairs():
+            value = coinvariant_pairing(self.table, chi, psi)
+            assert value.evaluate_at_one() == degree[chi] * degree[psi]
+
+    def test_top_degree_is_sign(self):
+        # the coinvariant algebra's top degree N = 4 carries the sign character
+        assert coinvariant_pairing(self.table, "triv", "sign") == t_power(4)
+
+    def test_altered_class_size_raises(self):
+        obj = json.loads(json.dumps(B2_TABLE_JSON))
+        obj["classes"][4]["size"] = 3
+        broken = CharTable.from_json(obj)
+        for chi, psi in self.pairs(broken):
+            with pytest.raises(NonExactDivision):
+                coinvariant_pairing(broken, chi, psi)
+            with pytest.raises(NonExactDivision):
+                graded_hom_dims(broken, chi, psi, 8)
+
+    @pytest.mark.parametrize("det", [{"0": 2, "4": 1}, {"0": 1, "3": 1}, {"0": 1, "4": 1, "-2": 1}])
+    def test_invalid_molien_determinant_raises(self, det):
+        obj = json.loads(json.dumps(B2_TABLE_JSON))
+        obj["classes"][4]["molien_det"] = det
+        broken = CharTable.from_json(obj)
+        with pytest.raises(NonExactDivision):
+            coinvariant_pairing(broken, "triv", "triv")
+        with pytest.raises(NonExactDivision):
+            graded_hom_dims(broken, "triv", "triv", 8)
+
+    @pytest.mark.parametrize("path,value", [
+        (("group_order",), 8.0),
+        (("group_order",), True),
+        (("classes", 2, "size"), 1.9),
+        (("irreducibles", 4, "values", 0), 2.0),
+        (("irreducibles", 4, "values", 0), "2"),
+    ])
+    def test_from_json_rejects_inexact_numbers(self, path, value):
+        obj = json.loads(json.dumps(B2_TABLE_JSON))
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(DataFormatError):
+            CharTable.from_json(obj)
+
+    def test_from_json_rejects_missing_keys(self):
+        with pytest.raises(DataFormatError):
+            CharTable.from_json({"group_order": 8})
+        with pytest.raises(DataFormatError):
+            CharTable.from_json([])
+
+    def test_from_json_rejects_ragged_values(self):
+        obj = json.loads(json.dumps(B2_TABLE_JSON))
+        obj["irreducibles"][2]["values"].pop()
+        with pytest.raises(DataFormatError):
+            CharTable.from_json(obj)
