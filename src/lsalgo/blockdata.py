@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .laurent import ZERO, DataFormatError, HalfLaurent
+from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int
 from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, partitions_of
 
 __all__ = [
@@ -400,14 +400,14 @@ def block_to_json(block: BlockData) -> dict:
     }
 
 
-def block_from_json(obj: Mapping, known_foreign: Iterable[str] = ()) -> tuple[BlockData, list[CrossEntry]]:
+def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
     """Decode one block.  `omega.order` may be a superset of the block's own
     labels (a file may record the full decomposition matrix); entries that
     touch a foreign label are returned separately as cross entries."""
     try:
         name = str(obj["name"])
         orbits = tuple(
-            OrbitInfo(str(o["id"]), int(o["dim"]),
+            OrbitInfo(str(o["id"]), decode_int(o["dim"], "an orbit dim"),
                       tuple(str(c) for c in o.get("covers", ())))
             for o in obj["orbits"]
         )
@@ -419,9 +419,13 @@ def block_from_json(obj: Mapping, known_foreign: Iterable[str] = ()) -> tuple[Bl
         )
         order = [str(x) for x in obj["omega"]["order"]]
         entries = obj["omega"]["entries"]
+        provenance = obj.get("provenance", {})
     except (KeyError, TypeError) as exc:
         raise DataFormatError(f"malformed block object: {exc}") from exc
-    if len(entries) != len(order) or any(len(row) != len(order) for row in entries):
+    if not isinstance(provenance, Mapping):
+        raise DataFormatError(f"block {name!r}: provenance must be a JSON object")
+    if (not isinstance(entries, list) or len(entries) != len(order)
+            or any(not isinstance(row, list) or len(row) != len(order) for row in entries)):
         raise DataFormatError(f"block {name!r}: omega entries are not square over order")
     if len(set(order)) != len(order):
         raise DataFormatError(f"block {name!r}: omega order repeats a label id")
@@ -444,7 +448,7 @@ def block_from_json(obj: Mapping, known_foreign: Iterable[str] = ()) -> tuple[Bl
                 continue
             value = matrix[position[a]][position[b]]
             cross.append(CrossEntry(name, a, b, value))
-    block = BlockData(name, orbits, labels, omega, dict(obj.get("provenance", {})))
+    block = BlockData(name, orbits, labels, omega, dict(provenance))
     return block, cross
 
 

@@ -122,9 +122,6 @@ class HalfLaurent:
             raise ValueError("zero polynomial has no degree")
         return max(self._c)
 
-    def is_constant(self) -> bool:
-        return not self._c or self._c.keys() == {0}
-
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other: HalfLaurent | int) -> HalfLaurent:

@@ -6,24 +6,27 @@ of psi lies strictly below the orbit of chi or chi = psi, and the diagonal
 entry is the monomial t^(-dim/2) for the orbit dimension.  Lambda is
 supported on pairs of labels sharing an orbit and is symmetric.  Under these
 constraints the factorization has a unique solution, which this module
-computes by eliminating orbit by orbit along a linear extension of the
-closure order, smallest orbits first:
+computes as a block LDL^T elimination along a linear extension of the
+closure order, smallest orbits first, on one residual matrix r: omega minus
+the contributions of the orbits processed so far.  For the current orbit O:
 
-  * stage (i): with all strictly-lower contributions M already known, the
-    Lambda block of the current orbit O is forced:
-    lambda[i][j] = t^dim(O) * (omega[i][j] - M[i][j]);
+  * stage (i): the Lambda block of O is forced, lambda[i][j] =
+    t^dim(O) * r[i][j]; its determinant and adjugate are computed once;
   * stage (ii): for each label i on a strictly higher orbit, the row of new
-    p entries solves the linear system sum_k p[i][k]*lambda[k][phi] =
-    t^(dim(O)/2) * (omega[i][phi] - M[i][phi]) over the Lambda block, which
-    is invertible whenever omega comes from an actual block;
+    p entries solves sum_k p[i][k]*lambda[k][phi] = t^(dim(O)/2) * r[i][phi]
+    as that right-hand side times the adjugate, divided by the determinant;
   * stage (iii): for labels whose orbit neither equals nor lies above O the
-    same right-hand side must vanish identically.
+    same right-hand side must vanish identically;
+  * the Schur complement step: r[i][j] -= sum_phi t^(dim(O)/2) * r[i][phi]
+    * p[j][phi] over the labels on O or solved in stage (ii), since that
+    right-hand side is p[i] * Lambda.
 
-All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; Lambda blocks are
-inverted by fraction-free (Bareiss) determinants.  Any failure names the
-inconsistency instead of producing wrong numbers.  Because the solution is
-unique, the result does not depend on which linear extension was used; the
-returned matrices are always indexed by the block's own label order.
+All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; determinants are
+fraction-free (Bareiss).  A zero determinant means omega is not a block.  Any
+failure names the inconsistency instead of producing wrong numbers.  Because
+the solution is unique, the result does not depend on which linear extension
+was used; the returned matrices are always indexed by the block's own label
+order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import random
 from dataclasses import dataclass, field
 
 from .blockdata import BlockData, Violation, closure_below, validate_block
-from .laurent import ONE, ZERO, HalfLaurent, exact_div, t_half_power
+from .laurent import ONE, ZERO, HalfLaurent, NonExactDivision, exact_div, t_half_power
 
 __all__ = [
     "SolverError",
@@ -147,22 +150,22 @@ def bareiss_det(matrix: list[list[HalfLaurent]]) -> HalfLaurent:
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
 
-def _solve_lambda_system(lam_block: list[list[HalfLaurent]],
-                         rhs: list[HalfLaurent]) -> list[HalfLaurent]:
-    """Solve x * L = rhs for a symmetric Lambda block L, by Cramer's rule
-    with Bareiss determinants and an exact-division certificate."""
+def _det_adjugate(lam_block: list[list[HalfLaurent]], orbit_id: str):
+    """det(L) and the adjugate adj[a][b] = (-1)^(a+b) * det(L without row b
+    and column a) of one orbit's Lambda block L, so that x * L = rhs is
+    solved by x[b] = sum_a rhs[a] * adj[a][b] / det(L)."""
     det = bareiss_det(lam_block)
     if det.is_zero():
-        raise SingularLambdaBlock("Lambda block has determinant zero")
+        raise SingularLambdaBlock(
+            f"stage (i): the Lambda block of orbit {orbit_id!r} has determinant zero")
     n = len(lam_block)
-    out: list[HalfLaurent] = []
-    for k in range(n):
-        replaced = [
-            [rhs[j] if i == k else lam_block[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        out.append(exact_div(bareiss_det(replaced), det))
-    return out
+    adj = [[ZERO] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            minor = bareiss_det([row[:a] + row[a + 1:]
+                                 for i, row in enumerate(lam_block) if i != b])
+            adj[a][b] = -minor if (a + b) % 2 else minor
+    return det, adj
 
 
 def default_extension(block: BlockData) -> list[str]:
@@ -212,57 +215,51 @@ def solve(block: BlockData, *, order_seed: int | None = None,
 
     p = [[ZERO] * k for _ in range(k)]
     lam = [[ZERO] * k for _ in range(k)]
-    # running lower-orbit contribution: M[i][j] = sum over processed orbits
-    # of p[i] * Lambda_block * p[j]
-    m = [[ZERO] * k for _ in range(k)]
+    # residual: omega minus the contributions of the processed orbits
+    r = [list(row) for row in block.omega]
 
     for orbit_id in extension:
         members = on_orbit[orbit_id]
         dim = dim_of[orbit_id]
-        t_dim = t_half_power(2 * dim)
-        t_half_dim = t_half_power(dim)
 
         # (i) the Lambda block of this orbit is forced
         for i in members:
             p[i][i] = t_half_power(-dim)
             for j in members:
-                lam[i][j] = t_dim * (block.omega[i][j] - m[i][j])
-        lam_block = [[lam[i][j] for j in members] for i in members]
+                lam[i][j] = r[i][j].shift(2 * dim)
+        det, adj = _det_adjugate([[lam[i][j] for j in members] for i in members],
+                                 orbit_id)
 
         # (ii) rows strictly above: solve over the Lambda block;
         # (iii) rows neither above nor on the orbit: the same right-hand
         #       side must vanish identically
+        solved: dict[int, list[HalfLaurent]] = {}
         for i in range(k):
+            rhs = [r[i][j].shift(dim) for j in members]
             row_orbit = block.labels[i].orbit
             if row_orbit == orbit_id:
-                continue
-            rhs = [t_half_dim * (block.omega[i][j] - m[i][j]) for j in members]
-            if orbit_id in below[row_orbit]:
-                for col, value in zip(members, _solve_lambda_system(lam_block, rhs)):
-                    p[i][col] = value
-            elif any(not r.is_zero() for r in rhs):
+                solved[i] = rhs
+            elif orbit_id in below[row_orbit]:
+                try:
+                    for b, col in enumerate(members):
+                        p[i][col] = exact_div(
+                            sum((x * adj[a][b] for a, x in enumerate(rhs)), ZERO), det)
+                except NonExactDivision as exc:
+                    raise NonExactDivision(
+                        f"stage (ii), row {labels[i]!r} over orbit {orbit_id!r}: {exc}"
+                    ) from exc
+                solved[i] = rhs
+            elif any(rhs):
                 raise SupportViolation(
                     f"omega[{labels[i]}][...] is nonzero on orbit {orbit_id!r}, "
                     f"which the closure order forbids")
 
-        # fold this orbit's contribution into the running sum
-        for i in range(k):
-            u = [ZERO] * len(members)
-            nonzero = False
-            for a, ka in enumerate(members):
-                if p[i][ka].is_zero():
-                    continue
-                nonzero = True
-                for b in range(len(members)):
-                    u[b] = u[b] + p[i][ka] * lam_block[a][b]
-            if not nonzero:
-                continue
-            for j in range(k):
-                acc = m[i][j]
-                for b, kb in enumerate(members):
-                    if not p[j][kb].is_zero():
-                        acc = acc + u[b] * p[j][kb]
-                m[i][j] = acc
+        # Schur complement step: rhs of a solved row is p[i] * Lambda, so
+        # this subtracts p * Lambda * p^T over the orbit
+        for i, rhs in solved.items():
+            for j in solved:
+                for x, col in zip(rhs, members):
+                    r[i][j] = r[i][j] - x * p[j][col]
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
     lam_matrix: Matrix = tuple(tuple(row) for row in lam)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel
+from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel, singleton_cuspidal_block
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_power
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +76,24 @@ def singular_lambda_block() -> BlockData:
         (ONE, ONE, ONE),
     )
     return BlockData("singular", orbits, labels, omega)
+
+
+def singular_maximal_orbit_blocks() -> dict[str, BlockData]:
+    """Blocks whose only orbit, hence a maximal one, has a singular Lambda
+    block.  No row lies above it, so only its determinant can reject them."""
+    rank_one = BlockData("rank-one", (OrbitInfo("o", 2),),
+                         (SimpleLabel("a", "o"), SimpleLabel("b", "o")),
+                         ((ONE, ONE), (ONE, ONE)))
+    return {"singleton-zero": singleton_cuspidal_block("zero", 2, ZERO),
+            "two-labels-rank-one": rank_one}
+
+
+def singular_and_support_fault_block() -> BlockData:
+    """Orbit o1 has a singular Lambda block and a nonzero pairing with the
+    incomparable orbit o2: both faults sit on one orbit."""
+    block = incomparable_orbits_block(ONE)
+    omega = ((ZERO,) + block.omega[0][1:],) + block.omega[1:]
+    return BlockData("singular-and-support", block.orbits, block.labels, omega)
 
 
 def non_ring_solution_block() -> BlockData:

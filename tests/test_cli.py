@@ -11,7 +11,13 @@ from lsalgo.blockdata import (
 from lsalgo.cli import EXTHOM_MAX_K, EXTHOM_MAX_SN, main
 from lsalgo.weyl import char_table_sn
 
-from conftest import DATASETS, singular_lambda_block, synthetic_dual_pair
+from conftest import (
+    DATASETS,
+    non_ring_solution_block,
+    singular_lambda_block,
+    singular_maximal_orbit_blocks,
+    synthetic_dual_pair,
+)
 
 
 def run(capsys, *argv):
@@ -116,9 +122,17 @@ class TestSolve:
         lambda b: b["omega"]["entries"][0].__setitem__(0, {"0": 1.9}),
         lambda b: b["omega"]["entries"][0].__setitem__(0, {"0": True}),
         lambda b: b["omega"]["entries"][0].__setitem__(0, {"x": 1}),
-    ], ids=["coefficient-1.9", "coefficient-true", "exponent-x"])
+        lambda b: b["orbits"][1].__setitem__("dim", 2.7),
+        lambda b: b["orbits"][1].__setitem__("dim", True),
+        lambda b: b["orbits"][1].__setitem__("dim", "abc"),
+        lambda b: b["omega"].__setitem__("entries", None),
+        lambda b: b["omega"]["entries"].__setitem__(1, None),
+        lambda b: b.__setitem__("provenance", 5),
+    ], ids=["coefficient-1.9", "coefficient-true", "exponent-x", "dim-2.7", "dim-true",
+            "dim-abc", "entries-null", "entries-row-null", "provenance-5"])
     def test_inexact_number_exit1(self, tmp_path, capsys, edit):
-        # nothing is rounded or coerced: 1.9 must not be read as 1 and solved
+        # nothing is rounded, coerced or left to a traceback: 1.9 must not
+        # be read as 1 and solved
         obj = block_to_json(build_springer_block_a(2))
         edit(obj)
         bad = tmp_path / "bad.json"
@@ -149,6 +163,25 @@ class TestSolve:
         assert code == 2
         kinds = {d["kind"] for d in read_report(out)["diagnostics"]}
         assert "SingularLambdaBlock" in kinds
+
+    @pytest.mark.parametrize("name", sorted(singular_maximal_orbit_blocks()))
+    def test_singular_maximal_orbit_exit2(self, tmp_path, capsys, name):
+        bad = tmp_path / "singular.json"
+        save_dataset(Dataset((singular_maximal_orbit_blocks()[name],)), bad)
+        code, out = run(capsys, "solve", str(bad), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "SingularLambdaBlock"
+        assert "has determinant zero" in diag["message"]
+
+    def test_non_ring_solution_exit2_located(self, tmp_path, capsys):
+        bad = tmp_path / "non-ring.json"
+        save_dataset(Dataset((non_ring_solution_block(),)), bad)
+        code, out = run(capsys, "solve", str(bad), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "NonExactDivision"
+        assert "stage (ii), row 'c' over orbit 'low'" in diag["message"]
 
     def test_missing_input_exit2(self, tmp_path, capsys):
         code, out = run(capsys, "solve", str(tmp_path / "nope.json"),

@@ -23,7 +23,9 @@ from conftest import (
     dual_symmetry_breaking_block,
     incomparable_orbits_block,
     non_ring_solution_block,
+    singular_and_support_fault_block,
     singular_lambda_block,
+    singular_maximal_orbit_blocks,
 )
 
 
@@ -289,12 +291,21 @@ class TestErrors:
         assert any(v.kind == "SymmetryViolation" for v in err.value.violations)
 
     def test_singular_lambda(self):
-        with pytest.raises(SingularLambdaBlock):
+        with pytest.raises(SingularLambdaBlock, match=r"stage \(i\): .* orbit 'low'"):
             solve(singular_lambda_block())
 
     def test_non_ring_solution(self):
-        with pytest.raises(NonExactDivision):
+        with pytest.raises(NonExactDivision, match=r"stage \(ii\), row 'c' over orbit 'low': "):
             solve(non_ring_solution_block())
+
+    @pytest.mark.parametrize("name", sorted(singular_maximal_orbit_blocks()))
+    def test_singular_lambda_on_maximal_orbit(self, name):
+        with pytest.raises(SingularLambdaBlock, match=r"orbit '\w+' has determinant zero"):
+            solve(singular_maximal_orbit_blocks()[name])
+
+    def test_singular_lambda_reported_before_support_fault(self):
+        with pytest.raises(SingularLambdaBlock, match="orbit 'o1'"):
+            solve(singular_and_support_fault_block())
 
     def test_support_violation(self):
         with pytest.raises(SupportViolation):
