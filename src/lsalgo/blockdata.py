@@ -34,6 +34,7 @@ __all__ = [
     "Dataset",
     "CrossEntry",
     "MAX_SPRINGER_N",
+    "MAX_ORBIT_DIM",
     "orbit_dim_type_a",
     "dominates",
     "dominance_covers",
@@ -53,6 +54,11 @@ __all__ = [
 # Springer blocks beyond this size are refused: the character-table and
 # pairing computations stay exact but stop being desk-checkable.
 MAX_SPRINGER_N = 8
+
+# Largest orbit dimension a decoded block may carry; Springer blocks up to
+# MAX_SPRINGER_N reach 56.  The solver shifts exponents by up to twice an
+# orbit dimension, so this bound and MAX_EXPONENT bound every solved exponent.
+MAX_ORBIT_DIM = 10_000
 
 
 @dataclass(frozen=True)
@@ -400,6 +406,13 @@ def block_to_json(block: BlockData) -> dict:
     }
 
 
+def _decode_dim(value) -> int:
+    dim = decode_int(value, "an orbit dim")
+    if dim > MAX_ORBIT_DIM:
+        raise DataFormatError(f"orbit dim {dim} is beyond the bound {MAX_ORBIT_DIM}")
+    return dim
+
+
 def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
     """Decode one block.  `omega.order` may be a superset of the block's own
     labels (a file may record the full decomposition matrix); entries that
@@ -407,7 +420,7 @@ def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
     try:
         name = str(obj["name"])
         orbits = tuple(
-            OrbitInfo(str(o["id"]), decode_int(o["dim"], "an orbit dim"),
+            OrbitInfo(str(o["id"]), _decode_dim(o["dim"]),
                       tuple(str(c) for c in o.get("covers", ())))
             for o in obj["orbits"]
         )

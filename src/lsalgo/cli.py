@@ -2,9 +2,10 @@
 
 Every command prints exactly one JSON document to stdout and communicates
 through the exit code: 0 success, 1 data/validation/verification failure,
-2 internal, resource, or I/O error.  JSON output is deterministic (sorted
-keys, fixed indentation), so identical inputs give byte-identical output
-regardless of any seeds.
+2 internal, resource, or I/O error.  An unexpected exception in a command is
+reported as an "Internal" diagnostic with exit code 2, its traceback going
+to stderr.  JSON output is deterministic (sorted keys, fixed indentation),
+so identical inputs give byte-identical output regardless of any seeds.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import sys
+import traceback
 
 from .blockdata import (
     DataFormatError,
@@ -341,7 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # a bug, not a data problem: keep the traceback for the user and
+        # still print the one JSON document every command promises
+        traceback.print_exc()
+        _emit(_report(args.command, ERROR, diagnostics=[_diag(
+            "error", "Internal", f"{type(exc).__name__}: {exc}")]))
+        return ERROR
 
 
 if __name__ == "__main__":

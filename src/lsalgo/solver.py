@@ -21,12 +21,22 @@ the contributions of the orbits processed so far.  For the current orbit O:
     * p[j][phi] over the labels on O or solved in stage (ii), since that
     right-hand side is p[i] * Lambda.
 
+Every sum of products in these stages, and in the Bareiss determinants, is
+one `dot` call, so an entry builds one polynomial however many terms it sums.
+
 All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; determinants are
 fraction-free (Bareiss).  A zero determinant means omega is not a block.  Any
 failure names the inconsistency instead of producing wrong numbers.  Because
 the solution is unique, the result does not depend on which linear extension
 was used; the returned matrices are always indexed by the block's own label
 order.
+
+A result is checked before it is returned, always: p must be invariant under
+duality, Lambda symmetric, and P * Lambda * P^T must equal omega exactly.
+`reconstruct` forms that product from the result's own entries as a sparse
+product over the entries that are actually nonzero.  It does not assume the
+support the closure order allows, so a stray entry anywhere in p or Lambda
+still enters the product and fails the check.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ import random
 from dataclasses import dataclass, field
 
 from .blockdata import BlockData, Violation, closure_below, validate_block
-from .laurent import ONE, ZERO, HalfLaurent, NonExactDivision, exact_div, t_half_power
+from .laurent import ONE, ZERO, HalfLaurent, NonExactDivision, dot, exact_div, t_half_power
 
 __all__ = [
     "SolverError",
@@ -142,10 +152,13 @@ def bareiss_det(matrix: list[list[HalfLaurent]]) -> HalfLaurent:
                 return ZERO
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
+        pivot_row = m[k]
         for i in range(k + 1, n):
+            row = m[i]
+            pair = (pivot_row[k], -row[k])
             for j in range(k + 1, n):
-                m[i][j] = exact_div(m[k][k] * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = ZERO
+                row[j] = exact_div(dot(pair, (row[j], pivot_row[j])), prev)
+            row[k] = ZERO
         prev = m[k][k]
     return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
 
@@ -229,6 +242,7 @@ def solve(block: BlockData, *, order_seed: int | None = None,
                 lam[i][j] = r[i][j].shift(2 * dim)
         det, adj = _det_adjugate([[lam[i][j] for j in members] for i in members],
                                  orbit_id)
+        adj_columns = list(zip(*adj))
 
         # (ii) rows strictly above: solve over the Lambda block;
         # (iii) rows neither above nor on the orbit: the same right-hand
@@ -241,9 +255,8 @@ def solve(block: BlockData, *, order_seed: int | None = None,
                 solved[i] = rhs
             elif orbit_id in below[row_orbit]:
                 try:
-                    for b, col in enumerate(members):
-                        p[i][col] = exact_div(
-                            sum((x * adj[a][b] for a, x in enumerate(rhs)), ZERO), det)
+                    for col, adj_column in zip(members, adj_columns):
+                        p[i][col] = exact_div(dot(rhs, adj_column), det)
                 except NonExactDivision as exc:
                     raise NonExactDivision(
                         f"stage (ii), row {labels[i]!r} over orbit {orbit_id!r}: {exc}"
@@ -256,10 +269,10 @@ def solve(block: BlockData, *, order_seed: int | None = None,
 
         # Schur complement step: rhs of a solved row is p[i] * Lambda, so
         # this subtracts p * Lambda * p^T over the orbit
+        p_on_orbit = {j: [p[j][col] for col in members] for j in solved}
         for i, rhs in solved.items():
-            for j in solved:
-                for x, col in zip(rhs, members):
-                    r[i][j] = r[i][j] - x * p[j][col]
+            for j, pj in p_on_orbit.items():
+                r[i][j] = r[i][j] - dot(rhs, pj)
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
     lam_matrix: Matrix = tuple(tuple(row) for row in lam)
@@ -293,27 +306,36 @@ def _check_invariants(result: SolveResult, block: BlockData) -> None:
 
 
 def reconstruct(result: SolveResult, block: BlockData) -> Matrix:
-    """P * Lambda * P^T, for comparison against the block's omega."""
+    """P * Lambda * P^T, for comparison against the block's omega.
+
+    The products run over the nonzero entries that `result` actually holds,
+    not over the support the closure order allows, so a stray entry anywhere
+    in p or lam enters the product like any other.
+    """
     k = len(result.labels)
     if len(block.labels) != k or result.labels != block.label_ids():
         raise ShapeMismatch("result labels do not match the block")
-    pl = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = ZERO
-            for a in range(k):
-                if not result.p[i][a].is_zero() and not result.lam[a][j].is_zero():
-                    acc = acc + result.p[i][a] * result.lam[a][j]
-            pl[i][j] = acc
-    out = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = ZERO
-            for a in range(k):
-                if not pl[i][a].is_zero() and not result.p[j][a].is_zero():
-                    acc = acc + pl[i][a] * result.p[j][a]
-            out[i][j] = acc
-    return tuple(tuple(row) for row in out)
+    p_transpose = tuple(zip(*result.p))
+    pl = _sparse_product(result.p, result.lam)
+    return _sparse_product(pl, p_transpose)
+
+
+def _sparse_product(a: Matrix, b: Matrix) -> Matrix:
+    """a * b for square matrices: one `dot` per entry, over the indices
+    where both factors are nonzero."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        xs: dict[int, list[HalfLaurent]] = {}
+        ys: dict[int, list[HalfLaurent]] = {}
+        for m, x in enumerate(row):
+            if x:
+                for j, y in b_rows[m]:
+                    xs.setdefault(j, []).append(x)
+                    ys.setdefault(j, []).append(y)
+        out.append(tuple(dot(xs[j], ys[j]) if j in xs else ZERO
+                         for j in range(len(b))))
+    return tuple(out)
 
 
 def dualize_p(result: SolveResult, block: BlockData) -> Matrix:
@@ -331,7 +353,7 @@ def dualize_p(result: SolveResult, block: BlockData) -> Matrix:
     for i in range(k):
         for j in range(k):
             starred = result.p[index[dual[labels[i]]]][index[dual[labels[j]]]]
-            out[i][j] = t_half_power(-2 * dims[labels[j]]) * starred.bar()
+            out[i][j] = starred.bar().shift(-2 * dims[labels[j]])
     return tuple(tuple(row) for row in out)
 
 

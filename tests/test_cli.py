@@ -2,13 +2,17 @@ import json
 
 import pytest
 
+from lsalgo import cli
 from lsalgo.blockdata import (
+    MAX_ORBIT_DIM,
     Dataset,
     block_to_json,
     build_springer_block_a,
     save_dataset,
+    singleton_cuspidal_block,
 )
 from lsalgo.cli import EXTHOM_MAX_K, EXTHOM_MAX_SN, main
+from lsalgo.laurent import MAX_EXPONENT, ONE, t_half_power
 from lsalgo.weyl import char_table_sn
 
 from conftest import (
@@ -128,8 +132,14 @@ class TestSolve:
         lambda b: b["omega"].__setitem__("entries", None),
         lambda b: b["omega"]["entries"].__setitem__(1, None),
         lambda b: b.__setitem__("provenance", 5),
+        lambda b: b["omega"]["entries"][0].__setitem__(0, {"0": 1, "2000000000": 0}),
+        lambda b: b["omega"]["entries"][0].__setitem__(0, {str(MAX_EXPONENT + 1): 1}),
+        lambda b: b["orbits"][1].__setitem__("dim", 10**12),
+        lambda b: b["orbits"][1].__setitem__("dim", MAX_ORBIT_DIM + 1),
     ], ids=["coefficient-1.9", "coefficient-true", "exponent-x", "dim-2.7", "dim-true",
-            "dim-abc", "entries-null", "entries-row-null", "provenance-5"])
+            "dim-abc", "entries-null", "entries-row-null", "provenance-5",
+            "exponent-2e9-zero-coefficient", "exponent-past-bound", "dim-1e12",
+            "dim-past-bound"])
     def test_inexact_number_exit1(self, tmp_path, capsys, edit):
         # nothing is rounded, coerced or left to a traceback: 1.9 must not
         # be read as 1 and solved
@@ -141,6 +151,25 @@ class TestSolve:
         assert code == 1
         (diag,) = read_report(out)["diagnostics"]
         assert diag["kind"] == "DataFormatError"
+
+    @pytest.mark.parametrize("dim,exponent,code", [
+        (MAX_ORBIT_DIM, 0, 0),
+        (MAX_ORBIT_DIM + 1, 0, 1),
+        (0, MAX_EXPONENT, 0),
+        (0, -MAX_EXPONENT, 0),
+        (0, MAX_EXPONENT + 1, 1),
+        (0, -MAX_EXPONENT - 1, 1),
+    ])
+    def test_size_bounds_inclusive(self, tmp_path, capsys, dim, exponent, code):
+        path = tmp_path / "edge.json"
+        save_dataset(Dataset((singleton_cuspidal_block("edge", dim, t_half_power(exponent)),)),
+                     path)
+        got, out = run(capsys, "solve", str(path), "--out", str(tmp_path / "r.json"))
+        assert got == code
+        if code:
+            (diag,) = read_report(out)["diagnostics"]
+            assert diag["kind"] == "DataFormatError"
+            assert "beyond the bound" in diag["message"]
 
     def test_cross_block_nonzero_exit1(self, tmp_path, capsys):
         springer = block_to_json(build_springer_block_a(2))
@@ -328,6 +357,31 @@ class TestDualize:
     def test_missing_file_exit2(self, tmp_path, capsys):
         code, _ = run(capsys, "dualize", str(tmp_path / "none.json"))
         assert code == 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_report_exit2(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_dualize", broken)
+        code = main(["dualize", str(tmp_path / "any.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)  # exactly one JSON document
+        assert report["command"] == "dualize"
+        assert report["status"] == "error"
+        (diag,) = report["diagnostics"]
+        assert diag["kind"] == "Internal"
+        assert "RuntimeError: boom" in diag["message"]
+        assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+    @pytest.mark.parametrize("argv,code", [(["nonsense"], 2), (["solve"], 2), (["--help"], 0)])
+    def test_argparse_exit_passes_through(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == code
+        assert '"status"' not in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsalgo.laurent import (
+    MAX_EXPONENT,
     ONE,
     ZERO,
     HalfLaurent,
@@ -9,6 +10,7 @@ from lsalgo.laurent import (
     NonExactDivision,
     bar,
     decode_int,
+    dot,
     exact_div,
     t_half_power,
     t_power,
@@ -70,6 +72,72 @@ class TestMul:
     @given(polys, polys, polys)
     def test_distributive(self, f, g, h):
         assert f * (g + h) == f * g + f * h
+
+
+class TestSub:
+    @given(polys, polys)
+    def test_is_adding_the_negative(self, f, g):
+        assert f - g == f + (-g)
+        assert all(c for _, c in (f - g).items())
+
+    def test_with_ints(self):
+        assert t_power(1) - 1 == hl({2: 1, 0: -1})
+        assert 1 - t_power(1) == hl({2: -1, 0: 1})
+        assert ONE - 1 == ZERO
+
+
+pairs = st.lists(st.tuples(polys, polys), max_size=6)
+
+
+def schoolbook(f, g):
+    """Product by the coefficient lists alone, independent of `dot`."""
+    c = {}
+    for e1, v1 in f.items():
+        for e2, v2 in g.items():
+            c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
+    return HalfLaurent(c)
+
+
+def fold(xs, ys, mul=lambda x, y: x * y):
+    acc = ZERO
+    for x, y in zip(xs, ys):
+        acc = acc + mul(x, y)
+    return acc
+
+
+class TestDot:
+    @given(pairs)
+    def test_is_the_fold_of_products(self, terms):
+        xs, ys = [x for x, _ in terms], [y for _, y in terms]
+        assert dot(xs, ys) == fold(xs, ys) == fold(xs, ys, schoolbook)
+
+    @given(pairs)
+    def test_cancelling_sum_is_zero(self, terms):
+        # every product appears once as x*y and once as x*(-y)
+        xs = [x for x, _ in terms] * 2
+        ys = [y for _, y in terms] + [-y for _, y in terms]
+        assert dot(xs, ys) == fold(xs, ys) == ZERO
+        assert dot(xs, ys).support() == ()
+
+    @given(pairs)
+    def test_stores_no_zero_coefficient(self, terms):
+        result = dot([x for x, _ in terms], [y for _, y in terms])
+        assert all(c for _, c in result.items())
+
+    def test_partial_cancellation(self):
+        f = t_power(1) + 1
+        g = t_power(1) - 1
+        # (t + 1)(t - 1) - (t^2) = -1: the t^2 terms cancel inside one sum
+        assert dot([f, -ONE], [g, t_power(2)]) == hl({0: -1})
+
+    def test_empty_is_zero(self):
+        assert dot([], []) == ZERO
+        assert dot([], []).support() == ()
+
+    @pytest.mark.parametrize("xs,ys", [([ONE], []), ([], [ONE]), ([ONE, ONE], [ONE])])
+    def test_unequal_lengths_raise(self, xs, ys):
+        with pytest.raises(ValueError):
+            dot(xs, ys)
 
 
 class TestBar:
@@ -147,10 +215,18 @@ class TestSerialization:
         {"+2": 1},
         [1, 2],
         None,
+        {str(MAX_EXPONENT + 1): 1},
+        {str(-MAX_EXPONENT - 1): 1},
+        # a zero coefficient does not excuse its key
+        {"0": 1, "2000000000": 0},
     ])
     def test_from_json_rejects_inexact_values(self, obj):
         with pytest.raises(DataFormatError):
             HalfLaurent.from_json(obj)
+
+    def test_exponent_bound_inclusive(self):
+        for e in (MAX_EXPONENT, -MAX_EXPONENT):
+            assert HalfLaurent.from_json({str(e): 1}) == t_half_power(e)
 
     def test_decode_int(self):
         assert decode_int(-7, "x") == -7
