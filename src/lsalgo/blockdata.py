@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int
+from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int, decode_str
 from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, partitions_of
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "block_from_json",
     "dataset_to_json",
     "dataset_from_json",
+    "read_json",
     "load_dataset",
     "save_dataset",
 ]
@@ -413,24 +414,31 @@ def _decode_dim(value) -> int:
     return dim
 
 
+def _decode_ids(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise DataFormatError(f"{what} must be a JSON list, got {value!r}")
+    return tuple(decode_str(x, f"an entry of {what}") for x in value)
+
+
 def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
     """Decode one block.  `omega.order` may be a superset of the block's own
     labels (a file may record the full decomposition matrix); entries that
     touch a foreign label are returned separately as cross entries."""
     try:
-        name = str(obj["name"])
+        name = decode_str(obj["name"], "a block name")
         orbits = tuple(
-            OrbitInfo(str(o["id"]), _decode_dim(o["dim"]),
-                      tuple(str(c) for c in o.get("covers", ())))
+            OrbitInfo(decode_str(o["id"], "an orbit id"), _decode_dim(o["dim"]),
+                      _decode_ids(o.get("covers", []), "orbit covers"))
             for o in obj["orbits"]
         )
         labels = tuple(
-            SimpleLabel(str(lb["id"]), str(lb["orbit"]),
-                        str(lb.get("local_system", "triv")),
-                        str(lb.get("dual", lb["id"])))
+            SimpleLabel(decode_str(lb["id"], "a label id"),
+                        decode_str(lb["orbit"], "a label orbit"),
+                        decode_str(lb.get("local_system", "triv"), "a local system"),
+                        decode_str(lb.get("dual", lb["id"]), "a label dual"))
             for lb in obj["labels"]
         )
-        order = [str(x) for x in obj["omega"]["order"]]
+        order = _decode_ids(obj["omega"]["order"], "omega order")
         entries = obj["omega"]["entries"]
         provenance = obj.get("provenance", {})
     except (KeyError, TypeError) as exc:
@@ -483,13 +491,18 @@ def dataset_from_json(obj) -> Dataset:
     return Dataset(tuple(blocks), tuple(cross))
 
 
+def read_json(path):
+    """The JSON value held in the file at `path`.  Invalid JSON and bytes that
+    are not UTF-8 raise DataFormatError; a file that cannot be read, OSError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DataFormatError(f"not valid JSON: {exc}") from exc
+
+
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"not valid JSON: {exc}") from exc
-    return dataset_from_json(raw)
+    return dataset_from_json(read_json(path))
 
 
 def save_dataset(ds: Dataset, path) -> None:

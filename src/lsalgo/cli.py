@@ -2,10 +2,16 @@
 
 Every command prints exactly one JSON document to stdout and communicates
 through the exit code: 0 success, 1 data/validation/verification failure,
-2 internal, resource, or I/O error.  An unexpected exception in a command is
-reported as an "Internal" diagnostic with exit code 2, its traceback going
-to stderr.  JSON output is deterministic (sorted keys, fixed indentation),
-so identical inputs give byte-identical output regardless of any seeds.
+2 internal, resource, or I/O error.  A file that is not valid JSON or not
+UTF-8 is a DataFormatError with exit code 1 for every command that reads
+one.  An unexpected exception in a command is reported as an "Internal"
+diagnostic with exit code 2, its traceback going to stderr.  If stdout is
+closed, the exit code is 2 and one line on stderr says so.  JSON output is
+deterministic (sorted keys, fixed indentation), so identical inputs give
+byte-identical output regardless of any seeds.
+
+A command returns (exit code, document) or raises; `main` alone turns that
+outcome into the one printed document and the exit code.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import traceback
 
@@ -23,6 +30,7 @@ from .blockdata import (
     build_springer_block_a,
     dominates,
     load_dataset,
+    read_json,
     save_dataset,
     validate_dataset,
     MAX_SPRINGER_N,
@@ -46,6 +54,15 @@ OK, VIOLATION, ERROR = 0, 1, 2
 _STATUS = {OK: "ok", VIOLATION: "violation", ERROR: "error"}
 
 
+class Failure(Exception):
+    """A command's failure as one error diagnostic with its exit code."""
+
+    def __init__(self, code: int, kind: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.kind = kind
+
+
 def _report(command: str, code: int, artifacts: list[str] | None = None,
             diagnostics: list[dict] | None = None) -> dict:
     return {
@@ -56,10 +73,6 @@ def _report(command: str, code: int, artifacts: list[str] | None = None,
     }
 
 
-def _emit(obj: dict | list) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
-
-
 def _diag(severity: str, kind: str, message: str) -> dict:
     return {"severity": severity, "kind": kind, "message": message}
 
@@ -67,21 +80,13 @@ def _diag(severity: str, kind: str, message: str) -> dict:
 # -- generate -----------------------------------------------------------------
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[int, dict]:
     try:
         block = build_springer_block_a(args.n)
     except ValueError as exc:
-        _emit(_report("generate", ERROR,
-                      diagnostics=[_diag("error", "ResourceLimit", str(exc))]))
-        return ERROR
-    try:
-        save_dataset(Dataset((block,)), args.out)
-    except OSError as exc:
-        _emit(_report("generate", ERROR,
-                      diagnostics=[_diag("error", "IOError", str(exc))]))
-        return ERROR
-    _emit(_report("generate", OK, artifacts=[args.out]))
-    return OK
+        raise Failure(ERROR, "ResourceLimit", str(exc)) from exc
+    save_dataset(Dataset((block,)), args.out)
+    return OK, _report("generate", OK, artifacts=[args.out])
 
 
 # -- solve --------------------------------------------------------------------
@@ -101,44 +106,27 @@ def _results_to_csv(results: list[SolveResult]) -> str:
     return buffer.getvalue()
 
 
-def cmd_solve(args) -> int:
-    try:
-        ds = load_dataset(args.input)
-    except (OSError, DataFormatError) as exc:
-        kind = "IOError" if isinstance(exc, OSError) else "DataFormatError"
-        code = ERROR if isinstance(exc, OSError) else VIOLATION
-        _emit(_report("solve", code, diagnostics=[_diag("error", kind, str(exc))]))
-        return code
-
+def cmd_solve(args) -> tuple[int, dict]:
+    ds = load_dataset(args.input)
     violations = validate_dataset(ds)
     if violations:
-        _emit(_report("solve", VIOLATION, diagnostics=[
-            _diag("error", v.kind, v.message) for v in violations]))
-        return VIOLATION
+        return VIOLATION, _report("solve", VIOLATION, diagnostics=[
+            _diag("error", v.kind, v.message) for v in violations])
 
     results = []
     for block in ds.blocks:
         try:
             results.append(solve(block, order_seed=args.order_seed, validate=False))
         except (SolverError, NonExactDivision) as exc:
-            _emit(_report("solve", ERROR, diagnostics=[
-                _diag("error", type(exc).__name__, f"block {block.name!r}: {exc}")]))
-            return ERROR
+            raise Failure(ERROR, type(exc).__name__, f"block {block.name!r}: {exc}") from exc
 
-    payload: str
     if args.format == "json":
         payload = json.dumps([r.to_json() for r in results], indent=2, sort_keys=True) + "\n"
     else:
         payload = _results_to_csv(results)
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        _emit(_report("solve", ERROR,
-                      diagnostics=[_diag("error", "IOError", str(exc))]))
-        return ERROR
-    _emit(_report("solve", OK, artifacts=[args.out]))
-    return OK
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(payload)
+    return OK, _report("solve", OK, artifacts=[args.out])
 
 
 # -- verify -------------------------------------------------------------------
@@ -188,104 +176,59 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
     return ok
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     if args.n_max > VERIFY_MAX_N:
-        _emit(_report("verify", ERROR, diagnostics=[_diag(
-            "error", "ResourceLimit",
-            f"verify supports --n-max up to {VERIFY_MAX_N}; tableau "
-            f"enumeration beyond that is out of the desk-checkable range")]))
-        return ERROR
+        raise Failure(ERROR, "ResourceLimit",
+                      f"verify supports --n-max up to {VERIFY_MAX_N}; tableau "
+                      f"enumeration beyond that is out of the desk-checkable range")
     if args.n_max < 1:
-        _emit(_report("verify", ERROR, diagnostics=[_diag(
-            "error", "BadArgument", "--n-max must be at least 1")]))
-        return ERROR
+        raise Failure(ERROR, "BadArgument", "--n-max must be at least 1")
     diagnostics: list[dict] = []
     all_ok = all([_verify_one_n(n, diagnostics) for n in range(1, args.n_max + 1)])
     code = OK if all_ok else VIOLATION
-    _emit(_report("verify", code, diagnostics=diagnostics))
-    return code
+    return code, _report("verify", code, diagnostics=diagnostics)
 
 
 # -- exthom -------------------------------------------------------------------
 
 
-def cmd_exthom(args) -> int:
-    bad = None
+def cmd_exthom(args) -> tuple[int, dict]:
     if args.max_k < 0:
-        bad = ("BadArgument", "--max-k must be nonnegative")
-    elif args.max_k > EXTHOM_MAX_K:
-        bad = ("ResourceLimit", f"exthom supports --max-k up to {EXTHOM_MAX_K}")
-    elif args.sn is not None and args.sn < 1:
-        bad = ("BadArgument", "--sn must be at least 1")
-    elif args.sn is not None and args.sn > EXTHOM_MAX_SN:
-        bad = ("ResourceLimit", f"exthom supports --sn up to {EXTHOM_MAX_SN}")
-    if bad:
-        _emit(_report("exthom", ERROR, diagnostics=[_diag("error", *bad)]))
-        return ERROR
+        raise Failure(ERROR, "BadArgument", "--max-k must be nonnegative")
+    if args.max_k > EXTHOM_MAX_K:
+        raise Failure(ERROR, "ResourceLimit", f"exthom supports --max-k up to {EXTHOM_MAX_K}")
+    if args.sn is not None and args.sn < 1:
+        raise Failure(ERROR, "BadArgument", "--sn must be at least 1")
+    if args.sn is not None and args.sn > EXTHOM_MAX_SN:
+        raise Failure(ERROR, "ResourceLimit", f"exthom supports --sn up to {EXTHOM_MAX_SN}")
     if args.sn is not None:
-        source = f"S_{args.sn}"
-        table = char_table_sn(args.sn)
+        source, table = f"S_{args.sn}", char_table_sn(args.sn)
     else:
-        source = args.table
-        try:
-            with open(args.table, "r", encoding="utf-8") as fh:
-                table = CharTable.from_json(json.load(fh))
-        except OSError as exc:
-            _emit(_report("exthom", ERROR,
-                          diagnostics=[_diag("error", "IOError", str(exc))]))
-            return ERROR
-        except ValueError as exc:
-            _emit(_report("exthom", VIOLATION,
-                          diagnostics=[_diag("error", "DataFormatError", str(exc))]))
-            return VIOLATION
+        source, table = args.table, CharTable.from_json(read_json(args.table))
     try:
         dims = graded_hom_dims(table, args.chi, args.psi, args.max_k)
     except KeyError as exc:
-        _emit(_report("exthom", VIOLATION,
-                      diagnostics=[_diag("error", "UnknownLabel", str(exc))]))
-        return VIOLATION
+        raise Failure(VIOLATION, "UnknownLabel", str(exc)) from exc
     except ArithmeticError as exc:
-        _emit(_report("exthom", VIOLATION, diagnostics=[_diag(
-            "error", type(exc).__name__,
-            f"table {source!r}, pair ({args.chi}, {args.psi}): {exc}")]))
-        return VIOLATION
-    _emit({"chi": args.chi, "psi": args.psi,
-           "dims": list(dims.dims), "max_k": dims.max_degree})
-    return OK
+        raise Failure(VIOLATION, type(exc).__name__,
+                      f"table {source!r}, pair ({args.chi}, {args.psi}): {exc}") from exc
+    return OK, {"chi": args.chi, "psi": args.psi,
+                "dims": list(dims.dims), "max_k": dims.max_degree}
 
 
 # -- dualize ------------------------------------------------------------------
 
 
-def cmd_dualize(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        _emit(_report("dualize", ERROR,
-                      diagnostics=[_diag("error", "IOError", str(exc))]))
-        return ERROR
-    except json.JSONDecodeError as exc:
-        _emit(_report("dualize", VIOLATION,
-                      diagnostics=[_diag("error", "DataFormatError", str(exc))]))
-        return VIOLATION
+def cmd_dualize(args) -> tuple[int, list]:
+    raw = read_json(args.input)
     if isinstance(raw, dict):
         raw = [raw]
-    tables = []
     try:
-        for entry in raw:
-            tables.append({
-                "block": entry["block"],
-                "order": list(entry["order"]),
-                "p_dual": entry["p_dual"],
-            })
+        tables = [{"block": entry["block"], "order": list(entry["order"]),
+                   "p_dual": entry["p_dual"]} for entry in raw]
     except (KeyError, TypeError) as exc:
-        _emit(_report("dualize", VIOLATION, diagnostics=[_diag(
-            "error", "DataFormatError",
-            f"not a solve result file: missing {exc}")]))
-        return VIOLATION
-    _emit(tables)
-    return OK
+        raise DataFormatError(f"not a solve result file: missing {exc}") from exc
+    return OK, tables
 
 
 # -- entry point ---------------------------------------------------------------
@@ -344,14 +287,29 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, document = args.func(args)
     except Exception as exc:
-        # a bug, not a data problem: keep the traceback for the user and
-        # still print the one JSON document every command promises
-        traceback.print_exc()
-        _emit(_report(args.command, ERROR, diagnostics=[_diag(
-            "error", "Internal", f"{type(exc).__name__}: {exc}")]))
+        if isinstance(exc, Failure):
+            code, kind, message = exc.code, exc.kind, str(exc)
+        elif isinstance(exc, DataFormatError):
+            code, kind, message = VIOLATION, "DataFormatError", str(exc)
+        elif isinstance(exc, OSError):
+            code, kind, message = ERROR, "IOError", str(exc)
+        else:
+            # a bug, not a data problem: keep the traceback for the user and
+            # still print the one JSON document every command promises
+            traceback.print_exc()
+            code, kind, message = ERROR, "Internal", f"{type(exc).__name__}: {exc}"
+        document = _report(args.command, code, diagnostics=[_diag("error", kind, message)])
+    try:
+        print(json.dumps(document, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # nobody reads stdout; send what is still buffered to devnull so
+        # the flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("lsalgo: stdout is closed, the JSON report was not written", file=sys.stderr)
         return ERROR
+    return code
 
 
 if __name__ == "__main__":

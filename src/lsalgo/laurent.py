@@ -16,9 +16,11 @@ product `f * g` is `dot((f,), (g,))`.
 
 Values are immutable after construction and all operations are pure, so they
 may be shared freely between workers.  Coefficients are plain Python ints,
-hence arbitrary precision.  Decoding from JSON is strict: an exponent or a
-coefficient that is not exactly an integer, or an exponent key beyond
-MAX_EXPONENT in absolute value, raises DataFormatError.
+hence arbitrary precision.  The constructor takes int exponents and int
+coefficients only and raises TypeError for anything else, bool included.
+Decoding from JSON is strict: an exponent or a coefficient that is not
+exactly an integer, or an exponent key beyond MAX_EXPONENT in absolute
+value, raises DataFormatError.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "dot",
     "bar",
     "decode_int",
+    "decode_str",
     "MAX_EXPONENT",
 ]
 
@@ -67,6 +70,14 @@ def decode_int(value, what: str) -> int:
     return value
 
 
+def decode_str(value, what: str) -> str:
+    """A JSON string as a str; null, numbers and anything else raise
+    DataFormatError instead of being passed through str()."""
+    if type(value) is not str:
+        raise DataFormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _decode_exponent(key) -> int:
     # JSON object keys are strings; only the canonical decimal form is taken
     if isinstance(key, str):
@@ -93,8 +104,10 @@ class HalfLaurent:
         HalfLaurent({2: 1, 0: -1})    # t - 1
         HalfLaurent({-1: 3})          # 3*t^(-1/2)
 
-    Zero coefficients are dropped on construction; the zero polynomial has an
-    empty coefficient map.  Supports +, -, *, ** and mixing with ints.
+    Exponents and coefficients must have type int (bool is refused), else
+    TypeError.  Zero coefficients are dropped on construction; the zero
+    polynomial has an empty coefficient map.  Supports +, -, *, ** and
+    mixing with ints.
     """
 
     __slots__ = ("_c",)
@@ -103,8 +116,10 @@ class HalfLaurent:
         c: dict[int, int] = {}
         if coeffs:
             for e, v in coeffs.items():
+                if type(e) is not int or type(v) is not int:
+                    raise TypeError(f"exponent {e!r} and coefficient {v!r} must be ints")
                 if v:
-                    c[int(e)] = v
+                    c[e] = v
         self._c = c
 
     # -- basic queries ----------------------------------------------------

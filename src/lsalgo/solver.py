@@ -42,7 +42,7 @@ still enters the product and fails the check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .blockdata import BlockData, Violation, closure_below, validate_block
 from .laurent import ONE, ZERO, HalfLaurent, NonExactDivision, dot, exact_div, t_half_power
@@ -96,19 +96,13 @@ class ShapeMismatch(SolverError):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """The factorization of one block, indexed by the block's label order.
-
-    `extension_order` records which linear extension of the orbit poset the
-    run used; it is diagnostic only and excluded from equality, because the
-    solution itself is order-independent.
-    """
+    """The factorization of one block, indexed by the block's label order."""
 
     block: str
     labels: tuple[str, ...]
     p: Matrix
     lam: Matrix
     p_dual: Matrix
-    extension_order: tuple[str, ...] = field(compare=False)
 
     def entry(self, matrix: Matrix, row: str, col: str) -> HalfLaurent:
         return matrix[self.labels.index(row)][self.labels.index(col)]
@@ -199,7 +193,7 @@ def random_extension(block: BlockData, rng: random.Random) -> list[str]:
 
 
 def solve(block: BlockData, *, order_seed: int | None = None,
-          extension: list[str] | None = None, validate: bool = True) -> SolveResult:
+          validate: bool = True) -> SolveResult:
     """Run the factorization on one block.
 
     With `order_seed` the linear extension is drawn at random from the given
@@ -212,11 +206,10 @@ def solve(block: BlockData, *, order_seed: int | None = None,
         if violations:
             raise InvalidBlock(violations)
 
-    if extension is None:
-        if order_seed is None:
-            extension = default_extension(block)
-        else:
-            extension = random_extension(block, random.Random(order_seed))
+    if order_seed is None:
+        extension = default_extension(block)
+    else:
+        extension = random_extension(block, random.Random(order_seed))
 
     labels = block.label_ids()
     k = len(labels)
@@ -275,12 +268,8 @@ def solve(block: BlockData, *, order_seed: int | None = None,
                 r[i][j] = r[i][j] - dot(rhs, pj)
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
-    lam_matrix: Matrix = tuple(tuple(row) for row in lam)
-    result = SolveResult(block.name, labels, p_matrix, lam_matrix,
-                         p_matrix, tuple(extension))
-    p_dual = dualize_p(result, block)
-    result = SolveResult(block.name, labels, p_matrix, lam_matrix,
-                         p_dual, tuple(extension))
+    result = SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
+                         _dual_stalks(labels, p_matrix, block))
     _check_invariants(result, block)
     return result
 
@@ -344,17 +333,16 @@ def dualize_p(result: SolveResult, block: BlockData) -> Matrix:
     Applying the same transformation twice returns the original p, because
     duality preserves orbits and bar is an involution.
     """
-    labels = result.labels
+    return _dual_stalks(result.labels, result.p, block)
+
+
+def _dual_stalks(labels: tuple[str, ...], p: Matrix, block: BlockData) -> Matrix:
     index = {label: i for i, label in enumerate(labels)}
     dual = {lb.id: lb.dual for lb in block.labels}
     dims = {lb.id: block.orbit_of(lb.id).dim for lb in block.labels}
-    k = len(labels)
-    out = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            starred = result.p[index[dual[labels[i]]]][index[dual[labels[j]]]]
-            out[i][j] = starred.bar().shift(-2 * dims[labels[j]])
-    return tuple(tuple(row) for row in out)
+    return tuple(
+        tuple(p[index[dual[a]]][index[dual[b]]].bar().shift(-2 * dims[b]) for b in labels)
+        for a in labels)
 
 
 def extension_invariance_check(block: BlockData, trials: int) -> bool:

@@ -35,6 +35,7 @@ from .laurent import (
     HalfLaurent,
     NonExactDivision,
     decode_int,
+    decode_str,
     exact_div,
     t_power,
 )
@@ -269,24 +270,31 @@ class CharTable:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> CharTable:
-        """Decode a table; every number must be a JSON integer, and anything
-        else, including bool and float, raises DataFormatError."""
+        """Decode a table; every number must be a JSON integer and every id a
+        JSON string, anything else (bool and float included) raises
+        DataFormatError, as do a table without classes and a group order
+        below 1."""
         try:
             table = cls(
                 group_order=decode_int(obj["group_order"], "group_order"),
                 classes=tuple(
-                    ClassData(str(c["id"]), decode_int(c["size"], f"size of class {c['id']!r}"),
+                    ClassData(decode_str(c["id"], "a class id"),
+                              decode_int(c["size"], f"size of class {c['id']!r}"),
                               HalfLaurent.from_json(c["molien_det"]))
                     for c in obj["classes"]
                 ),
                 irreducibles=tuple(
-                    IrrData(str(i["id"]), tuple(
+                    IrrData(decode_str(i["id"], "a character id"), tuple(
                         decode_int(v, f"value of character {i['id']!r}") for v in i["values"]))
                     for i in obj["irreducibles"]
                 ),
             )
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"malformed character table: {exc!r}") from exc
+        if not table.classes:
+            raise DataFormatError("a character table needs at least one class")
+        if table.group_order < 1:
+            raise DataFormatError(f"group_order must be positive, got {table.group_order}")
         for irr in table.irreducibles:
             if len(irr.values) != len(table.classes):
                 raise DataFormatError(f"character {irr.id!r} has {len(irr.values)} "

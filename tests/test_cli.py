@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,10 +139,22 @@ class TestSolve:
         lambda b: b["omega"]["entries"][0].__setitem__(0, {str(MAX_EXPONENT + 1): 1}),
         lambda b: b["orbits"][1].__setitem__("dim", 10**12),
         lambda b: b["orbits"][1].__setitem__("dim", MAX_ORBIT_DIM + 1),
+        lambda b: b.__setitem__("name", None),
+        lambda b: b["orbits"][0].__setitem__("id", 11),
+        lambda b: b["orbits"][1].__setitem__("covers", "1.1"),
+        lambda b: b["orbits"][1].__setitem__("covers", [11]),
+        lambda b: b["labels"][0].__setitem__("id", 11),
+        lambda b: b["labels"][0].__setitem__("orbit", 11),
+        lambda b: b["labels"][0].__setitem__("local_system", None),
+        lambda b: b["labels"][0].__setitem__("dual", 11),
+        lambda b: b["omega"]["order"].__setitem__(0, 11),
+        lambda b: b["omega"].__setitem__("order", "12"),
     ], ids=["coefficient-1.9", "coefficient-true", "exponent-x", "dim-2.7", "dim-true",
             "dim-abc", "entries-null", "entries-row-null", "provenance-5",
             "exponent-2e9-zero-coefficient", "exponent-past-bound", "dim-1e12",
-            "dim-past-bound"])
+            "dim-past-bound", "name-null", "orbit-id-int", "covers-string", "cover-int",
+            "label-id-int", "label-orbit-int", "local-system-null", "dual-int",
+            "order-entry-int", "order-string"])
     def test_inexact_number_exit1(self, tmp_path, capsys, edit):
         # nothing is rounded, coerced or left to a traceback: 1.9 must not
         # be read as 1 and solved
@@ -303,8 +318,14 @@ class TestExthom:
         lambda t: t["classes"][0].update(molien_det={"0": 1, "6": -1.9}),
         lambda t: t["classes"][0].update(molien_det={"0": 1, "x": -1}),
         lambda t: t.pop("classes"),
+        lambda t: t["classes"][0].update(id=None),
+        lambda t: t["irreducibles"][0].update(id=3),
+        lambda t: t.update(classes=[], irreducibles=[]),
+        lambda t: t.update(group_order=0),
+        lambda t: t.update(group_order=-6),
     ], ids=["value-1.9", "size-float", "order-bool", "molien-float",
-            "molien-key", "missing-classes"])
+            "molien-key", "missing-classes", "class-id-null", "character-id-int",
+            "no-classes", "order-0", "order-negative"])
     def test_inexact_table_value_is_a_format_error(self, tmp_path, capsys, edit):
         path = self.s3_table_file(tmp_path, edit)
         code, out = run(capsys, "exthom", "--table", str(path),
@@ -357,6 +378,43 @@ class TestDualize:
     def test_missing_file_exit2(self, tmp_path, capsys):
         code, _ = run(capsys, "dualize", str(tmp_path / "none.json"))
         assert code == 2
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv", [
+        ("solve", "{path}", "--out", "{out}"),
+        ("dualize", "{path}"),
+        ("exthom", "--table", "{path}", "--chi", "2", "--psi", "2", "--max-k", "2"),
+    ], ids=["solve", "dualize", "exthom-table"])
+    def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe[1]")
+        argv = [a.format(path=path, out=tmp_path / "r.json") for a in argv]
+        code, out = run(capsys, *argv)
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        (diag,) = report["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
+
+
+class TestClosedStdout:
+    def test_exit2_one_stderr_line(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lsalgo.cli", "solve",
+                 str(DATASETS / "springer_a3.json"), "--out", str(tmp_path / "r.json")],
+                stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(DATASETS.parent / "src")},
+                timeout=120)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestInternalError:

@@ -10,6 +10,7 @@ from lsalgo.laurent import (
     NonExactDivision,
     bar,
     decode_int,
+    decode_str,
     dot,
     exact_div,
     t_half_power,
@@ -228,11 +229,28 @@ class TestSerialization:
         for e in (MAX_EXPONENT, -MAX_EXPONENT):
             assert HalfLaurent.from_json({str(e): 1}) == t_half_power(e)
 
+    @pytest.mark.parametrize("coeffs", [
+        {2.7: 1},
+        {"3": 1},
+        {0: 1.5},
+        {True: 1},
+        {0: True},
+    ])
+    def test_constructor_takes_ints_only(self, coeffs):
+        with pytest.raises(TypeError):
+            HalfLaurent(coeffs)
+
     def test_decode_int(self):
         assert decode_int(-7, "x") == -7
         for bad in (True, 1.0, "1", None):
             with pytest.raises(DataFormatError):
                 decode_int(bad, "x")
+
+    def test_decode_str(self):
+        assert decode_str("2.1", "x") == "2.1"
+        for bad in (None, 5, True, ["a"]):
+            with pytest.raises(DataFormatError):
+                decode_str(bad, "x")
 
     def test_evaluate_at_one(self):
         assert (t_power(2) - 1 + 3 * t_power(-1)).evaluate_at_one() == 3
