@@ -420,6 +420,14 @@ def _decode_ids(value, what: str) -> tuple[str, ...]:
     return tuple(decode_str(x, f"an entry of {what}") for x in value)
 
 
+def _decode_matrix(value, size: int, what: str) -> tuple[tuple[HalfLaurent, ...], ...]:
+    """A JSON list of `size` lists of `size` polynomials each."""
+    if (not isinstance(value, list) or len(value) != size
+            or any(not isinstance(row, list) or len(row) != size for row in value)):
+        raise DataFormatError(f"{what} are not square over order")
+    return tuple(tuple(HalfLaurent.from_json(v) for v in row) for row in value)
+
+
 def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
     """Decode one block.  `omega.order` may be a superset of the block's own
     labels (a file may record the full decomposition matrix); entries that
@@ -445,12 +453,9 @@ def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
         raise DataFormatError(f"malformed block object: {exc}") from exc
     if not isinstance(provenance, Mapping):
         raise DataFormatError(f"block {name!r}: provenance must be a JSON object")
-    if (not isinstance(entries, list) or len(entries) != len(order)
-            or any(not isinstance(row, list) or len(row) != len(order) for row in entries)):
-        raise DataFormatError(f"block {name!r}: omega entries are not square over order")
+    matrix = _decode_matrix(entries, len(order), f"block {name!r}: omega entries")
     if len(set(order)) != len(order):
         raise DataFormatError(f"block {name!r}: omega order repeats a label id")
-    matrix = [[HalfLaurent.from_json(v) for v in row] for row in entries]
 
     own = {lb.id for lb in labels}
     position = {label_id: i for i, label_id in enumerate(order)}

@@ -37,8 +37,8 @@ from .blockdata import (
 )
 from .exthom import graded_hom_dims
 from .laurent import HalfLaurent, NonExactDivision
-from .oracle import kostka_foulkes, ssyt_enumerate
-from .solver import SolveResult, SolverError, extension_invariance_check, solve
+from .oracle import kostka_foulkes
+from .solver import SolveResult, SolverError, solve
 from .weyl import CharTable, char_table_sn, partitions_of
 
 __all__ = ["main"]
@@ -116,7 +116,7 @@ def cmd_solve(args) -> tuple[int, dict]:
     results = []
     for block in ds.blocks:
         try:
-            results.append(solve(block, order_seed=args.order_seed, validate=False))
+            results.append(solve(block, order_seed=args.order_seed))
         except (SolverError, NonExactDivision) as exc:
             raise Failure(ERROR, type(exc).__name__, f"block {block.name!r}: {exc}") from exc
 
@@ -143,9 +143,9 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
     for lam in partitions_of(n):
         for mu in partitions_of(n):
             p = result.p_entry(lam.key(), mu.key())
-            kostka = kostka_foulkes(lam, mu)
             if dominates(lam, mu):
-                tableaux = len(ssyt_enumerate(lam, mu))
+                kostka = kostka_foulkes(lam, mu)
+                tableaux = kostka.evaluate_at_one()
                 if _coefficient_multiset(p) != _coefficient_multiset(kostka):
                     ok = False
                     diagnostics.append(_diag(
@@ -164,7 +164,7 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
                     "error", "SupportMismatch",
                     f"n={n} pair ({lam.key()}, {mu.key()}): expected zero, "
                     f"got {p.pretty()}"))
-    if not extension_invariance_check(block, 5):
+    if any(solve(block, order_seed=seed) != result for seed in range(5)):
         ok = False
         diagnostics.append(_diag(
             "error", "OrderDependence",
@@ -212,8 +212,12 @@ def cmd_exthom(args) -> tuple[int, dict]:
     except ArithmeticError as exc:
         raise Failure(VIOLATION, type(exc).__name__,
                       f"table {source!r}, pair ({args.chi}, {args.psi}): {exc}") from exc
-    return OK, {"chi": args.chi, "psi": args.psi,
-                "dims": list(dims.dims), "max_k": dims.max_degree}
+    # certified divisions pass on a table whose rows repeat a character
+    problems = table.validate() if args.sn is None else []
+    if problems:
+        return VIOLATION, _report("exthom", VIOLATION, diagnostics=[
+            _diag("error", "InvalidTable", f"table {source!r}: {p}") for p in problems])
+    return OK, {"chi": args.chi, "psi": args.psi, **dims.to_json()}
 
 
 # -- dualize ------------------------------------------------------------------
@@ -223,12 +227,10 @@ def cmd_dualize(args) -> tuple[int, list]:
     raw = read_json(args.input)
     if isinstance(raw, dict):
         raw = [raw]
-    try:
-        tables = [{"block": entry["block"], "order": list(entry["order"]),
-                   "p_dual": entry["p_dual"]} for entry in raw]
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"not a solve result file: missing {exc}") from exc
-    return OK, tables
+    if not isinstance(raw, list):
+        raise DataFormatError("a solve result file must hold a JSON array of results")
+    results = [SolveResult.from_json(entry).to_json() for entry in raw]
+    return OK, [{key: r[key] for key in ("block", "order", "p_dual")} for r in results]
 
 
 # -- entry point ---------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .laurent import HalfLaurent
 from .weyl import CharTable, class_pair_series, coinvariant_pairing, degrees_product
 
 __all__ = [
@@ -84,15 +85,7 @@ def series_consistency(table: CharTable, chi: str, psi: str, max_k: int) -> bool
     coinvariant pairing: the series times prod (1 - u^d_j) must agree with
     coinvariant_pairing(chi, psi) through degree max_k."""
     dims = graded_hom_dims(table, chi, psi, max_k).dims
-    degrees = degrees_product(table)
+    product = HalfLaurent({2 * k: v for k, v in enumerate(dims)}) * degrees_product(table)
     pairing = coinvariant_pairing(table, chi, psi)
-    for k in range(max_k + 1):
-        # coefficient of u^k in (sum dims * u^j) * degrees_product
-        acc = 0
-        for e, c in degrees.items():
-            j = k - e // 2
-            if 0 <= j <= max_k:
-                acc += c * dims[j]
-        if acc != pairing.coefficient(2 * k):
-            return False
-    return True
+    return all(product.coefficient(2 * k) == pairing.coefficient(2 * k)
+               for k in range(max_k + 1))

@@ -155,13 +155,14 @@ class HalfLaurent:
 
     # -- ring structure ---------------------------------------------------
 
-    def __add__(self, other: HalfLaurent | int) -> HalfLaurent:
+    def _merge(self, other: HalfLaurent | int, sign: int) -> HalfLaurent:
+        # self + sign * other in one pass over other's terms
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         c = dict(self._c)
         for e, v in other._c.items():
-            s = c.get(e, 0) + v
+            s = c.get(e, 0) + sign * v
             if s:
                 c[e] = s
             else:
@@ -169,6 +170,9 @@ class HalfLaurent:
         out = HalfLaurent.__new__(HalfLaurent)
         out._c = c
         return out
+
+    def __add__(self, other: HalfLaurent | int) -> HalfLaurent:
+        return self._merge(other, 1)
 
     __radd__ = __add__
 
@@ -178,19 +182,7 @@ class HalfLaurent:
         return out
 
     def __sub__(self, other: HalfLaurent | int) -> HalfLaurent:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) - v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._c = c
-        return out
+        return self._merge(other, -1)
 
     def __rsub__(self, other: int) -> HalfLaurent:
         other = _coerce(other)

@@ -18,7 +18,6 @@ charge n(n-1)/2 and K_{lambda,lambda} = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .laurent import HalfLaurent
 from .weyl import Partition, SizeMismatch
@@ -76,6 +75,7 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
     if shape.n != content.n:
         raise SizeMismatch(f"|{shape.parts}| != |{content.parts}|")
     rows = shape.parts
+    positions = [(i, j) for i, r in enumerate(rows) for j in range(r)]
     counts = list(content.parts)
     m = len(counts)
     grid = [[0] * r for r in rows]
@@ -85,7 +85,7 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
         if cell == shape.n:
             out.append(Tableau(tuple(tuple(r) for r in grid)))
             return
-        i, j = _cell_position(rows, cell)
+        i, j = positions[cell]
         lo = 1
         if j > 0:
             lo = max(lo, grid[i][j - 1])
@@ -102,15 +102,6 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
 
     fill(0)
     return out
-
-
-@lru_cache(maxsize=None)
-def _positions(rows: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i, r in enumerate(rows) for j in range(r))
-
-
-def _cell_position(rows: tuple[int, ...], cell: int) -> tuple[int, int]:
-    return _positions(rows)[cell]
 
 
 def _standard_charge(subword: list[int]) -> int:

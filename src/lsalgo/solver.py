@@ -29,10 +29,12 @@ fraction-free (Bareiss).  A zero determinant means omega is not a block.  Any
 failure names the inconsistency instead of producing wrong numbers.  Because
 the solution is unique, the result does not depend on which linear extension
 was used; the returned matrices are always indexed by the block's own label
-order.
+order.  `linear_extension` produces every extension: ascending (dimension,
+id) by default, or drawn at random from a seed.
 
-A result is checked before it is returned, always: p must be invariant under
-duality, Lambda symmetric, and P * Lambda * P^T must equal omega exactly.
+`solve` validates the block before solving, always, and a result is checked
+before it is returned, always: p must be invariant under duality, Lambda
+symmetric, and P * Lambda * P^T must equal omega exactly.
 `reconstruct` forms that product from the result's own entries as a sparse
 product over the entries that are actually nonzero.  It does not assume the
 support the closure order allows, so a stray entry anywhere in p or Lambda
@@ -44,8 +46,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .blockdata import BlockData, Violation, closure_below, validate_block
-from .laurent import ONE, ZERO, HalfLaurent, NonExactDivision, dot, exact_div, t_half_power
+from .blockdata import (
+    BlockData, Violation, _decode_ids, _decode_matrix, closure_below, validate_block)
+from .laurent import (
+    ONE, ZERO, DataFormatError, HalfLaurent, NonExactDivision, decode_str, dot, exact_div,
+    t_half_power)
 
 __all__ = [
     "SolverError",
@@ -125,6 +130,20 @@ class SolveResult:
             "p_dual": [[v.to_json() for v in row] for row in self.p_dual],
         }
 
+    @classmethod
+    def from_json(cls, obj) -> SolveResult:
+        """Decode one result as `to_json` writes it, else DataFormatError."""
+        try:
+            block = decode_str(obj["block"], "a result block")
+            labels = _decode_ids(obj["order"], "result order")
+            p, lam, p_dual = (_decode_matrix(obj[key], len(labels), f"result {block!r}: {key}")
+                              for key in ("p", "lambda", "p_dual"))
+        except (KeyError, TypeError) as exc:
+            raise DataFormatError(f"not a solve result file: missing {exc}") from exc
+        if len(set(labels)) != len(labels):
+            raise DataFormatError(f"result {block!r}: order repeats a label id")
+        return cls(block, labels, p, lam, p_dual)
+
 
 def bareiss_det(matrix: list[list[HalfLaurent]]) -> HalfLaurent:
     """Fraction-free determinant over Z[t^(1/2), t^(-1/2)].
@@ -175,41 +194,31 @@ def _det_adjugate(lam_block: list[list[HalfLaurent]], orbit_id: str):
     return det, adj
 
 
-def default_extension(block: BlockData) -> list[str]:
-    """Deterministic linear extension: ascending (dimension, orbit id)."""
-    return [o.id for o in sorted(block.orbits, key=lambda o: (o.dim, o.id))]
-
-
-def random_extension(block: BlockData, rng: random.Random) -> list[str]:
-    """A randomly drawn linear extension of the closure order."""
+def linear_extension(block: BlockData, order_seed: int | None = None) -> list[str]:
+    """A linear extension of the closure order, lowest orbits first: each step
+    lists, of the orbits whose lower closure is listed, the least by (dim, id),
+    or with a seed a random one of them sorted by id."""
     below = closure_below(block)
-    remaining = {o.id for o in block.orbits}
+    dim_of = {o.id: o.dim for o in block.orbits}
+    rng = None if order_seed is None else random.Random(order_seed)
+    remaining = set(dim_of)
     out: list[str] = []
     while remaining:
         ready = sorted(o for o in remaining if not (below[o] & remaining))
-        out.append(rng.choice(ready))
+        out.append(min(ready, key=dim_of.get) if rng is None else rng.choice(ready))
         remaining.remove(out[-1])
     return out
 
 
-def solve(block: BlockData, *, order_seed: int | None = None,
-          validate: bool = True) -> SolveResult:
-    """Run the factorization on one block.
+def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
+    """Validate one block and run the factorization on it.
 
     With `order_seed` the linear extension is drawn at random from the given
-    seed; the result is identical either way.  `validate=False` skips the
-    precondition check, which is only useful for exercising the solver's own
-    error detection on deliberately broken data.
+    seed; the result is identical either way.
     """
-    if validate:
-        violations = validate_block(block)
-        if violations:
-            raise InvalidBlock(violations)
-
-    if order_seed is None:
-        extension = default_extension(block)
-    else:
-        extension = random_extension(block, random.Random(order_seed))
+    violations = validate_block(block)
+    if violations:
+        raise InvalidBlock(violations)
 
     labels = block.label_ids()
     k = len(labels)
@@ -224,7 +233,7 @@ def solve(block: BlockData, *, order_seed: int | None = None,
     # residual: omega minus the contributions of the processed orbits
     r = [list(row) for row in block.omega]
 
-    for orbit_id in extension:
+    for orbit_id in linear_extension(block, order_seed):
         members = on_orbit[orbit_id]
         dim = dim_of[orbit_id]
 
@@ -268,21 +277,26 @@ def solve(block: BlockData, *, order_seed: int | None = None,
                 r[i][j] = r[i][j] - dot(rhs, pj)
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
+    dual, dims = _duals(block)
     result = SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
-                         _dual_stalks(labels, p_matrix, block))
-    _check_invariants(result, block)
+                         _dual_stalks(p_matrix, dual, dims))
+    _check_invariants(result, block, dual)
     return result
 
 
-def _check_invariants(result: SolveResult, block: BlockData) -> None:
+def _duals(block: BlockData) -> tuple[list[int], list[int]]:
+    """Per label, in the block's order: its dual's position and its orbit's dim."""
+    index = {lb.id: i for i, lb in enumerate(block.labels)}
+    dim_of = {o.id: o.dim for o in block.orbits}
+    return [index[lb.dual] for lb in block.labels], [dim_of[lb.orbit] for lb in block.labels]
+
+
+def _check_invariants(result: SolveResult, block: BlockData, dual: list[int]) -> None:
     labels = result.labels
     k = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
-    dual = {lb.id: lb.dual for lb in block.labels}
-
     for i in range(k):
         for j in range(k):
-            di, dj = index[dual[labels[i]]], index[dual[labels[j]]]
+            di, dj = dual[i], dual[j]
             if result.p[i][j] != result.p[di][dj]:
                 raise DualSymmetryViolation(
                     f"p[{labels[i]}][{labels[j]}] != p[{labels[di]}][{labels[dj]}]")
@@ -333,23 +347,19 @@ def dualize_p(result: SolveResult, block: BlockData) -> Matrix:
     Applying the same transformation twice returns the original p, because
     duality preserves orbits and bar is an involution.
     """
-    return _dual_stalks(result.labels, result.p, block)
+    if result.labels != block.label_ids():
+        raise ShapeMismatch("result labels do not match the block")
+    return _dual_stalks(result.p, *_duals(block))
 
 
-def _dual_stalks(labels: tuple[str, ...], p: Matrix, block: BlockData) -> Matrix:
-    index = {label: i for i, label in enumerate(labels)}
-    dual = {lb.id: lb.dual for lb in block.labels}
-    dims = {lb.id: block.orbit_of(lb.id).dim for lb in block.labels}
-    return tuple(
-        tuple(p[index[dual[a]]][index[dual[b]]].bar().shift(-2 * dims[b]) for b in labels)
-        for a in labels)
+def _dual_stalks(p: Matrix, dual: list[int], dims: list[int]) -> Matrix:
+    k = len(p)
+    return tuple(tuple(p[dual[a]][dual[b]].bar().shift(-2 * dims[b]) for b in range(k))
+                 for a in range(k))
 
 
 def extension_invariance_check(block: BlockData, trials: int) -> bool:
     """Solve under `trials` randomly drawn linear extensions and report
     whether every run produced the identical factorization."""
     reference = solve(block)
-    for seed in range(trials):
-        if solve(block, order_seed=seed) != reference:
-            return False
-    return True
+    return all(solve(block, order_seed=seed) == reference for seed in range(trials))

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Mapping
 
 from .laurent import (
@@ -68,7 +69,9 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if any(type(p) is not int for p in self.parts):
+            raise TypeError(f"parts must be ints: {self.parts}")
         if any(p < 1 for p in self.parts):
             raise ValueError(f"parts must be positive: {self.parts}")
         if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
@@ -99,9 +102,11 @@ class Partition:
 
     @classmethod
     def from_key(cls, key: str) -> Partition:
-        if key == "0":
-            return cls(())
-        return cls(tuple(int(p) for p in key.split(".")))
+        """The partition whose `key()` is exactly `key`, else ValueError."""
+        lam = cls(()) if key == "0" else cls(tuple(int(p) for p in key.split(".")))
+        if lam.key() != key:
+            raise ValueError(f"{key!r} is not the key of a partition")
+        return lam
 
     def __repr__(self) -> str:
         return f"Partition({self.parts})"
@@ -244,13 +249,15 @@ class CharTable:
         except ValueError:
             problems.append("Molien determinants have inconsistent degrees")
         k = len(self.classes)
+        if len(self.irreducibles) != k:
+            problems.append(f"{len(self.irreducibles)} characters for {k} classes")
         for i, chi in enumerate(self.irreducibles):
             if len(chi.values) != k:
                 problems.append(f"character {chi.id} has {len(chi.values)} values for {k} classes")
                 continue
+            weighted = [c.size * x for c, x in zip(self.classes, chi.values)]
             for psi in self.irreducibles[i:]:
-                dot = sum(c.size * x * y
-                          for c, x, y in zip(self.classes, chi.values, psi.values))
+                dot = sum(map(mul, weighted, psi.values))
                 expected = self.group_order if chi.id == psi.id else 0
                 if dot != expected:
                     problems.append(f"orthogonality fails for ({chi.id}, {psi.id})")
@@ -372,6 +379,15 @@ def _pair_weights(table: CharTable, chi: str, psi: str) -> list[int]:
     return [c.size * x * y for c, x, y in zip(table.classes, xv, yv, strict=True)]
 
 
+def _inverse_series(f: tuple[int, ...], n_terms: int) -> tuple[int, ...]:
+    """First n_terms coefficients of 1/f for an integer series f with f[0] = 1."""
+    terms = [(j, v) for j, v in enumerate(f) if j and v]
+    inv = [1]
+    for k in range(1, n_terms):
+        inv.append(-sum(v * inv[k - j] for j, v in terms if j <= k))
+    return tuple(inv)
+
+
 @lru_cache(maxsize=32)
 def _inverse_dets(table: CharTable, n_terms: int):
     """First n_terms coefficients of 1/det(1 - q*w) for every class, and of
@@ -382,14 +398,7 @@ def _inverse_dets(table: CharTable, n_terms: int):
     constant term 1; that certifies the class sizes before any pair is
     summed.
     """
-    out = []
-    for c in table.classes:
-        det = _molien_det_q(c)
-        terms = [(j, -v) for j, v in enumerate(det) if j and v]
-        inv = [1] + [0] * (n_terms - 1)
-        for k in range(1, n_terms):
-            inv[k] = sum(v * inv[k - j] for j, v in terms if j <= k)
-        out.append(tuple(inv))
+    out = [_inverse_series(_molien_det_q(c), n_terms) for c in table.classes]
     molien = _average(table, [c.size for c in table.classes], out)
     if molien[0] != 1:
         raise NonExactDivision(
@@ -422,10 +431,7 @@ def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, 
     r = table.rank()
     reflection = (ONE - T) ** (r - 1) * (ONE + T)
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
-    molien = _inverse_dets(table, top + 1)[1]
-    p = [1] + [0] * top
-    for k in range(1, top + 1):
-        p[k] = -sum(molien[j] * p[k - j] for j in range(1, k + 1))
+    p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)
     product = HalfLaurent({2 * k: v for k, v in enumerate(p)})
     graded = tuple(_q_coefficients(exact_div(product, c.molien_det))
                    for c in table.classes)

@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from lsalgo import cli
+from lsalgo import cli, solver
 from lsalgo.blockdata import (
     MAX_ORBIT_DIM,
     Dataset,
@@ -255,6 +256,20 @@ class TestVerify:
         code, _ = run(capsys, "verify", "--n-max", "4")
         assert code == 0
 
+    def test_six_solves_per_n(self, capsys, monkeypatch):
+        # one default solve whose result the five seeded solves are compared with
+        calls = Counter()
+
+        def counting_solve(block, **kwargs):
+            calls[block.name] += 1
+            return real_solve(block, **kwargs)
+
+        real_solve = solver.solve
+        monkeypatch.setattr(cli, "solve", counting_solve)
+        monkeypatch.setattr(solver, "solve", counting_solve)
+        assert run(capsys, "verify", "--n-max", "3")[0] == 0
+        assert calls == {f"springer-a-{n}": 6 for n in (1, 2, 3)}
+
     def test_n8_refused(self, capsys):
         code, out = run(capsys, "verify", "--n-max", "8")
         assert code == 2
@@ -310,6 +325,24 @@ class TestExthom:
         (diag,) = report["diagnostics"]
         assert diag["kind"] == "NonExactDivision"
         assert str(path) in diag["message"] and "(2.1, 2.1)" in diag["message"]
+
+    @pytest.mark.parametrize("edit,problem", [
+        # the sign row overwritten by the trivial row: every certified
+        # division still passes, only the orthogonality relations fail
+        (lambda t: t["irreducibles"][2].update(values=t["irreducibles"][0]["values"]),
+         "orthogonality fails for (3, 1.1.1)"),
+        (lambda t: t["irreducibles"].pop(1), "2 characters for 3 classes"),
+    ], ids=["sign-row-is-trivial", "missing-character"])
+    def test_table_failing_validate_is_a_violation(self, tmp_path, capsys, edit, problem):
+        path = self.s3_table_file(tmp_path, edit)
+        code, out = run(capsys, "exthom", "--table", str(path),
+                        "--chi", "1.1.1", "--psi", "3", "--max-k", "4")
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        assert {d["kind"] for d in report["diagnostics"]} == {"InvalidTable"}
+        assert all(str(path) in d["message"] for d in report["diagnostics"])
+        assert any(problem in d["message"] for d in report["diagnostics"])
 
     @pytest.mark.parametrize("edit", [
         lambda t: t["irreducibles"][1]["values"].__setitem__(0, 1.9),
@@ -378,6 +411,46 @@ class TestDualize:
     def test_missing_file_exit2(self, tmp_path, capsys):
         code, _ = run(capsys, "dualize", str(tmp_path / "none.json"))
         assert code == 2
+
+    @staticmethod
+    def gl2_result(tmp_path, capsys):
+        result_path = tmp_path / "r.json"
+        assert run(capsys, "solve", str(DATASETS / "springer_a2.json"),
+                   "--out", str(result_path))[0] == 0
+        return json.loads(result_path.read_text())
+
+    @pytest.mark.parametrize("content", [
+        [{"block": 5, "order": "ab", "p_dual": None}],
+        5,
+    ], ids=["unchecked-fields", "not-a-list"])
+    def test_not_a_result_is_a_format_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        code, out = run(capsys, "dualize", str(path))
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(p_dual=None),
+        lambda r: r["p_dual"][0].pop(),
+        lambda r: r["order"].__setitem__(0, 1),
+        lambda r: r["p_dual"][0].__setitem__(0, {"0": True}),
+        lambda r: r.pop("lambda"),
+        lambda r: r["order"].__setitem__(1, r["order"][0]),
+    ], ids=["p-dual-null", "p-dual-ragged", "order-entry-int", "coefficient-bool",
+            "missing-lambda", "order-repeats-id"])
+    def test_malformed_result_is_a_format_error(self, tmp_path, capsys, edit):
+        result_path = tmp_path / "r.json"
+        assert run(capsys, "solve", str(DATASETS / "springer_a2.json"),
+                   "--out", str(result_path))[0] == 0
+        (result,) = json.loads(result_path.read_text())
+        edit(result)
+        result_path.write_text(json.dumps([result]))
+        code, out = run(capsys, "dualize", str(result_path))
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
 
 
 class TestUnreadableInput:

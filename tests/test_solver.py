@@ -1,7 +1,12 @@
+import json
+import random
+
 import pytest
 
 from lsalgo.blockdata import (
     build_springer_block_a,
+    closure_below,
+    load_dataset,
     singleton_cuspidal_block,
     validate_block,
 )
@@ -10,16 +15,19 @@ from lsalgo.solver import (
     DualSymmetryViolation,
     InvalidBlock,
     SingularLambdaBlock,
+    SolveResult,
     SupportViolation,
     bareiss_det,
     dualize_p,
     extension_invariance_check,
+    linear_extension,
     reconstruct,
     solve,
 )
 from lsalgo.weyl import partitions_of
 
 from conftest import (
+    DATASETS,
     dual_symmetry_breaking_block,
     incomparable_orbits_block,
     non_ring_solution_block,
@@ -239,6 +247,16 @@ class TestDualize:
             dim = block.orbit_of(lb.id).dim
             assert result.p_dual_entry(lb.id, lb.id) == HalfLaurent({-dim: 1})
 
+    def test_labels_in_another_order_are_refused(self):
+        from dataclasses import replace
+
+        from lsalgo.solver import ShapeMismatch
+
+        block = build_springer_block_a(3)
+        result = solve(block)
+        with pytest.raises(ShapeMismatch):
+            dualize_p(replace(result, labels=result.labels[::-1]), block)
+
 
 class TestExtensionInvariance:
     @pytest.mark.parametrize("n", [4, 5])
@@ -256,6 +274,55 @@ class TestExtensionInvariance:
     def test_seeded_solve_matches_default(self):
         block = build_springer_block_a(6)
         assert solve(block, order_seed=123) == solve(block)
+
+
+def springer_and_shipped_blocks(max_n):
+    blocks = [build_springer_block_a(n) for n in range(1, max_n + 1)]
+    for path in sorted(DATASETS.glob("*.json")):
+        blocks.extend(load_dataset(path).blocks)
+    return blocks
+
+
+class TestLinearExtension:
+    # the golden digests cannot see the extension, because the result does
+    # not depend on it; these cases pin the order itself
+
+    @pytest.mark.parametrize("block", springer_and_shipped_blocks(8), ids=lambda b: b.name)
+    def test_unseeded_is_ascending_dim_then_id(self, block):
+        expected = [o.id for o in sorted(block.orbits, key=lambda o: (o.dim, o.id))]
+        assert linear_extension(block) == expected
+
+    def test_seeded_respects_closure_order_and_varies(self):
+        block = build_springer_block_a(6)
+        below = closure_below(block)
+        drawn = set()
+        for seed in range(20):
+            extension = linear_extension(block, seed)
+            assert sorted(extension) == sorted(o.id for o in block.orbits)
+            for pos, orbit_id in enumerate(extension):
+                assert below[orbit_id] <= set(extension[:pos])
+            drawn.add(tuple(extension))
+        assert len(drawn) > 1
+
+    def test_seeded_draws_among_ready_orbits_sorted_by_id(self):
+        block = build_springer_block_a(6)
+        below = closure_below(block)
+        for seed in range(20):
+            rng = random.Random(seed)
+            remaining = {o.id for o in block.orbits}
+            expected = []
+            while remaining:
+                expected.append(rng.choice(sorted(
+                    o for o in remaining if not below[o] & remaining)))
+                remaining.remove(expected[-1])
+            assert linear_extension(block, seed) == expected
+
+
+class TestResultJson:
+    @pytest.mark.parametrize("block", springer_and_shipped_blocks(6), ids=lambda b: b.name)
+    def test_round_trip(self, block):
+        result = solve(block)
+        assert SolveResult.from_json(json.loads(json.dumps(result.to_json()))) == result
 
 
 class TestKostkaBridge:
@@ -315,8 +382,10 @@ class TestErrors:
         result = solve(incomparable_orbits_block(ZERO))
         assert result.p_entry("y", "x") == ZERO
 
-    def test_dual_symmetry_violation(self):
+    def test_dual_symmetry_violation(self, monkeypatch):
         block = dual_symmetry_breaking_block()
         assert any(v.kind == "DualityViolation" for v in validate_block(block))
+        # skip the precondition check to reach the solver's own self-check
+        monkeypatch.setattr("lsalgo.solver.validate_block", lambda block: [])
         with pytest.raises(DualSymmetryViolation):
-            solve(block, validate=False)
+            solve(block)

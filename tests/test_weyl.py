@@ -7,6 +7,7 @@ from lsalgo.exthom import graded_hom_dims, series_consistency
 from lsalgo.laurent import ONE, DataFormatError, NonExactDivision, t_power
 from lsalgo.weyl import (
     CharTable,
+    IrrData,
     Partition,
     SizeMismatch,
     char_table_sn,
@@ -43,6 +44,16 @@ class TestPartition:
         for n in range(1, 8):
             for lam in partitions_of(n):
                 assert Partition.from_key(lam.key()) == lam
+
+    @pytest.mark.parametrize("parts", [(2.7, 1), ("3",), (True,), (2, 1.0)])
+    def test_parts_must_be_ints(self, parts):
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+    @pytest.mark.parametrize("key", ["02.1", "2.01", " 2", "+2", "2_0", "", "2.", "1.2", "0.0"])
+    def test_from_key_takes_only_canonical_keys(self, key):
+        with pytest.raises(ValueError):
+            Partition.from_key(key)
 
     def test_conjugate(self):
         assert P(3, 1).conjugate() == P(2, 1, 1)
@@ -199,6 +210,18 @@ class TestCharTable:
         table = char_table_sn(2)
         broken = CharTable(3, table.classes, table.irreducibles)
         assert any("group order" in p for p in broken.validate())
+
+    def test_validate_flags_missing_character(self):
+        table = char_table_sn(3)
+        short = CharTable(6, table.classes, table.irreducibles[:2])
+        assert "2 characters for 3 classes" in short.validate()
+
+    def test_validate_flags_repeated_character(self):
+        table = char_table_sn(3)
+        trivial = table.character("3").values
+        rows = tuple(IrrData(irr.id, trivial if irr.id == "1.1.1" else irr.values)
+                     for irr in table.irreducibles)
+        assert "orthogonality fails for (3, 1.1.1)" in CharTable(6, table.classes, rows).validate()
 
 
 class TestDegreesProduct:
