@@ -18,6 +18,7 @@ cross-block entry.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -42,6 +43,7 @@ __all__ = [
     "singleton_cuspidal_block",
     "validate_block",
     "validate_dataset",
+    "linear_extension",
     "closure_below",
     "block_to_json",
     "block_from_json",
@@ -215,27 +217,39 @@ def singleton_cuspidal_block(name: str, dim: int, omega: HalfLaurent) -> BlockDa
 # -- poset utilities ---------------------------------------------------------
 
 
+def linear_extension(block: BlockData, order_seed: int | None = None) -> list[str]:
+    """A linear extension of the closure order, lowest orbits first: each step
+    lists, of the orbits whose covers are all listed, the least by (dim, id),
+    or with a seed a random one of them sorted by id.  Covers naming no orbit
+    of the block are ignored.  If the cover relation has a cycle, no orbit
+    on it is ever ready: DataFormatError names the cycle."""
+    dim_of = {o.id: o.dim for o in block.orbits}
+    covers = {o.id: frozenset(o.covers) for o in block.orbits}
+    rng = None if order_seed is None else random.Random(order_seed)
+    remaining = set(dim_of)
+    out: list[str] = []
+    while remaining:
+        ready = sorted(o for o in remaining if not (covers[o] & remaining))
+        if not ready:  # each remaining orbit covers another: follow covers onto a cycle
+            path = [min(remaining)]
+            while path.count(path[-1]) < 2:
+                path.append(min(covers[path[-1]] & remaining))
+            raise DataFormatError("cover relation has a cycle: " + " covers ".join(
+                map(repr, path[path.index(path[-1]):])))
+        out.append(min(ready, key=dim_of.get) if rng is None else rng.choice(ready))
+        remaining.remove(out[-1])
+    return out
+
+
 def closure_below(block: BlockData) -> dict[str, frozenset[str]]:
     """For each orbit id, the set of orbit ids strictly below it in the
-    closure order generated by the cover relation."""
+    closure order generated by the cover relation, built up along
+    `linear_extension` (which raises DataFormatError on a cycle)."""
     covers = {orb.id: orb.covers for orb in block.orbits}
-    memo: dict[str, frozenset[str]] = {}
-
-    def descend(oid: str, trail: tuple[str, ...]) -> frozenset[str]:
-        if oid in memo:
-            return memo[oid]
-        if oid in trail:
-            raise DataFormatError(f"cover relation has a cycle through {oid!r}")
-        below: set[str] = set()
-        for child in covers.get(oid, ()):
-            below.add(child)
-            below |= descend(child, trail + (oid,))
-        memo[oid] = frozenset(below)
-        return memo[oid]
-
-    for orb in block.orbits:
-        descend(orb.id, ())
-    return memo
+    below: dict[str, frozenset[str]] = {}
+    for oid in linear_extension(block):
+        below[oid] = frozenset(covers[oid]).union(*(below.get(c, ()) for c in covers[oid]))
+    return below
 
 
 def validate_block(block: BlockData) -> list[Violation]:
@@ -269,7 +283,7 @@ def validate_block(block: BlockData) -> list[Violation]:
 
     if below is not None:
         for orb in block.orbits:
-            for child_id in below[orb.id]:
+            for child_id in sorted(below[orb.id]):
                 child = orbit_by_id.get(child_id)
                 if child is not None and child.dim >= orb.dim:
                     out.append(Violation(
@@ -502,7 +516,7 @@ def read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
         raise DataFormatError(f"not valid JSON: {exc}") from exc
 
 

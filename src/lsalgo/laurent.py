@@ -107,7 +107,8 @@ class HalfLaurent:
     Exponents and coefficients must have type int (bool is refused), else
     TypeError.  Zero coefficients are dropped on construction; the zero
     polynomial has an empty coefficient map.  Supports +, -, *, ** and
-    mixing with ints.
+    mixing with ints, but not with bools: ONE + True raises TypeError and
+    ONE == True is False.
     """
 
     __slots__ = ("_c",)
@@ -167,9 +168,7 @@ class HalfLaurent:
                 c[e] = s
             else:
                 c.pop(e, None)
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._c = c
-        return out
+        return _raw(c)
 
     def __add__(self, other: HalfLaurent | int) -> HalfLaurent:
         return self._merge(other, 1)
@@ -177,9 +176,7 @@ class HalfLaurent:
     __radd__ = __add__
 
     def __neg__(self) -> HalfLaurent:
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._c = {e: -v for e, v in self._c.items()}
-        return out
+        return _raw({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other: HalfLaurent | int) -> HalfLaurent:
         return self._merge(other, -1)
@@ -217,7 +214,7 @@ class HalfLaurent:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = _coerce(other)
         if not isinstance(other, HalfLaurent):
             return NotImplemented
@@ -230,15 +227,11 @@ class HalfLaurent:
 
     def bar(self) -> HalfLaurent:
         """The ring involution t^(1/2) -> t^(-1/2): every exponent is negated."""
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._c = {-e: v for e, v in self._c.items()}
-        return out
+        return _raw({-e: v for e, v in self._c.items()})
 
     def shift(self, double_exp: int) -> HalfLaurent:
         """Multiply by the monomial t^(double_exp/2)."""
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._c = {e + double_exp: v for e, v in self._c.items()}
-        return out
+        return _raw({e + double_exp: v for e, v in self._c.items()})
 
     def evaluate_at_one(self) -> int:
         return sum(self._c.values())
@@ -288,13 +281,19 @@ def _monomial_str(double_exp: int) -> str | None:
     return f"t^({double_exp}/2)"
 
 
+def _raw(c: dict[int, int]) -> HalfLaurent:
+    # the value over c as is, unchecked: c maps ints to nonzero ints
+    out = HalfLaurent.__new__(HalfLaurent)
+    out._c = c
+    return out
+
+
 def _coerce(x: HalfLaurent | int) -> HalfLaurent:
+    # an int (not a bool) as a constant polynomial
     if isinstance(x, HalfLaurent):
         return x
-    if isinstance(x, int):
-        out = HalfLaurent.__new__(HalfLaurent)
-        out._c = {0: x} if x else {}
-        return out
+    if type(x) is int:
+        return _raw({0: x} if x else {})
     return NotImplemented
 
 
@@ -332,9 +331,7 @@ def dot(xs: Iterable[HalfLaurent], ys: Iterable[HalfLaurent]) -> HalfLaurent:
             for e2, v2 in yc:
                 e = e1 + e2
                 c[e] = get(e, 0) + v1 * v2
-    out = HalfLaurent.__new__(HalfLaurent)
-    out._c = {e: v for e, v in c.items() if v}
-    return out
+    return _raw({e: v for e, v in c.items() if v})
 
 
 def exact_div(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
@@ -369,4 +366,4 @@ def exact_div(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
                 rem[k] = s
             else:
                 rem.pop(k, None)
-    return HalfLaurent({e + shift: v for e, v in q.items()})
+    return _raw({e + shift: v for e, v in q.items()})

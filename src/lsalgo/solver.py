@@ -10,27 +10,29 @@ computes as a block LDL^T elimination along a linear extension of the
 closure order, smallest orbits first, on one residual matrix r: omega minus
 the contributions of the orbits processed so far.  For the current orbit O:
 
-  * stage (i): the Lambda block of O is forced, lambda[i][j] =
-    t^dim(O) * r[i][j]; its determinant and adjugate are computed once;
+  * stage (i): the Lambda block L of O is forced, lambda[i][j] =
+    t^dim(O) * r[i][j]; one fraction-free Gauss-Jordan elimination of
+    [L | I] gives d = +-det(L) and E with E * L = d * I;
   * stage (ii): for each label i on a strictly higher orbit, the row of new
     p entries solves sum_k p[i][k]*lambda[k][phi] = t^(dim(O)/2) * r[i][phi]
-    as that right-hand side times the adjugate, divided by the determinant;
+    as that right-hand side times E, divided by d;
   * stage (iii): for labels whose orbit neither equals nor lies above O the
     same right-hand side must vanish identically;
   * the Schur complement step: r[i][j] -= sum_phi t^(dim(O)/2) * r[i][phi]
     * p[j][phi] over the labels on O or solved in stage (ii), since that
     right-hand side is p[i] * Lambda.
 
-Every sum of products in these stages, and in the Bareiss determinants, is
-one `dot` call, so an entry builds one polynomial however many terms it sums.
+Every sum of products in these stages, and in the elimination, is one `dot`
+call, so an entry builds one polynomial however many terms it sums.
 
-All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; determinants are
-fraction-free (Bareiss).  A zero determinant means omega is not a block.  Any
-failure names the inconsistency instead of producing wrong numbers.  Because
-the solution is unique, the result does not depend on which linear extension
-was used; the returned matrices are always indexed by the block's own label
-order.  `linear_extension` produces every extension: ascending (dimension,
-id) by default, or drawn at random from a seed.
+All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; the elimination is
+fraction-free (Bareiss), and `bareiss_det` is the same routine.  A zero
+determinant means omega is not a block.  Any failure names the
+inconsistency instead of producing wrong numbers.  Because the solution is
+unique, the result does not depend on which linear extension was used; the
+returned matrices are always indexed by the block's own label order.
+`linear_extension`, imported from `blockdata`, produces every extension:
+ascending (dimension, id) by default, or drawn at random from a seed.
 
 `solve` validates the block before solving, always, and a result is checked
 before it is returned, always: p must be invariant under duality, Lambda
@@ -43,11 +45,11 @@ still enters the product and fails the check.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .blockdata import (
-    BlockData, Violation, _decode_ids, _decode_matrix, closure_below, validate_block)
+    BlockData, Violation, _decode_ids, _decode_matrix, closure_below, linear_extension,
+    validate_block)
 from .laurent import (
     ONE, ZERO, DataFormatError, HalfLaurent, NonExactDivision, decode_str, dot, exact_div,
     t_half_power)
@@ -146,68 +148,36 @@ class SolveResult:
 
 
 def bareiss_det(matrix: list[list[HalfLaurent]]) -> HalfLaurent:
-    """Fraction-free determinant over Z[t^(1/2), t^(-1/2)].
+    """Fraction-free determinant over Z[t^(1/2), t^(-1/2)], by `_eliminate`."""
+    d, sign, _ = _eliminate(matrix)
+    return d if sign > 0 else -d
 
-    Every interior division is exact by the Sylvester identity, so a
-    NonExactDivision here means the matrix entries were not ring elements
-    produced by a consistent computation.
-    """
+
+def _eliminate(matrix: list[list[HalfLaurent]]):
+    """One fraction-free Gauss-Jordan elimination of [A | I] for a square A:
+    (d, sign, E) with d = sign * det(A), sign that of the row swaps, and
+    E * A = d * I, or (ZERO, sign, None) if A is singular.  Each entry is a
+    minor of [A | I], so every division by the previous pivot is exact
+    (Sylvester's identity).  Columns left of the pivot are never read again,
+    so they are not updated."""
     n = len(matrix)
-    if n == 0:
-        return ONE
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot is None:
-                return ZERO
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        pivot_row = m[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            pair = (pivot_row[k], -row[k])
-            for j in range(k + 1, n):
-                row[j] = exact_div(dot(pair, (row[j], pivot_row[j])), prev)
-            row[k] = ZERO
-        prev = m[k][k]
-    return m[n - 1][n - 1] if sign > 0 else -m[n - 1][n - 1]
-
-
-def _det_adjugate(lam_block: list[list[HalfLaurent]], orbit_id: str):
-    """det(L) and the adjugate adj[a][b] = (-1)^(a+b) * det(L without row b
-    and column a) of one orbit's Lambda block L, so that x * L = rhs is
-    solved by x[b] = sum_a rhs[a] * adj[a][b] / det(L)."""
-    det = bareiss_det(lam_block)
-    if det.is_zero():
-        raise SingularLambdaBlock(
-            f"stage (i): the Lambda block of orbit {orbit_id!r} has determinant zero")
-    n = len(lam_block)
-    adj = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            minor = bareiss_det([row[:a] + row[a + 1:]
-                                 for i, row in enumerate(lam_block) if i != b])
-            adj[a][b] = -minor if (a + b) % 2 else minor
-    return det, adj
-
-
-def linear_extension(block: BlockData, order_seed: int | None = None) -> list[str]:
-    """A linear extension of the closure order, lowest orbits first: each step
-    lists, of the orbits whose lower closure is listed, the least by (dim, id),
-    or with a seed a random one of them sorted by id."""
-    below = closure_below(block)
-    dim_of = {o.id: o.dim for o in block.orbits}
-    rng = None if order_seed is None else random.Random(order_seed)
-    remaining = set(dim_of)
-    out: list[str] = []
-    while remaining:
-        ready = sorted(o for o in remaining if not (below[o] & remaining))
-        out.append(min(ready, key=dim_of.get) if rng is None else rng.choice(ready))
-        remaining.remove(out[-1])
-    return out
+    rows = [list(row) + [ONE if j == i else ZERO for j in range(n)]
+            for i, row in enumerate(matrix)]
+    sign, prev = 1, ONE
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            return ZERO, sign, None
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        sign = sign if pivot == k else -sign
+        pivot_row = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                pair = (pivot_row[k], -row[k])
+                for j in range(k + 1, 2 * n):
+                    row[j] = exact_div(dot(pair, (row[j], pivot_row[j])), prev)
+        prev = pivot_row[k]
+    return prev, sign, [row[n:] for row in rows]
 
 
 def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
@@ -237,14 +207,17 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
         members = on_orbit[orbit_id]
         dim = dim_of[orbit_id]
 
-        # (i) the Lambda block of this orbit is forced
+        # (i) the Lambda block of this orbit is forced; one elimination of
+        #     [Lambda_O | I] gives d and E with E * Lambda_O = d * I
         for i in members:
             p[i][i] = t_half_power(-dim)
             for j in members:
                 lam[i][j] = r[i][j].shift(2 * dim)
-        det, adj = _det_adjugate([[lam[i][j] for j in members] for i in members],
-                                 orbit_id)
-        adj_columns = list(zip(*adj))
+        d, _, e = _eliminate([[lam[i][j] for j in members] for i in members])
+        if not d:
+            raise SingularLambdaBlock(
+                f"stage (i): the Lambda block of orbit {orbit_id!r} has determinant zero")
+        e_columns = list(zip(*e))
 
         # (ii) rows strictly above: solve over the Lambda block;
         # (iii) rows neither above nor on the orbit: the same right-hand
@@ -257,8 +230,8 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
                 solved[i] = rhs
             elif orbit_id in below[row_orbit]:
                 try:
-                    for col, adj_column in zip(members, adj_columns):
-                        p[i][col] = exact_div(dot(rhs, adj_column), det)
+                    for col, e_column in zip(members, e_columns):
+                        p[i][col] = exact_div(dot(rhs, e_column), d)
                 except NonExactDivision as exc:
                     raise NonExactDivision(
                         f"stage (ii), row {labels[i]!r} over orbit {orbit_id!r}: {exc}"

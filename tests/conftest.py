@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel, singleton_cuspidal_block
-from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_power
+from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_half_power, t_power
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASETS = REPO_ROOT / "datasets"
@@ -39,6 +39,17 @@ def synthetic_dual_pair() -> BlockData:
     )
     return BlockData("synthetic-dual-pair", orbits, labels, omega,
                      {"family": "hand-authored", "note": "dual label pair"})
+
+
+def top_first_chain(n: int, at: tuple[int, ...] = (0,)) -> BlockData:
+    """A chain o0 < o1 < ... of n orbits with dims 0, 2, 4, ..., listed top
+    first, with one label on o_i for each i in `at`; its factorization has
+    the diagonal P and Lambda = 1."""
+    orbits = tuple(OrbitInfo(f"o{i}", 2 * i, (f"o{i - 1}",) if i else ())
+                   for i in reversed(range(n)))
+    labels = tuple(SimpleLabel(f"x{i}", f"o{i}") for i in at)
+    omega = tuple(tuple(t_half_power(-4 * i) if i == j else ZERO for j in at) for i in at)
+    return BlockData("chain", orbits, labels, omega)
 
 
 def incomparable_orbits_block(cross_value: HalfLaurent) -> BlockData:

@@ -23,6 +23,8 @@ from lsalgo.blockdata import (
 )
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 
+from conftest import top_first_chain
+
 P = lambda *parts: Partition(tuple(parts))
 
 
@@ -264,6 +266,30 @@ class TestCrossBlock:
 
 
 class TestClosure:
+    def test_long_chain_listed_top_first(self):
+        # deeper than the interpreter's recursion limit
+        block = top_first_chain(1500)
+        below = closure_below(block)
+        assert below["o0"] == frozenset()
+        assert below["o1"] == {"o0"}
+        assert below["o700"] == {f"o{i}" for i in range(700)}
+        assert len(below["o1499"]) == 1499
+        assert validate_block(block) == []
+
+    def test_cycle_is_named_without_the_orbits_above_it(self):
+        orbits = (OrbitInfo("a", 6, ("b",)), OrbitInfo("b", 4, ("c",)),
+                  OrbitInfo("c", 2, ("b",)), OrbitInfo("d", 0, ()))
+        block = BlockData("cyclic", orbits, (SimpleLabel("x", "d"),), ((ONE,),))
+        (violation,) = validate_block(block)
+        assert violation.kind == "PosetCycle"
+        assert violation.message == "cover relation has a cycle: 'b' covers 'c' covers 'b'"
+
+    def test_self_cover_is_a_cycle(self):
+        block = BlockData("loop", (OrbitInfo("a", 0, ("a",)),), (SimpleLabel("x", "a"),),
+                          ((ONE,),))
+        assert [str(v) for v in validate_block(block)] == [
+            "PosetCycle: cover relation has a cycle: 'a' covers 'a'"]
+
     def test_springer_closure_matches_dominance(self):
         block = build_springer_block_a(6)
         below = closure_below(block)

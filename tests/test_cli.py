@@ -9,7 +9,10 @@ import pytest
 from lsalgo import cli, solver
 from lsalgo.blockdata import (
     MAX_ORBIT_DIM,
+    BlockData,
     Dataset,
+    OrbitInfo,
+    SimpleLabel,
     block_to_json,
     build_springer_block_a,
     save_dataset,
@@ -25,6 +28,7 @@ from conftest import (
     singular_lambda_block,
     singular_maximal_orbit_blocks,
     synthetic_dual_pair,
+    top_first_chain,
 )
 
 
@@ -232,6 +236,14 @@ class TestSolve:
         code, out = run(capsys, "solve", str(tmp_path / "nope.json"),
                         "--out", str(tmp_path / "r.json"))
         assert code == 2
+
+    def test_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        save_dataset(Dataset((top_first_chain(1100, (0, 500, 1099)),)), path)
+        code, out = run(capsys, "solve", str(path), "--out", str(tmp_path / "r.json"))
+        assert (code, read_report(out)["status"]) == (0, "ok")
+        (result,) = json.loads((tmp_path / "r.json").read_text())
+        assert result["lambda"] == [[{"0": 1}, {}, {}], [{}, {"0": 1}, {}], [{}, {}, {"0": 1}]]
 
     def test_csv_export(self, tmp_path, capsys):
         out_path = tmp_path / "result.csv"
@@ -454,11 +466,13 @@ class TestDualize:
 
 
 class TestUnreadableInput:
-    @pytest.mark.parametrize("argv", [
+    every_file_reader = pytest.mark.parametrize("argv", [
         ("solve", "{path}", "--out", "{out}"),
         ("dualize", "{path}"),
         ("exthom", "--table", "{path}", "--chi", "2", "--psi", "2", "--max-k", "2"),
     ], ids=["solve", "dualize", "exthom-table"])
+
+    @every_file_reader
     def test_non_utf8_file_is_a_format_error(self, tmp_path, capsys, argv):
         path = tmp_path / "bad.json"
         path.write_bytes(b"\xff\xfe[1]")
@@ -468,6 +482,17 @@ class TestUnreadableInput:
         report = read_report(out)
         assert report["status"] == "violation"
         (diag,) = report["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
+
+
+    @every_file_reader
+    def test_deep_nesting_is_a_format_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        argv = [a.format(path=path, out=tmp_path / "r.json") for a in argv]
+        code, out = run(capsys, *argv)
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
         assert diag["kind"] == "DataFormatError"
 
 
@@ -516,6 +541,27 @@ class TestInternalError:
 
 
 class TestDeterminism:
+    def test_violation_order_independent_of_hash_seed(self, tmp_path):
+        # six orbits of dim 10 below one of dim 4: one violation each
+        orbits = tuple(OrbitInfo(f"low{i}", 10, ()) for i in range(6)) + (
+            OrbitInfo("top", 4, tuple(f"low{i}" for i in range(6))),)
+        block = BlockData("bad-dims", orbits, (SimpleLabel("x", "top"),), ((ONE,),))
+        path = tmp_path / "bad.json"
+        save_dataset(Dataset((block,)), path)
+        outs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "lsalgo.cli", "solve", str(path),
+                 "--out", str(tmp_path / "r.json")],
+                stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(DATASETS.parent / "src"),
+                     "PYTHONHASHSEED": seed})
+            assert proc.returncode == 1
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        kinds = [d["kind"] for d in json.loads(outs[0])["diagnostics"]]
+        assert kinds == ["DimMonotonicityViolation"] * 6
+
     def test_reports_are_sorted_json(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"
         code, out1 = run(capsys, "solve", str(DATASETS / "springer_a2.json"),

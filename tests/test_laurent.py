@@ -240,6 +240,15 @@ class TestSerialization:
         with pytest.raises(TypeError):
             HalfLaurent(coeffs)
 
+    def test_ints_mix_but_bools_do_not(self):
+        assert ONE + 1 == 2 * ONE and 1 - ONE == ZERO and ONE == 1
+        for op in (lambda: ONE + True, lambda: True + ONE, lambda: ONE - False,
+                   lambda: True - ONE, lambda: ONE * True, lambda: False * ONE):
+            with pytest.raises(TypeError):
+                op()
+        assert ONE != True and ZERO != False
+        assert not ONE == True
+
     def test_decode_int(self):
         assert decode_int(-7, "x") == -7
         for bad in (True, 1.0, "1", None):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -10,13 +11,14 @@ from lsalgo.blockdata import (
     singleton_cuspidal_block,
     validate_block,
 )
-from lsalgo.laurent import ONE, ZERO, HalfLaurent, NonExactDivision, t_power
+from lsalgo.laurent import ONE, ZERO, HalfLaurent, NonExactDivision, dot, t_power
 from lsalgo.solver import (
     DualSymmetryViolation,
     InvalidBlock,
     SingularLambdaBlock,
     SolveResult,
     SupportViolation,
+    _eliminate,
     bareiss_det,
     dualize_p,
     extension_invariance_check,
@@ -55,6 +57,59 @@ class TestBareiss:
     def test_3x3_integer(self):
         m = [[2 * ONE, ONE, ZERO], [ONE, 2 * ONE, ONE], [ZERO, ONE, 2 * ONE]]
         assert bareiss_det(m) == 4 * ONE
+
+
+def leibniz_det(m):
+    """det(m) as the signed sum over permutations, independent of elimination."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[a] > perm[b] for a in range(len(m)) for b in range(a + 1, len(m)))
+        term = -ONE if inversions % 2 else ONE
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total + term
+    return total
+
+
+def random_lambda_block(rng, n, symmetric):
+    def poly():
+        return HalfLaurent({rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(rng.randint(0, 2))})
+    m = [[poly() for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    if rng.random() < 0.5:
+        m[0][0] = ZERO  # the first pivot must come from a row swap
+    return m
+
+
+class TestEliminate:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_inverse_and_determinant(self, seed):
+        rng = random.Random(seed)
+        m = random_lambda_block(rng, rng.randint(1, 4), symmetric=seed % 2 == 0)
+        d, sign, e = _eliminate(m)
+        assert bareiss_det(m) == leibniz_det(m) == (d if sign > 0 else -d)
+        if d:
+            n = len(m)
+            for a in range(n):
+                for b in range(n):
+                    assert dot(e[a], [row[b] for row in m]) == (d if a == b else ZERO)
+        else:
+            assert e is None
+
+    def test_swap_in_the_middle(self):
+        # the second pivot is zero only after the first step
+        t = t_power(1)
+        m = [[t, ONE, ONE], [t, ONE, ZERO], [ONE, t, t]]
+        d, sign, e = _eliminate(m)
+        assert sign == -1 and d == -leibniz_det(m) and d
+        for a in range(3):
+            for b in range(3):
+                assert dot(e[a], [row[b] for row in m]) == (d if a == b else ZERO)
+
+    def test_empty_and_singular(self):
+        assert _eliminate([]) == (ONE, 1, [])
+        assert _eliminate([[ONE, ONE], [ONE, ONE]])[0] == ZERO
 
 
 class TestGL2:
