@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int, decode_str
-from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, partitions_of
+from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairings, partitions_of
 
 __all__ = [
     "OrbitInfo",
@@ -186,16 +186,12 @@ def build_springer_block_a(n: int) -> BlockData:
         for lam in order
     )
     labels = tuple(SimpleLabel(lam.key(), lam.key(), "triv", lam.key()) for lam in order)
-    table = char_table_sn(n)
+    keys = [lam.key() for lam in order]
+    pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
     pairings: dict[tuple[str, str], HalfLaurent] = {}
-    for i, lam in enumerate(order):
-        for mu in order[i:]:
-            value = coinvariant_pairing(table, lam.key(), mu.key()).bar()
-            pairings[lam.key(), mu.key()] = value
-            pairings[mu.key(), lam.key()] = value
-    omega = tuple(
-        tuple(pairings[lam.key(), mu.key()] for mu in order) for lam in order
-    )
+    for (a, b), value in zip(pairs, coinvariant_pairings(char_table_sn(n), pairs)):
+        pairings[a, b] = pairings[b, a] = value.bar()
+    omega = tuple(tuple(pairings[a, b] for b in keys) for a in keys)
     provenance = {
         "family": "springer-a",
         "n": n,
@@ -222,22 +218,35 @@ def linear_extension(block: BlockData, order_seed: int | None = None) -> list[st
     lists, of the orbits whose covers are all listed, the least by (dim, id),
     or with a seed a random one of them sorted by id.  Covers naming no orbit
     of the block are ignored.  If the cover relation has a cycle, no orbit
-    on it is ever ready: DataFormatError names the cycle."""
+    on it is ever ready: DataFormatError names the cycle.
+
+    Each orbit counts its covers not yet listed, so the ready set is updated
+    per listed orbit instead of rescanning every remaining orbit per step."""
     dim_of = {o.id: o.dim for o in block.orbits}
     covers = {o.id: frozenset(o.covers) for o in block.orbits}
+    covered_by: dict[str, list[str]] = {oid: [] for oid in dim_of}
+    for oid, below_oid in covers.items():
+        for child in below_oid & dim_of.keys():
+            covered_by[child].append(oid)
+    waiting = {oid: len(below_oid & dim_of.keys()) for oid, below_oid in covers.items()}
+    ready = {oid for oid, count in waiting.items() if not count}
     rng = None if order_seed is None else random.Random(order_seed)
-    remaining = set(dim_of)
     out: list[str] = []
-    while remaining:
-        ready = sorted(o for o in remaining if not (covers[o] & remaining))
-        if not ready:  # each remaining orbit covers another: follow covers onto a cycle
-            path = [min(remaining)]
-            while path.count(path[-1]) < 2:
-                path.append(min(covers[path[-1]] & remaining))
-            raise DataFormatError("cover relation has a cycle: " + " covers ".join(
-                map(repr, path[path.index(path[-1]):])))
-        out.append(min(ready, key=dim_of.get) if rng is None else rng.choice(ready))
-        remaining.remove(out[-1])
+    while ready:
+        out.append(min(ready, key=lambda o: (dim_of[o], o)) if rng is None
+                   else rng.choice(sorted(ready)))
+        ready.remove(out[-1])
+        for parent in covered_by[out[-1]]:
+            waiting[parent] -= 1
+            if not waiting[parent]:
+                ready.add(parent)
+    if len(out) < len(dim_of):  # each remaining orbit covers another: follow covers onto a cycle
+        remaining = dim_of.keys() - set(out)
+        path = [min(remaining)]
+        while path.count(path[-1]) < 2:
+            path.append(min(covers[path[-1]] & remaining))
+        raise DataFormatError("cover relation has a cycle: " + " covers ".join(
+            map(repr, path[path.index(path[-1]):])))
     return out
 
 
@@ -257,6 +266,13 @@ def validate_block(block: BlockData) -> list[Violation]:
 
     Violations are data, not exceptions: callers decide how to react.
     """
+    return _check_block(block)[0]
+
+
+def _check_block(block: BlockData) -> tuple[list[Violation], dict[str, frozenset[str]] | None]:
+    """`validate_block`'s violations, and the `closure_below` it built on the
+    way (None if the cover relation has a cycle), so that a solver reuses
+    the closure instead of walking the poset again."""
     out: list[Violation] = []
     orbit_ids = [o.id for o in block.orbits]
     if len(set(orbit_ids)) != len(orbit_ids):
@@ -315,7 +331,7 @@ def validate_block(block: BlockData) -> list[Violation]:
     if len(block.omega) != k or any(len(row) != k for row in block.omega):
         out.append(Violation("ShapeMismatch",
                              f"omega of block {block.name!r} is not {k}x{k}"))
-        return out
+        return out, below
 
     for i in range(k):
         for j in range(i + 1, k):
@@ -335,7 +351,7 @@ def validate_block(block: BlockData) -> list[Violation]:
                     out.append(Violation(
                         "DualityViolation",
                         f"omega[{a.id}][{b.id}] changes under dualization"))
-    return out
+    return out, below
 
 
 # -- datasets ----------------------------------------------------------------

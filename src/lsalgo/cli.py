@@ -55,12 +55,14 @@ _STATUS = {OK: "ok", VIOLATION: "violation", ERROR: "error"}
 
 
 class Failure(Exception):
-    """A command's failure as one error diagnostic with its exit code."""
+    """A command's failure as one error diagnostic with its exit code;
+    `fields` are extra keys of that diagnostic."""
 
-    def __init__(self, code: int, kind: str, message: str):
+    def __init__(self, code: int, kind: str, message: str, **fields):
         super().__init__(message)
         self.code = code
         self.kind = kind
+        self.fields = fields
 
 
 def _report(command: str, code: int, artifacts: list[str] | None = None,
@@ -73,8 +75,8 @@ def _report(command: str, code: int, artifacts: list[str] | None = None,
     }
 
 
-def _diag(severity: str, kind: str, message: str) -> dict:
-    return {"severity": severity, "kind": kind, "message": message}
+def _diag(severity: str, kind: str, message: str, **fields) -> dict:
+    return {"severity": severity, "kind": kind, "message": message, **fields}
 
 
 # -- generate -----------------------------------------------------------------
@@ -118,7 +120,11 @@ def cmd_solve(args) -> tuple[int, dict]:
         try:
             results.append(solve(block, order_seed=args.order_seed))
         except (SolverError, NonExactDivision) as exc:
-            raise Failure(ERROR, type(exc).__name__, f"block {block.name!r}: {exc}") from exc
+            # an error located in the elimination names its stage, orbit and row
+            where = {key: getattr(exc, key) for key in ("stage", "orbit", "row")
+                     if hasattr(exc, key)}
+            raise Failure(ERROR, type(exc).__name__, f"block {block.name!r}: {exc}",
+                          block=block.name, **where) from exc
 
     if args.format == "json":
         payload = json.dumps([r.to_json() for r in results], indent=2, sort_keys=True) + "\n"
@@ -291,8 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, document = args.func(args)
     except Exception as exc:
+        fields = {}
         if isinstance(exc, Failure):
-            code, kind, message = exc.code, exc.kind, str(exc)
+            code, kind, message, fields = exc.code, exc.kind, str(exc), exc.fields
         elif isinstance(exc, DataFormatError):
             code, kind, message = VIOLATION, "DataFormatError", str(exc)
         elif isinstance(exc, OSError):
@@ -302,7 +309,8 @@ def main(argv: list[str] | None = None) -> int:
             # still print the one JSON document every command promises
             traceback.print_exc()
             code, kind, message = ERROR, "Internal", f"{type(exc).__name__}: {exc}"
-        document = _report(args.command, code, diagnostics=[_diag("error", kind, message)])
+        document = _report(args.command, code,
+                           diagnostics=[_diag("error", kind, message, **fields)])
     try:
         print(json.dumps(document, indent=2, sort_keys=True), flush=True)
     except BrokenPipeError:

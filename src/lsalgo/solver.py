@@ -8,19 +8,32 @@ supported on pairs of labels sharing an orbit and is symmetric.  Under these
 constraints the factorization has a unique solution, which this module
 computes as a block LDL^T elimination along a linear extension of the
 closure order, smallest orbits first, on one residual matrix r: omega minus
-the contributions of the orbits processed so far.  For the current orbit O:
+the contributions of the orbits processed so far.  For the current orbit O,
+only the rows of orbits later in the extension are live:
 
   * stage (i): the Lambda block L of O is forced, lambda[i][j] =
     t^dim(O) * r[i][j]; one fraction-free Gauss-Jordan elimination of
     [L | I] gives d = +-det(L) and E with E * L = d * I;
-  * stage (ii): for each label i on a strictly higher orbit, the row of new
-    p entries solves sum_k p[i][k]*lambda[k][phi] = t^(dim(O)/2) * r[i][phi]
-    as that right-hand side times E, divided by d;
-  * stage (iii): for labels whose orbit neither equals nor lies above O the
-    same right-hand side must vanish identically;
-  * the Schur complement step: r[i][j] -= sum_phi t^(dim(O)/2) * r[i][phi]
-    * p[j][phi] over the labels on O or solved in stage (ii), since that
-    right-hand side is p[i] * Lambda.
+  * stage (ii): for each live label i on an orbit strictly above O, the row
+    of new p entries solves sum_k p[i][k]*lambda[k][phi] = t^(dim(O)/2) *
+    r[i][phi] as that right-hand side times E, divided by d;
+  * stage (iii): for live labels whose orbit is not above O, r[i][phi] must
+    vanish identically on O;
+  * the Schur complement step: r[i][j] = r[j][i] -= sum_phi t^(dim(O)/2) *
+    r[i][phi] * p[j][phi], once per pair i <= j of rows solved in stage
+    (ii).  That right-hand side is p[i] * Lambda, so the sum is
+    p[i] * Lambda * p[j]^T, symmetric in i and j because Lambda is, and r
+    stays symmetric as omega is.
+
+Rows on O and on orbits processed before it are not updated, since nothing
+reads them again.  Nor are they checked in stage (iii): for i on an earlier
+orbit Q and j on O, the entry r[i][j] was settled when Q was processed and
+row j was live.  Either j was not above Q and r[j][i] = r[i][j] was checked
+to be zero, or j was solved, and updating row i would have given r[i][j] -
+t^(-dim/2) * t^(dim/2) * r[j][i] = 0, since p[j] * L = rhs_j follows from
+E * L = d * I and L and r are symmetric.  So no skipped check could fail,
+and as rows are scanned in label order, the first error is raised at the
+same row and orbit as if every row were visited.
 
 Every sum of products in these stages, and in the elimination, is one `dot`
 call, so an entry builds one polynomial however many terms it sums.
@@ -48,8 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blockdata import (
-    BlockData, Violation, _decode_ids, _decode_matrix, closure_below, linear_extension,
-    validate_block)
+    BlockData, Violation, _check_block, _decode_ids, _decode_matrix, linear_extension)
 from .laurent import (
     ONE, ZERO, DataFormatError, HalfLaurent, NonExactDivision, decode_str, dot, exact_div,
     t_half_power)
@@ -186,7 +198,7 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
     With `order_seed` the linear extension is drawn at random from the given
     seed; the result is identical either way.
     """
-    violations = validate_block(block)
+    violations, below = _check_block(block)
     if violations:
         raise InvalidBlock(violations)
 
@@ -196,16 +208,21 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
     on_orbit: dict[str, list[int]] = {o.id: [] for o in block.orbits}
     for i, lb in enumerate(block.labels):
         on_orbit[lb.orbit].append(i)
-    below = closure_below(block)
+    extension = linear_extension(block, order_seed)
+    rank = {orbit_id: pos for pos, orbit_id in enumerate(extension)}
+    row_orbit = [lb.orbit for lb in block.labels]
 
     p = [[ZERO] * k for _ in range(k)]
     lam = [[ZERO] * k for _ in range(k)]
-    # residual: omega minus the contributions of the processed orbits
+    # residual: omega minus the contributions of the processed orbits; only
+    # its rows on orbits not yet processed are read, and it stays symmetric
     r = [list(row) for row in block.omega]
+    live = range(k)
 
-    for orbit_id in linear_extension(block, order_seed):
+    for pos, orbit_id in enumerate(extension):
         members = on_orbit[orbit_id]
         dim = dim_of[orbit_id]
+        live = [i for i in live if rank[row_orbit[i]] > pos]
 
         # (i) the Lambda block of this orbit is forced; one elimination of
         #     [Lambda_O | I] gives d and E with E * Lambda_O = d * I
@@ -215,39 +232,36 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
                 lam[i][j] = r[i][j].shift(2 * dim)
         d, _, e = _eliminate([[lam[i][j] for j in members] for i in members])
         if not d:
-            raise SingularLambdaBlock(
-                f"stage (i): the Lambda block of orbit {orbit_id!r} has determinant zero")
+            raise _located(SingularLambdaBlock(
+                f"stage (i): the Lambda block of orbit {orbit_id!r} has determinant zero"),
+                "i", orbit_id)
         e_columns = list(zip(*e))
 
-        # (ii) rows strictly above: solve over the Lambda block;
-        # (iii) rows neither above nor on the orbit: the same right-hand
-        #       side must vanish identically
-        solved: dict[int, list[HalfLaurent]] = {}
-        for i in range(k):
-            rhs = [r[i][j].shift(dim) for j in members]
-            row_orbit = block.labels[i].orbit
-            if row_orbit == orbit_id:
-                solved[i] = rhs
-            elif orbit_id in below[row_orbit]:
+        # (ii) later rows strictly above: solve over the Lambda block;
+        # (iii) later rows not above: the same right-hand side must vanish
+        above: list[tuple[int, list[HalfLaurent]]] = []
+        for i in live:
+            if orbit_id in below[row_orbit[i]]:
+                rhs = [r[i][j].shift(dim) for j in members]
                 try:
                     for col, e_column in zip(members, e_columns):
                         p[i][col] = exact_div(dot(rhs, e_column), d)
                 except NonExactDivision as exc:
-                    raise NonExactDivision(
-                        f"stage (ii), row {labels[i]!r} over orbit {orbit_id!r}: {exc}"
-                    ) from exc
-                solved[i] = rhs
-            elif any(rhs):
-                raise SupportViolation(
+                    raise _located(NonExactDivision(
+                        f"stage (ii), row {labels[i]!r} over orbit {orbit_id!r}: {exc}"),
+                        "ii", orbit_id, labels[i]) from exc
+                above.append((i, rhs))
+            elif any(r[i][j] for j in members):
+                raise _located(SupportViolation(
                     f"omega[{labels[i]}][...] is nonzero on orbit {orbit_id!r}, "
-                    f"which the closure order forbids")
+                    f"which the closure order forbids"), "iii", orbit_id, labels[i])
 
         # Schur complement step: rhs of a solved row is p[i] * Lambda, so
-        # this subtracts p * Lambda * p^T over the orbit
-        p_on_orbit = {j: [p[j][col] for col in members] for j in solved}
-        for i, rhs in solved.items():
-            for j, pj in p_on_orbit.items():
-                r[i][j] = r[i][j] - dot(rhs, pj)
+        # this subtracts p * Lambda * p^T over the orbit, once per pair
+        p_on_orbit = [[p[j][col] for col in members] for j, _ in above]
+        for a, (i, rhs) in enumerate(above):
+            for (j, _), pj in zip(above[a:], p_on_orbit[a:]):
+                r[i][j] = r[j][i] = r[i][j] - dot(rhs, pj)
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
     dual, dims = _duals(block)
@@ -255,6 +269,13 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
                          _dual_stalks(p_matrix, dual, dims))
     _check_invariants(result, block, dual)
     return result
+
+
+def _located(exc: Exception, stage: str, orbit: str, row: str | None = None) -> Exception:
+    """`exc` with the stage, orbit and row (a label id, or None for a whole
+    orbit) at which the elimination failed, as attributes."""
+    exc.stage, exc.orbit, exc.row = stage, orbit, row
+    return exc
 
 
 def _duals(block: BlockData) -> tuple[list[int], list[int]]:

@@ -55,6 +55,7 @@ __all__ = [
     "class_pair_series",
     "degrees_product",
     "coinvariant_pairing",
+    "coinvariant_pairings",
 ]
 
 
@@ -460,6 +461,16 @@ def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
     evaluates at q=1 to deg(chi)*deg(psi).  Raises NonExactDivision when the
     table data is not internally consistent.
     """
-    weights = _pair_weights(table, chi, psi)
-    coefficients = _average(table, weights, _coinvariant_setup(table)[1])
-    return HalfLaurent({2 * k: v for k, v in enumerate(coefficients)})
+    return coinvariant_pairings(table, [(chi, psi)])[0]
+
+
+def coinvariant_pairings(table: CharTable, pairs) -> list[HalfLaurent]:
+    """`coinvariant_pairing` of each (chi, psi) in `pairs`, in order.
+
+    The table's setup is looked up once for all pairs: the cache key is the
+    whole table, so each lookup hashes every class and character.
+    """
+    graded = _coinvariant_setup(table)[1]
+    return [HalfLaurent({2 * k: v for k, v in enumerate(
+                _average(table, _pair_weights(table, chi, psi), graded))})
+            for chi, psi in pairs]

@@ -118,6 +118,23 @@ def non_ring_solution_block() -> BlockData:
     return BlockData("non-ring", orbits, labels, omega)
 
 
+def non_ring_dual_pair_block() -> BlockData:
+    """A dual label pair on the lower orbit with Lambda block t^2 * [[2, 1],
+    [1, 2]], so the row above solves to p = t^(-2)/3 on both labels."""
+    orbits = (OrbitInfo("low", 2, ()), OrbitInfo("high", 4, ("low",)))
+    labels = (
+        SimpleLabel("a", "low", "L", "b"),
+        SimpleLabel("b", "low", "L-dual", "a"),
+        SimpleLabel("c", "high", "triv", "c"),
+    )
+    omega = (
+        (2 * ONE, ONE, t_power(-1)),
+        (ONE, 2 * ONE, t_power(-1)),
+        (t_power(-1), t_power(-1), ONE),
+    )
+    return BlockData("non-ring-pair", orbits, labels, omega)
+
+
 def dual_symmetry_breaking_block() -> BlockData:
     """Symmetric, ring-solvable omega that is not invariant under duality;
     only reachable with validation off, and the solver must refuse it."""

@@ -24,6 +24,7 @@ from lsalgo.weyl import char_table_sn
 
 from conftest import (
     DATASETS,
+    incomparable_orbits_block,
     non_ring_solution_block,
     singular_lambda_block,
     singular_maximal_orbit_blocks,
@@ -231,6 +232,19 @@ class TestSolve:
         (diag,) = read_report(out)["diagnostics"]
         assert diag["kind"] == "NonExactDivision"
         assert "stage (ii), row 'c' over orbit 'low'" in diag["message"]
+
+    @pytest.mark.parametrize("block, where", [
+        (singular_lambda_block(), {"stage": "i", "orbit": "low", "row": None}),
+        (non_ring_solution_block(), {"stage": "ii", "orbit": "low", "row": "c"}),
+        (incomparable_orbits_block(ONE), {"stage": "iii", "orbit": "o1", "row": "y"}),
+    ], ids=["singular", "non-ring", "support"])
+    def test_solver_error_located_as_fields(self, tmp_path, capsys, block, where):
+        bad = tmp_path / "bad.json"
+        save_dataset(Dataset((block,)), bad)
+        code, out = run(capsys, "solve", str(bad), "--out", str(tmp_path / "r.json"))
+        assert code == 2
+        (diag,) = read_report(out)["diagnostics"]
+        assert {key: diag[key] for key in ("block", *where)} == {"block": block.name, **where}
 
     def test_missing_input_exit2(self, tmp_path, capsys):
         code, out = run(capsys, "solve", str(tmp_path / "nope.json"),

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import pytest
 from lsalgo.blockdata import (
     build_springer_block_a,
     closure_below,
+    dataset_from_json,
     load_dataset,
     singleton_cuspidal_block,
     validate_block,
@@ -30,8 +32,10 @@ from lsalgo.weyl import partitions_of
 
 from conftest import (
     DATASETS,
+    REPO_ROOT,
     dual_symmetry_breaking_block,
     incomparable_orbits_block,
+    non_ring_dual_pair_block,
     non_ring_solution_block,
     singular_and_support_fault_block,
     singular_lambda_block,
@@ -331,6 +335,49 @@ class TestExtensionInvariance:
         assert solve(block, order_seed=123) == solve(block)
 
 
+def rescanned_extension(block, seed):
+    """The seeded extension drawn by rescanning every remaining orbit for
+    the ready ones at each step, as a reference for `linear_extension`."""
+    below = closure_below(block)
+    rng = random.Random(seed)
+    remaining = {o.id for o in block.orbits}
+    out = []
+    while remaining:
+        out.append(rng.choice(sorted(o for o in remaining if not below[o] & remaining)))
+        remaining.remove(out[-1])
+    return out
+
+
+def planted_block(seed: int, n_orbits: int):
+    """A block planted by the benchmark's generator: levels of two
+    incomparable orbits, each covering both orbits of the level below, with
+    1-4 labels per orbit and dual label pairs; also its planted p and lambda."""
+    spec = importlib.util.spec_from_file_location("plant", REPO_ROOT / "perfbench" / "plant.py")
+    plant = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plant)
+    rng = random.Random(seed)
+    planted = plant.plant_block(rng, f"planted-{seed}", [rng.randint(1, 4) for _ in range(n_orbits)])
+    (block,) = dataset_from_json([planted["block"]]).blocks
+    return block, planted
+
+
+class TestPlantedExtensions:
+    # which rows a step visits depends on the extension: the rows of orbits
+    # later in it, above or incomparable to the current orbit
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_extensions_agree_with_the_planted_factorization(self, seed):
+        block, planted = planted_block(seed, 8)
+        result = solve(block).to_json()
+        assert (result["p"], result["lambda"]) == (planted["p"], planted["lambda"])
+        assert extension_invariance_check(block, 5)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_draws_match_a_rescan_of_the_ready_orbits(self, seed):
+        block, _ = planted_block(seed, 12)
+        for order_seed in range(10):
+            assert linear_extension(block, order_seed) == rescanned_extension(block, order_seed)
+
+
 def springer_and_shipped_blocks(max_n):
     blocks = [build_springer_block_a(n) for n in range(1, max_n + 1)]
     for path in sorted(DATASETS.glob("*.json")):
@@ -361,16 +408,8 @@ class TestLinearExtension:
 
     def test_seeded_draws_among_ready_orbits_sorted_by_id(self):
         block = build_springer_block_a(6)
-        below = closure_below(block)
         for seed in range(20):
-            rng = random.Random(seed)
-            remaining = {o.id for o in block.orbits}
-            expected = []
-            while remaining:
-                expected.append(rng.choice(sorted(
-                    o for o in remaining if not below[o] & remaining)))
-                remaining.remove(expected[-1])
-            assert linear_extension(block, seed) == expected
+            assert linear_extension(block, seed) == rescanned_extension(block, seed)
 
 
 class TestResultJson:
@@ -433,6 +472,39 @@ class TestErrors:
         with pytest.raises(SupportViolation):
             solve(incomparable_orbits_block(ONE))
 
+    @pytest.mark.parametrize("seed, extension, row, orbit", [
+        (None, ["o1", "o2", "top"], "y", "o1"),
+        (0, ["o2", "o1", "top"], "x", "o2"),
+    ])
+    def test_support_violation_names_the_later_incomparable_row(
+            self, seed, extension, row, orbit):
+        # omega[x][y] != 0 for x on o1 and y on o2, which are incomparable.
+        # The orbit processed first finds the entry in the other one's row,
+        # which comes later; at the second orbit that row's own orbit came
+        # earlier, so the same entry is never reported twice.
+        block = incomparable_orbits_block(ONE)
+        assert linear_extension(block, seed) == extension
+        with pytest.raises(SupportViolation) as err:
+            solve(block, order_seed=seed)
+        assert str(err.value) == (f"omega[{row}][...] is nonzero on orbit {orbit!r}, "
+                                  f"which the closure order forbids")
+
+    def test_non_ring_solution_on_multi_label_orbit(self):
+        with pytest.raises(NonExactDivision) as err:
+            solve(non_ring_dual_pair_block())
+        assert str(err.value) == (
+            "stage (ii), row 'c' over orbit 'low': (t^2) is not divisible by (3*t^4)")
+
+    @pytest.mark.parametrize("block, error, where", [
+        (singular_lambda_block(), SingularLambdaBlock, ("i", "low", None)),
+        (non_ring_dual_pair_block(), NonExactDivision, ("ii", "low", "c")),
+        (incomparable_orbits_block(ONE), SupportViolation, ("iii", "o1", "y")),
+    ], ids=["singular", "non-ring", "support"])
+    def test_errors_carry_stage_orbit_and_row(self, block, error, where):
+        with pytest.raises(error) as err:
+            solve(block)
+        assert (err.value.stage, err.value.orbit, err.value.row) == where
+
     def test_incomparable_zero_pairing_is_fine(self):
         result = solve(incomparable_orbits_block(ZERO))
         assert result.p_entry("y", "x") == ZERO
@@ -440,7 +512,9 @@ class TestErrors:
     def test_dual_symmetry_violation(self, monkeypatch):
         block = dual_symmetry_breaking_block()
         assert any(v.kind == "DualityViolation" for v in validate_block(block))
-        # skip the precondition check to reach the solver's own self-check
-        monkeypatch.setattr("lsalgo.solver.validate_block", lambda block: [])
+        # skip the precondition check to reach the solver's own self-check;
+        # solve takes the validated closure along with the violations
+        monkeypatch.setattr("lsalgo.solver._check_block",
+                            lambda block: ([], closure_below(block)))
         with pytest.raises(DualSymmetryViolation):
             solve(block)

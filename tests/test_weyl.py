@@ -12,6 +12,7 @@ from lsalgo.weyl import (
     SizeMismatch,
     char_table_sn,
     coinvariant_pairing,
+    coinvariant_pairings,
     conjugacy_classes,
     degrees_product,
     mn_character,
@@ -278,6 +279,13 @@ class TestCoinvariantPairing:
     def test_unknown_character(self):
         with pytest.raises(KeyError):
             coinvariant_pairing(char_table_sn(2), "nope", "2")
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_batch_matches_one_pair_at_a_time(self, n):
+        table = char_table_sn(n)
+        pairs = [(chi, psi) for chi in table.char_ids() for psi in table.char_ids()]
+        assert coinvariant_pairings(table, pairs) == [
+            coinvariant_pairing(table, chi, psi) for chi, psi in pairs]
 
 
 # B_2, the signed permutations of two coordinates (order 8), on its rank-2
