@@ -297,7 +297,13 @@ def _check_block(block: BlockData) -> tuple[list[Violation], dict[str, frozenset
         out.append(Violation("PosetCycle", str(exc)))
         below = None
 
-    if below is not None:
+    # if dims fall strictly along every cover, read as closure_below reads
+    # them (the last orbit of a repeated id wins), they fall along every
+    # closure pair by transitivity, and the walk below could find nothing
+    covers = {o.id: o.covers for o in block.orbits}
+    if below is not None and not all(
+            orbit_by_id[c].dim < orb.dim
+            for orb in block.orbits for c in covers[orb.id] if c in orbit_by_id):
         for orb in block.orbits:
             for child_id in sorted(below[orb.id]):
                 child = orbit_by_id.get(child_id)

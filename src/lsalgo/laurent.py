@@ -221,7 +221,11 @@ class HalfLaurent:
         return self._c == other._c
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        # a constant hashes as the int it equals, so ONE and 1 are one key
+        c = self._c
+        if len(c) == 1 and 0 in c:
+            return hash(c[0])
+        return hash(frozenset(c.items())) if c else 0
 
     # -- the bar involution and evaluation --------------------------------
 

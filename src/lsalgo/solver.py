@@ -49,11 +49,14 @@ ascending (dimension, id) by default, or drawn at random from a seed.
 
 `solve` validates the block before solving, always, and a result is checked
 before it is returned, always: p must be invariant under duality, Lambda
-symmetric, and P * Lambda * P^T must equal omega exactly.
-`reconstruct` forms that product from the result's own entries as a sparse
-product over the entries that are actually nonzero.  It does not assume the
-support the closure order allows, so a stray entry anywhere in p or Lambda
-still enters the product and fails the check.
+symmetric, and P * Lambda * P^T must equal omega exactly.  The check forms
+only the upper triangle j >= i of that product and compares it with omega's:
+validation rejects an asymmetric omega, and with Lambda symmetric,
+(P Lambda P^T)^T = P Lambda^T P^T = P Lambda P^T, so two symmetric matrices
+that agree on j >= i are equal.  The product is sparse over the entries the
+result actually holds, not over the support the closure order allows, so a
+stray entry anywhere in p or Lambda still enters it and fails the check.
+`reconstruct` forms the full product the same way.
 """
 
 from __future__ import annotations
@@ -294,11 +297,14 @@ def _check_invariants(result: SolveResult, block: BlockData, dual: list[int]) ->
             if result.p[i][j] != result.p[di][dj]:
                 raise DualSymmetryViolation(
                     f"p[{labels[i]}][{labels[j]}] != p[{labels[di]}][{labels[dj]}]")
-            if result.lam[i][j] != result.lam[j][i]:
+            if j > i and result.lam[i][j] != result.lam[j][i]:
                 raise SolverError(
                     f"lambda[{labels[i]}][{labels[j]}] is not symmetric")
 
-    if reconstruct(result, block) != block.omega:
+    # omega and lam are symmetric, so is P * Lambda * P^T: the upper triangles decide
+    pl = _sparse_product(result.p, result.lam)
+    upper = _sparse_product(pl, tuple(zip(*result.p)), upper=True)
+    if any(row != block.omega[i][i:] for i, row in enumerate(upper)):
         raise SolverError("P * Lambda * P^T does not reproduce omega")
 
 
@@ -317,21 +323,24 @@ def reconstruct(result: SolveResult, block: BlockData) -> Matrix:
     return _sparse_product(pl, p_transpose)
 
 
-def _sparse_product(a: Matrix, b: Matrix) -> Matrix:
+def _sparse_product(a: Matrix, b: Matrix, *, upper: bool = False) -> Matrix:
     """a * b for square matrices: one `dot` per entry, over the indices
-    where both factors are nonzero."""
+    where both factors are nonzero.  With `upper`, row i holds only the
+    columns j >= i."""
+    n = len(b)
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for row in a:
+    for i, row in enumerate(a):
+        lo = i if upper else 0
         xs: dict[int, list[HalfLaurent]] = {}
         ys: dict[int, list[HalfLaurent]] = {}
         for m, x in enumerate(row):
             if x:
                 for j, y in b_rows[m]:
-                    xs.setdefault(j, []).append(x)
-                    ys.setdefault(j, []).append(y)
-        out.append(tuple(dot(xs[j], ys[j]) if j in xs else ZERO
-                         for j in range(len(b))))
+                    if j >= lo:
+                        xs.setdefault(j, []).append(x)
+                        ys.setdefault(j, []).append(y)
+        out.append(tuple(dot(xs[j], ys[j]) if j in xs else ZERO for j in range(lo, n)))
     return tuple(out)
 
 

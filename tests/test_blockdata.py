@@ -136,6 +136,23 @@ class TestValidation:
         kinds = {v.kind for v in validate_block(broken)}
         assert "DimMonotonicityViolation" in kinds
 
+    def test_non_monotone_dims_lists_every_closure_pair(self):
+        # one cover breaks the dims; the pair (a, c) is reported through b
+        orbits = (OrbitInfo("a", 5, ("b",)), OrbitInfo("b", 1, ("c",)), OrbitInfo("c", 7))
+        block = BlockData("zigzag", orbits, (SimpleLabel("x", "c"),), ((ONE,),))
+        assert [str(v) for v in validate_block(block)] == [
+            "DimMonotonicityViolation: orbit 'c' (dim 7) lies below 'a' (dim 5)",
+            "DimMonotonicityViolation: orbit 'c' (dim 7) lies below 'b' (dim 1)"]
+
+    def test_repeated_orbit_id_takes_the_covers_of_the_last(self):
+        # the closure reads the covers of the last 'A', so 'B' lies below the
+        # first 'A' too, although that orbit lists no covers of its own
+        orbits = (OrbitInfo("A", 1, ()), OrbitInfo("A", 9, ("B",)), OrbitInfo("B", 3, ()))
+        block = BlockData("repeated", orbits, (SimpleLabel("x", "B"),), ((ONE,),))
+        assert [str(v) for v in validate_block(block)] == [
+            "DuplicateId: duplicate orbit ids in block 'repeated'",
+            "DimMonotonicityViolation: orbit 'B' (dim 3) lies below 'A' (dim 1)"]
+
     def test_unknown_orbit(self):
         labels = (SimpleLabel("a", "nowhere"),)
         block = BlockData("bad", (OrbitInfo("o", 0),), labels, ((ONE,),))

@@ -87,6 +87,21 @@ class TestSub:
         assert ONE - 1 == ZERO
 
 
+class TestHash:
+    @given(st.integers())
+    def test_constant_hashes_as_its_int(self, v):
+        assert ONE * v == v and hash(ONE * v) == hash(v)
+
+    def test_constants_and_ints_are_one_key(self):
+        assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1
+        assert {1: "a"}.get(ONE) == "a" and {ZERO: "z"}.get(0) == "z"
+        assert len({ONE, True}) == 2  # equal hashes, but ONE != True
+
+    @given(polys, polys)
+    def test_equal_values_hash_alike(self, f, g):
+        assert hash(f + g - g) == hash(f)
+
+
 pairs = st.lists(st.tuples(polys, polys), max_size=6)
 
 
