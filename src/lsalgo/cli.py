@@ -39,7 +39,7 @@ from .exthom import graded_hom_dims
 from .laurent import HalfLaurent, NonExactDivision
 from .oracle import kostka_foulkes
 from .solver import SolveResult, SolverError, solve
-from .weyl import CharTable, char_table_sn, partitions_of
+from .weyl import CharTable, char_table_sn_rows, partitions_of
 
 __all__ = ["main"]
 
@@ -208,7 +208,8 @@ def cmd_exthom(args) -> tuple[int, dict]:
     if args.sn is not None and args.sn > EXTHOM_MAX_SN:
         raise Failure(ERROR, "ResourceLimit", f"exthom supports --sn up to {EXTHOM_MAX_SN}")
     if args.sn is not None:
-        source, table = f"S_{args.sn}", char_table_sn(args.sn)
+        # the series reads every class but only the rows of chi and psi
+        source, table = f"S_{args.sn}", char_table_sn_rows(args.sn, (args.chi, args.psi))
     else:
         source, table = args.table, CharTable.from_json(read_json(args.table))
     try:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .laurent import (
     ONE,
@@ -52,6 +52,7 @@ __all__ = [
     "IrrData",
     "CharTable",
     "char_table_sn",
+    "char_table_sn_rows",
     "class_pair_series",
     "degrees_product",
     "coinvariant_pairing",
@@ -310,23 +311,34 @@ class CharTable:
         return table
 
 
-@lru_cache(maxsize=None)
-def char_table_sn(n: int) -> CharTable:
-    """The full character table of S_n with rank-n permutation Molien data.
+def char_table_sn_rows(n: int, char_ids: Iterable[str]) -> CharTable:
+    """The character table of S_n with rank-n permutation Molien data,
+    restricted to the characters whose keys are in `char_ids`.
 
-    Classes and characters are both indexed by partitions of n in descending
-    lexicographic order; ids are partition keys such as "2.1.1".
+    Every class is kept with its size and Molien determinant; only the
+    listed rows are evaluated.  Classes and characters are both indexed by
+    partitions of n in descending lexicographic order; ids are partition
+    keys such as "2.1.1".  A key that is not a partition of n selects
+    nothing, so `character` raises KeyError for it.  A proper restriction
+    has fewer characters than classes and does not pass `validate()`.
     """
     classes = tuple(
         ClassData(rho.key(), size, perm_molien_det(rho))
         for rho, size in conjugacy_classes(n)
     )
+    wanted = set(char_ids)
     rhos = partitions_of(n)
     irreducibles = tuple(
         IrrData(lam.key(), tuple(mn_character(lam, rho) for rho in rhos))
-        for lam in partitions_of(n)
+        for lam in rhos if lam.key() in wanted
     )
     return CharTable(factorial(n), classes, irreducibles)
+
+
+@lru_cache(maxsize=None)
+def char_table_sn(n: int) -> CharTable:
+    """The full character table of S_n: `char_table_sn_rows` on every key."""
+    return char_table_sn_rows(n, (lam.key() for lam in partitions_of(n)))
 
 
 # -- Molien and coinvariant series ----------------------------------------------

@@ -322,6 +322,19 @@ class TestExthom:
         payload = json.loads(out)
         assert payload["dims"][0] == 0
 
+    def test_sn_prints_what_table_prints_for_every_s5_pair(self, tmp_path, capsys):
+        # --sn builds only the two rows it reads; --table decodes and
+        # validates the whole table
+        table_path = tmp_path / "s5.json"
+        table_path.write_text(json.dumps(char_table_sn(5).to_json()))
+        ids = char_table_sn(5).char_ids()
+        for chi in ids:
+            for psi in ids:
+                pair = ("--chi", chi, "--psi", psi, "--max-k", "9")
+                sn = run(capsys, "exthom", "--sn", "5", *pair)
+                assert sn == run(capsys, "exthom", "--table", str(table_path), *pair)
+                assert sn[0] == 0
+
     def test_unknown_label_exit1(self, capsys):
         code, out = run(capsys, "exthom", "--sn", "2", "--chi", "nope",
                         "--psi", "2", "--max-k", "2")

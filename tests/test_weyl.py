@@ -11,6 +11,7 @@ from lsalgo.weyl import (
     Partition,
     SizeMismatch,
     char_table_sn,
+    char_table_sn_rows,
     coinvariant_pairing,
     coinvariant_pairings,
     conjugacy_classes,
@@ -223,6 +224,47 @@ class TestCharTable:
         rows = tuple(IrrData(irr.id, trivial if irr.id == "1.1.1" else irr.values)
                      for irr in table.irreducibles)
         assert "orthogonality fails for (3, 1.1.1)" in CharTable(6, table.classes, rows).validate()
+
+
+def sn_pairs(n_max: int):
+    return [(n, chi, psi) for n in range(1, n_max + 1)
+            for chi in char_table_sn(n).char_ids() for psi in char_table_sn(n).char_ids()]
+
+
+class TestRestrictedTable:
+    """`char_table_sn_rows`, the table `exthom --sn` builds for one pair."""
+
+    @pytest.mark.parametrize("n,chi,psi", sn_pairs(6))
+    def test_rows_and_classes_match_the_full_table(self, n, chi, psi):
+        full = char_table_sn(n)
+        table = char_table_sn_rows(n, (chi, psi))
+        assert table.group_order == full.group_order
+        assert table.classes == full.classes
+        assert table.irreducibles == tuple(irr for irr in full.irreducibles
+                                           if irr.id in (chi, psi))
+        assert len(table.irreducibles) == (1 if chi == psi else 2)
+        assert (graded_hom_dims(table, chi, psi, 12)
+                == graded_hom_dims(full, chi, psi, 12))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_full_table_is_the_restriction_to_every_key(self, n):
+        full = char_table_sn(n)
+        assert char_table_sn_rows(n, full.char_ids()) == full
+        assert char_table_sn_rows(n, reversed(full.char_ids())) == full
+
+    def test_unknown_keys_select_nothing(self):
+        table = char_table_sn_rows(3, ["9", "2.1", "2.1.1", "02.1"])
+        assert table.char_ids() == ("2.1",)
+        for key in ("9", "2.1.1", "02.1"):
+            with pytest.raises(KeyError) as restricted:
+                table.character(key)
+            with pytest.raises(KeyError) as full:
+                char_table_sn(3).character(key)
+            assert str(restricted.value) == str(full.value)
+        assert char_table_sn_rows(3, []).irreducibles == ()
+
+    def test_a_proper_restriction_fails_validate(self):
+        assert "1 characters for 3 classes" in char_table_sn_rows(3, ["3"]).validate()
 
 
 class TestDegreesProduct:
