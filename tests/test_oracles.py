@@ -15,19 +15,29 @@ HalfLaurent coefficients.
    c = n(n-1) - 2*n(lam) - deg Q_lam.
 """
 
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from lsalgo.blockdata import build_springer_block_a, load_dataset
+from lsalgo.blockdata import build_springer_block_a, dataset_from_json, load_dataset
 from lsalgo.laurent import ZERO, HalfLaurent
 from lsalgo.solver import solve
 from lsalgo.weyl import partitions_of
 
-from conftest import DATASETS, synthetic_dual_pair
+from conftest import DATASETS, REPO_ROOT, synthetic_dual_pair
 from test_solver_roundtrip import random_factorized_block
 
+# the benchmark's block generator, imported read only
+sys.path.append(str(REPO_ROOT / "perfbench"))
+import plant  # noqa: E402
+
 POINTS = (Fraction(3, 2), Fraction(5, 3))
+
+# (seed, orbits) of the planted blocks: two incomparable orbits per level,
+# 1-4 labels per orbit, dual label pairs, as in the multilabel workload
+PLANTED = ((0, 12), (1, 14), (2, 16))
 
 
 def at(f: HalfLaurent, s: Fraction) -> Fraction:
@@ -73,8 +83,16 @@ def block_ldl(a, groups):
     return low, diag
 
 
+def planted_block(seed: int, n_orbits: int):
+    rng = random.Random(f"oracle-planted-{seed}")
+    counts = [1 + (seed + j) % 4 for j in range(n_orbits)]
+    (block,) = dataset_from_json([plant.plant_block(rng, f"planted-{seed}", counts)["block"]]).blocks
+    return block
+
+
 def oracle_blocks():
     blocks = [random_factorized_block(seed)[0] for seed in range(40)]
+    blocks.extend(planted_block(seed, n_orbits) for seed, n_orbits in PLANTED)
     blocks.append(synthetic_dual_pair())
     for path in sorted(DATASETS.glob("*.json")):
         blocks.extend(load_dataset(path).blocks)
