@@ -25,6 +25,7 @@ value, raises DataFormatError.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -78,8 +79,10 @@ def decode_str(value, what: str) -> str:
     return value
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _decode_exponent(key) -> int:
-    # JSON object keys are strings; only the canonical decimal form is taken
+    # JSON object keys are strings; only the canonical decimal form is taken.
+    # Files repeat few keys; typed, so True and 1.0 never hit the entry of 1
     if isinstance(key, str):
         try:
             e = int(key)
@@ -250,8 +253,10 @@ class HalfLaurent:
     def from_json(cls, obj: Mapping[str, int]) -> HalfLaurent:
         if not isinstance(obj, Mapping):
             raise DataFormatError(f"a polynomial must be a JSON object, got {obj!r}")
-        return cls({_decode_exponent(e): decode_int(v, "a coefficient")
-                    for e, v in obj.items()})
+        # the exponent is decoded first; of two keys for one exponent, the last wins
+        c = {_decode_exponent(e): v if type(v) is int else decode_int(v, "a coefficient")
+             for e, v in obj.items()}
+        return _raw({e: v for e, v in c.items() if v})
 
     def pretty(self) -> str:
         """Human-readable form, ascending exponents: "t^-2 + 2*t^-1 - 1"."""

@@ -7,33 +7,40 @@ entry is the monomial t^(-dim/2) for the orbit dimension.  Lambda is
 supported on pairs of labels sharing an orbit and is symmetric.  Under these
 constraints the factorization has a unique solution, which this module
 computes as a block LDL^T elimination along a linear extension of the
-closure order, smallest orbits first, on one residual matrix r: omega minus
-the contributions of the orbits processed so far.  For the current orbit O,
-only the rows of orbits later in the extension are live:
+closure order, smallest orbits first.  The elimination reads the residual
+r, omega minus the contributions of the orbits processed so far, and forms
+each entry of r only when a stage reads it (left-looking, as in Golub and
+Van Loan, Matrix Computations, section 4.2).  Row i keeps rhs_i, the
+right-hand sides p[i] * Lambda of the orbits it was solved over, flattened,
+and their columns; the orbits of processed rows contribute p[i] * Lambda *
+p[j]^T to (i, j), nothing where row i or row j was not solved, so
+
+  r[i][j] = omega[i][j] - sum over those columns c of rhs_i[c] * p[j][c],
+
+one `dot` and at most one subtraction.  For the current orbit O, only the
+rows of orbits later in the extension are live:
 
   * stage (i): the Lambda block L of O is forced, lambda[i][j] =
-    t^dim(O) * r[i][j]; one fraction-free Gauss-Jordan elimination of
-    [L | I] gives d = +-det(L) and E with E * L = d * I;
+    t^dim(O) * r[i][j], formed for j >= i and mirrored, as both rows were
+    solved over the same orbits, those below O; one fraction-free
+    Gauss-Jordan elimination of [L | I] gives d = +-det(L) and E with
+    E * L = d * I;
   * stage (ii): for each live label i on an orbit strictly above O, the row
     of new p entries solves sum_k p[i][k]*lambda[k][phi] = t^(dim(O)/2) *
-    r[i][phi] as that right-hand side times E, divided by d;
+    r[i][phi] as that right-hand side times E, divided by d, and the
+    right-hand side joins rhs_i;
   * stage (iii): for live labels whose orbit is not above O, r[i][phi] must
-    vanish identically on O;
-  * the Schur complement step: r[i][j] = r[j][i] -= sum_phi t^(dim(O)/2) *
-    r[i][phi] * p[j][phi], once per pair i <= j of rows solved in stage
-    (ii).  That right-hand side is p[i] * Lambda, so the sum is
-    p[i] * Lambda * p[j]^T, symmetric in i and j because Lambda is, and r
-    stays symmetric as omega is.
+    vanish identically on O.
 
-Rows on O and on orbits processed before it are not updated, since nothing
-reads them again.  Nor are they checked in stage (iii): for i on an earlier
-orbit Q and j on O, the entry r[i][j] was settled when Q was processed and
-row j was live.  Either j was not above Q and r[j][i] = r[i][j] was checked
-to be zero, or j was solved, and updating row i would have given r[i][j] -
-t^(-dim/2) * t^(dim/2) * r[j][i] = 0, since p[j] * L = rhs_j follows from
-E * L = d * I and L and r are symmetric.  So no skipped check could fail,
-and as rows are scanned in label order, the first error is raised at the
-same row and orbit as if every row were visited.
+Rows on O and on orbits processed before it are not read at O.  Nor are
+they checked in stage (iii): for i on an earlier orbit Q and j on O, the
+entry at (j, i) was read when Q was processed and row j was live.  Either j
+was not above Q and r[j][i] was checked to be zero, or row j was solved over
+Q, and from then on r[j][i] also subtracts rhs_j * p[i]^T over the columns
+of Q, where p[i] holds only its diagonal entry t^(-dim(Q)/2), which takes
+away t^(dim(Q)/2) * r[j][i] * t^(-dim(Q)/2) and leaves zero.  So no skipped
+check could fail, and as rows are scanned in label order, the first error
+is raised at the same row and orbit as if every row were visited.
 
 Every sum of products in these stages, and in the elimination, is one `dot`
 call, so an entry builds one polynomial however many terms it sums.
@@ -56,6 +63,11 @@ validation rejects an asymmetric omega, and with Lambda symmetric,
 that agree on j >= i are equal.  The product is sparse over the entries the
 result actually holds, not over the support the closure order allows, so a
 stray entry anywhere in p or Lambda still enters it and fails the check.
+The check then requires the constraints above of every entry: p zero off
+the closure order with diagonal t^(-dim/2), Lambda zero off the orbit
+blocks.  A result that passes is a constrained factorization of omega, so
+by uniqueness it is the answer, whatever the elimination did (Lusztig,
+Character sheaves V, 1986, section 24; Shoji 1987).
 `reconstruct` forms the full product the same way.
 """
 
@@ -217,9 +229,18 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
 
     p = [[ZERO] * k for _ in range(k)]
     lam = [[ZERO] * k for _ in range(k)]
-    # residual: omega minus the contributions of the processed orbits; only
-    # its rows on orbits not yet processed are read, and it stays symmetric
-    r = [list(row) for row in block.omega]
+    # per row, the right-hand sides p[i] * Lambda of the orbits it was
+    # solved over, flattened, and the columns they sit in
+    rhs_of: list[list[HalfLaurent]] = [[] for _ in range(k)]
+    cols_of: list[list[int]] = [[] for _ in range(k)]
+
+    def residual(i: int, j: int) -> HalfLaurent:
+        # omega minus the contributions of the processed orbits, at (i, j)
+        if not rhs_of[i]:
+            return block.omega[i][j]
+        pj = p[j]
+        return block.omega[i][j] - dot(rhs_of[i], [pj[c] for c in cols_of[i]])
+
     live = range(k)
 
     for pos, orbit_id in enumerate(extension):
@@ -229,10 +250,10 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
 
         # (i) the Lambda block of this orbit is forced; one elimination of
         #     [Lambda_O | I] gives d and E with E * Lambda_O = d * I
-        for i in members:
+        for a, i in enumerate(members):
             p[i][i] = t_half_power(-dim)
-            for j in members:
-                lam[i][j] = r[i][j].shift(2 * dim)
+            for j in members[a:]:
+                lam[i][j] = lam[j][i] = residual(i, j).shift(2 * dim)
         d, _, e = _eliminate([[lam[i][j] for j in members] for i in members])
         if not d:
             raise _located(SingularLambdaBlock(
@@ -242,10 +263,9 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
 
         # (ii) later rows strictly above: solve over the Lambda block;
         # (iii) later rows not above: the same right-hand side must vanish
-        above: list[tuple[int, list[HalfLaurent]]] = []
         for i in live:
             if orbit_id in below[row_orbit[i]]:
-                rhs = [r[i][j].shift(dim) for j in members]
+                rhs = [residual(i, j).shift(dim) for j in members]
                 try:
                     for col, e_column in zip(members, e_columns):
                         p[i][col] = exact_div(dot(rhs, e_column), d)
@@ -253,24 +273,18 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
                     raise _located(NonExactDivision(
                         f"stage (ii), row {labels[i]!r} over orbit {orbit_id!r}: {exc}"),
                         "ii", orbit_id, labels[i]) from exc
-                above.append((i, rhs))
-            elif any(r[i][j] for j in members):
+                rhs_of[i] += rhs
+                cols_of[i] += members
+            elif any(residual(i, j) for j in members):
                 raise _located(SupportViolation(
                     f"omega[{labels[i]}][...] is nonzero on orbit {orbit_id!r}, "
                     f"which the closure order forbids"), "iii", orbit_id, labels[i])
-
-        # Schur complement step: rhs of a solved row is p[i] * Lambda, so
-        # this subtracts p * Lambda * p^T over the orbit, once per pair
-        p_on_orbit = [[p[j][col] for col in members] for j, _ in above]
-        for a, (i, rhs) in enumerate(above):
-            for (j, _), pj in zip(above[a:], p_on_orbit[a:]):
-                r[i][j] = r[j][i] = r[i][j] - dot(rhs, pj)
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
     dual, dims = _duals(block)
     result = SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
                          _dual_stalks(p_matrix, dual, dims))
-    _check_invariants(result, block, dual)
+    _check_invariants(result, block, dual, dims, below)
     return result
 
 
@@ -288,7 +302,13 @@ def _duals(block: BlockData) -> tuple[list[int], list[int]]:
     return [index[lb.dual] for lb in block.labels], [dim_of[lb.orbit] for lb in block.labels]
 
 
-def _check_invariants(result: SolveResult, block: BlockData, dual: list[int]) -> None:
+def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
+                      dims: list[int], below: dict[str, frozenset[str]]) -> None:
+    """Raise SolverError unless `result` is the constrained factorization of
+    `block`: p dual-invariant, Lambda symmetric, P * Lambda * P^T = omega,
+    and the support constraints of the module docstring, under which that
+    factorization is unique.  `dual` and `dims` are as `_duals` gives them,
+    `below` is the block's closure order."""
     labels = result.labels
     k = len(labels)
     for i in range(k):
@@ -306,6 +326,19 @@ def _check_invariants(result: SolveResult, block: BlockData, dual: list[int]) ->
     upper = _sparse_product(pl, tuple(zip(*result.p)), upper=True)
     if any(row != block.omega[i][i:] for i, row in enumerate(upper)):
         raise SolverError("P * Lambda * P^T does not reproduce omega")
+
+    orbit = [lb.orbit for lb in block.labels]
+    for i, (p_row, lam_row) in enumerate(zip(result.p, result.lam)):
+        if p_row[i] != t_half_power(-dims[i]):
+            raise SolverError(f"p[{labels[i]}][{labels[i]}] is not t^(-dim/2) "
+                              f"for the dim {dims[i]} of its orbit")
+        for j in range(k):
+            if p_row[j] and j != i and orbit[j] not in below[orbit[i]]:
+                raise SolverError(f"p[{labels[i]}][{labels[j]}] is nonzero, "
+                                  f"which the closure order forbids")
+            if lam_row[j] and orbit[j] != orbit[i]:
+                raise SolverError(f"lambda[{labels[i]}][{labels[j]}] is nonzero "
+                                  f"off the orbit blocks")
 
 
 def reconstruct(result: SolveResult, block: BlockData) -> Matrix:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -239,6 +241,32 @@ class TestSerialization:
     def test_from_json_rejects_inexact_values(self, obj):
         with pytest.raises(DataFormatError):
             HalfLaurent.from_json(obj)
+
+    # each distinct exponent key is decoded once per process; a key equal to
+    # an accepted one, or hashing like it, must still be judged on its own
+    @pytest.mark.parametrize("accepted, rejected, message", [
+        ({1: 1}, {True: 1}, "exponent key True is not an integer"),
+        ({1: 1}, {1.0: 1}, "exponent key 1.0 is not an integer"),
+        ({"1": 1}, {"01": 1}, "exponent key '01' is not an integer"),
+        ({"1": 1}, {"+1": 1}, "exponent key '+1' is not an integer"),
+        ({"1": 1}, {" 1": 1}, "exponent key ' 1' is not an integer"),
+        ({"1": 1}, {"1": True}, "a coefficient must be an integer, got True"),
+        ({"1": 1}, {"1": 1.0}, "a coefficient must be an integer, got 1.0"),
+    ])
+    def test_decode_after_the_accepted_twin(self, accepted, rejected, message):
+        for _ in range(2):
+            assert HalfLaurent.from_json(accepted) == t_half_power(1)
+            with pytest.raises(DataFormatError, match=re.escape(message)):
+                HalfLaurent.from_json(rejected)
+
+    def test_exponent_checked_before_coefficient(self):
+        with pytest.raises(DataFormatError, match="exponent key '01'"):
+            HalfLaurent.from_json({"01": 1.5})
+
+    def test_two_keys_for_one_exponent_the_last_wins(self):
+        assert HalfLaurent.from_json({"1": 1}) == t_half_power(1)
+        assert HalfLaurent.from_json({1: 1, "1": 0}) == ZERO
+        assert HalfLaurent.from_json({"1": 0, 1: 2}) == 2 * t_half_power(1)
 
     def test_exponent_bound_inclusive(self):
         for e in (MAX_EXPONENT, -MAX_EXPONENT):

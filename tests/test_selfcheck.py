@@ -6,6 +6,10 @@ so that decides equality.  Each result from `tamperings` keeps p
 dual-invariant and Lambda symmetric, so only the product can reject it;
 `reconstruct`, which forms the full product, must disagree with omega on
 the same results.
+
+A change of basis P * G, G^-1 * Lambda * G^-T keeps the product, so only
+the support constraints can reject it: p lower triangular along the closure
+order with diagonal t^(-dim/2), and Lambda zero off the orbit blocks.
 """
 
 import dataclasses
@@ -14,8 +18,9 @@ import re
 import pytest
 
 from lsalgo import solver
-from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel, build_springer_block_a
-from lsalgo.laurent import ONE, t_power
+from lsalgo.blockdata import (
+    BlockData, OrbitInfo, SimpleLabel, build_springer_block_a, closure_below)
+from lsalgo.laurent import ONE, ZERO, HalfLaurent, dot, t_power
 from lsalgo.solver import SolverError, reconstruct, solve
 
 from conftest import synthetic_dual_pair
@@ -35,7 +40,7 @@ def one_orbit_pair() -> BlockData:
 
 
 def check(result, block):
-    solver._check_invariants(result, block, solver._duals(block)[0])
+    solver._check_invariants(result, block, *solver._duals(block), closure_below(block))
 
 
 def bumped(matrix, cells):
@@ -122,3 +127,66 @@ def test_untampered_results_pass(block):
     result = solve(block)
     check(result, block)
     assert reconstruct(result, block) == block.omega
+
+
+def matmul(a, b):
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+
+
+def change_of_basis(result, g, g_inv):
+    """P * G and G^-1 * Lambda * G^-T: P * Lambda * P^T stays the same."""
+    lam = matmul(matmul(g_inv, result.lam), tuple(zip(*g_inv)))
+    return dataclasses.replace(result, p=matmul(result.p, g), lam=lam)
+
+
+def basis_change(k, diagonal=None, cell=None):
+    """G and G^-1 for G = D + c * E_ij: D diagonal with the units of
+    `diagonal` (position -> monomial) and ones elsewhere, c * E_ij from
+    `cell` = (i, j, c) with i != j, not both given."""
+    g = [[ONE if a == b else ZERO for b in range(k)] for a in range(k)]
+    g_inv = [list(row) for row in g]
+    for a, unit in (diagonal or {}).items():
+        g[a][a], g_inv[a][a] = unit, unit ** -1
+    if cell:
+        i, j, c = cell
+        g[i][j], g_inv[i][j] = c, -c
+    return g, g_inv
+
+
+SPRINGER_A3 = build_springer_block_a(3)  # labels 1.1.1, 2.1, 3 on orbits of dim 0, 4, 6
+
+
+def test_change_of_basis_off_the_closure_order_is_caught():
+    # G = I + t * E from label 1.1.1 to label 3: every constraint breaks at once
+    block = SPRINGER_A3
+    tampered = change_of_basis(solve(block), *basis_change(3, cell=(0, 2, t_power(1))))
+    assert tampered.p_entry("1.1.1", "3") == t_power(1)
+    assert tampered.p_entry("3", "3") == t_power(-3) + t_power(-2)
+    assert tampered.lam_entry("1.1.1", "3") == HalfLaurent({4: -1, 8: 1, 10: 1, 14: -1})
+    assert reconstruct(tampered, block) == block.omega
+    with pytest.raises(SolverError, match=re.escape(
+            "p[1.1.1][3] is nonzero, which the closure order forbids")):
+        check(tampered, block)
+
+
+def test_diagonal_off_its_monomial_is_caught():
+    # column 2.1 times t: p[2.1][2.1] = t^-1 instead of t^-2
+    block = SPRINGER_A3
+    tampered = change_of_basis(solve(block), *basis_change(3, diagonal={1: t_power(1)}))
+    assert reconstruct(tampered, block) == block.omega
+    with pytest.raises(SolverError, match=re.escape(
+            "p[2.1][2.1] is not t^(-dim/2) for the dim 4 of its orbit")):
+        check(tampered, block)
+
+
+def test_lam_off_the_orbit_blocks_is_caught():
+    # G = I + E from label 3 to label 1.1.1 moves p[3][1.1.1], where the
+    # closure order allows an entry, and compensates in Lambda off its blocks
+    block = SPRINGER_A3
+    result = solve(block)
+    tampered = change_of_basis(result, *basis_change(3, cell=(2, 0, ONE)))
+    assert tampered.p_entry("3", "1.1.1") != result.p_entry("3", "1.1.1")
+    assert reconstruct(tampered, block) == block.omega
+    with pytest.raises(SolverError, match=re.escape(
+            "lambda[1.1.1][3] is nonzero off the orbit blocks")):
+        check(tampered, block)

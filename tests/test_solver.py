@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,9 @@ from lsalgo.solver import (
     InvalidBlock,
     SingularLambdaBlock,
     SolveResult,
+    SolverError,
     SupportViolation,
+    _duals,
     _eliminate,
     bareiss_det,
     dualize_p,
@@ -376,6 +379,54 @@ class TestPlantedExtensions:
         block, _ = planted_block(seed, 12)
         for order_seed in range(10):
             assert linear_extension(block, order_seed) == rescanned_extension(block, order_seed)
+
+
+def bumped_omega(block, i, j):
+    """`block` with omega[i][j] one unit more, together with its transpose
+    and dual mirrors, so that omega stays symmetric and dual-invariant."""
+    dual = _duals(block)[0]
+    rows = [list(row) for row in block.omega]
+    for a, b in {(i, j), (j, i), (dual[i], dual[j]), (dual[j], dual[i])}:
+        rows[a][b] += ONE
+    return replace(block, omega=tuple(tuple(row) for row in rows))
+
+
+def outcomes_under_extensions(block):
+    """The result, or the exception, of the default extension and of
+    `order_seed` 0..4."""
+    out = []
+    for order_seed in (None, *range(5)):
+        try:
+            out.append(solve(block, order_seed=order_seed))
+        except (SolverError, NonExactDivision) as exc:
+            out.append(exc)
+    return out
+
+
+class TestPerturbedPlantedBlocks:
+    # Lambda blocks up to 4x4, unlike springer's 1x1: a perturbed omega has
+    # either one constrained factorization, which every extension must
+    # return, or none, which every extension must report
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_bumped_entry(self, seed):
+        block, _ = planted_block(seed, 12 + seed % 5)
+        rng = random.Random(f"bump-{seed}")
+        k = len(block.labels)
+        out = outcomes_under_extensions(bumped_omega(block, rng.randrange(k), rng.randrange(k)))
+        if isinstance(out[0], SolveResult):
+            assert all(result == out[0] for result in out)
+        else:
+            assert all(isinstance(exc, Exception) for exc in out)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_bump_on_a_maximal_orbit_changes_only_its_lambda_block(self, seed):
+        # nothing lies above the last orbit, so only its Lambda block moves
+        block, planted = planted_block(seed, 12 + seed % 5)
+        top = [a for a, lb in enumerate(block.labels) if lb.orbit == block.orbits[-1].id]
+        out = outcomes_under_extensions(bumped_omega(block, top[0], top[-1]))
+        assert all(result == out[0] for result in out)
+        assert out[0].to_json()["p"] == planted["p"]
+        assert out[0].to_json()["lambda"] != planted["lambda"]
 
 
 def springer_and_shipped_blocks(max_n):
