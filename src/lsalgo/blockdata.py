@@ -26,34 +26,6 @@ from typing import Mapping, Sequence
 from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int, decode_str
 from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairings, partitions_of
 
-__all__ = [
-    "OrbitInfo",
-    "SimpleLabel",
-    "BlockData",
-    "Violation",
-    "DataFormatError",
-    "Dataset",
-    "CrossEntry",
-    "MAX_SPRINGER_N",
-    "MAX_ORBIT_DIM",
-    "orbit_dim_type_a",
-    "dominates",
-    "dominance_covers",
-    "build_springer_block_a",
-    "singleton_cuspidal_block",
-    "validate_block",
-    "validate_dataset",
-    "linear_extension",
-    "closure_below",
-    "block_to_json",
-    "block_from_json",
-    "dataset_to_json",
-    "dataset_from_json",
-    "read_json",
-    "load_dataset",
-    "save_dataset",
-]
-
 # Springer blocks beyond this size are refused: the character-table and
 # pairing computations stay exact but stop being desk-checkable.
 MAX_SPRINGER_N = 8

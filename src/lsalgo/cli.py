@@ -41,8 +41,6 @@ from .oracle import kostka_foulkes
 from .solver import SolveResult, SolverError, solve
 from .weyl import CharTable, char_table_sn_rows, partitions_of
 
-__all__ = ["main"]
-
 VERIFY_MAX_N = 7
 
 # exthom size bounds: the truncation degree and the built-in S_n table both

@@ -25,13 +25,6 @@ from math import comb
 from .laurent import HalfLaurent
 from .weyl import CharTable, class_pair_series, coinvariant_pairing, degrees_product
 
-__all__ = [
-    "GradedDims",
-    "graded_hom_dims",
-    "lusztig_sheaf_endo_dims",
-    "series_consistency",
-]
-
 
 @dataclass(frozen=True)
 class GradedDims:

@@ -28,23 +28,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-__all__ = [
-    "HalfLaurent",
-    "NonExactDivision",
-    "DataFormatError",
-    "ZERO",
-    "ONE",
-    "T",
-    "t_power",
-    "t_half_power",
-    "exact_div",
-    "dot",
-    "bar",
-    "decode_int",
-    "decode_str",
-    "MAX_EXPONENT",
-]
-
 # Largest doubled exponent, in absolute value, that decoding accepts; the
 # omega of springer-a n <= 8 reaches 56 and the shipped datasets 6.
 MAX_EXPONENT = 100_000

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from .laurent import HalfLaurent
 from .weyl import Partition, SizeMismatch
 
-__all__ = ["Tableau", "ssyt_enumerate", "charge", "kostka_foulkes"]
-
 
 @dataclass(frozen=True)
 class Tableau:

@@ -46,11 +46,11 @@ Every sum of products in these stages, and in the elimination, is one `dot`
 call, so an entry builds one polynomial however many terms it sums.
 
 All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; the elimination is
-fraction-free (Bareiss), and `bareiss_det` is the same routine.  A zero
-determinant means omega is not a block.  Any failure names the
-inconsistency instead of producing wrong numbers.  Because the solution is
-unique, the result does not depend on which linear extension was used; the
-returned matrices are always indexed by the block's own label order.
+fraction-free (Bareiss).  A zero determinant means omega is not a block.
+Any failure names the inconsistency instead of producing wrong numbers.
+Because the solution is unique, the result does not depend on which linear
+extension was used; the returned matrices are always indexed by the block's
+own label order.
 `linear_extension`, imported from `blockdata`, produces every extension:
 ascending (dimension, id) by default, or drawn at random from a seed.
 
@@ -80,21 +80,6 @@ from .blockdata import (
 from .laurent import (
     ONE, ZERO, DataFormatError, HalfLaurent, NonExactDivision, decode_str, dot, exact_div,
     t_half_power)
-
-__all__ = [
-    "SolverError",
-    "InvalidBlock",
-    "SingularLambdaBlock",
-    "SupportViolation",
-    "DualSymmetryViolation",
-    "ShapeMismatch",
-    "SolveResult",
-    "solve",
-    "reconstruct",
-    "dualize_p",
-    "extension_invariance_check",
-    "bareiss_det",
-]
 
 Matrix = tuple[tuple[HalfLaurent, ...], ...]
 
@@ -172,12 +157,6 @@ class SolveResult:
         if len(set(labels)) != len(labels):
             raise DataFormatError(f"result {block!r}: order repeats a label id")
         return cls(block, labels, p, lam, p_dual)
-
-
-def bareiss_det(matrix: list[list[HalfLaurent]]) -> HalfLaurent:
-    """Fraction-free determinant over Z[t^(1/2), t^(-1/2)], by `_eliminate`."""
-    d, sign, _ = _eliminate(matrix)
-    return d if sign > 0 else -d
 
 
 def _eliminate(matrix: list[list[HalfLaurent]]):
@@ -321,11 +300,15 @@ def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
                 raise SolverError(
                     f"lambda[{labels[i]}][{labels[j]}] is not symmetric")
 
-    # omega and lam are symmetric, so is P * Lambda * P^T: the upper triangles decide
+    # omega and lam are symmetric, so is P * Lambda * P^T: the upper triangles
+    # decide; columns are scanned only in the first row that differs
     pl = _sparse_product(result.p, result.lam)
     upper = _sparse_product(pl, tuple(zip(*result.p)), upper=True)
-    if any(row != block.omega[i][i:] for i, row in enumerate(upper)):
-        raise SolverError("P * Lambda * P^T does not reproduce omega")
+    for i, row in enumerate(upper):
+        if row != block.omega[i][i:]:
+            j = next(j for j in range(i, k) if row[j - i] != block.omega[i][j])
+            raise SolverError(
+                f"P * Lambda * P^T does not reproduce omega[{labels[i]}][{labels[j]}]")
 
     orbit = [lb.orbit for lb in block.labels]
     for i, (p_row, lam_row) in enumerate(zip(result.p, result.lam)):
@@ -392,10 +375,3 @@ def _dual_stalks(p: Matrix, dual: list[int], dims: list[int]) -> Matrix:
     k = len(p)
     return tuple(tuple(p[dual[a]][dual[b]].bar().shift(-2 * dims[b]) for b in range(k))
                  for a in range(k))
-
-
-def extension_invariance_check(block: BlockData, trials: int) -> bool:
-    """Solve under `trials` randomly drawn linear extensions and report
-    whether every run produced the identical factorization."""
-    reference = solve(block)
-    return all(solve(block, order_seed=seed) == reference for seed in range(trials))

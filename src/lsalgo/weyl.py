@@ -41,24 +41,6 @@ from .laurent import (
     t_power,
 )
 
-__all__ = [
-    "SizeMismatch",
-    "Partition",
-    "partitions_of",
-    "conjugacy_classes",
-    "mn_character",
-    "perm_molien_det",
-    "ClassData",
-    "IrrData",
-    "CharTable",
-    "char_table_sn",
-    "char_table_sn_rows",
-    "class_pair_series",
-    "degrees_product",
-    "coinvariant_pairing",
-    "coinvariant_pairings",
-]
-
 
 class SizeMismatch(ValueError):
     """Two partitions that must partition the same integer do not."""

@@ -1,5 +1,5 @@
 """Shared test data: hand-checked blocks exercising nontrivial duality and
-solver error paths."""
+solver error paths, and two checks read through the solver's own code."""
 
 from pathlib import Path
 
@@ -7,9 +7,22 @@ import pytest
 
 from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel, singleton_cuspidal_block
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_half_power, t_power
+from lsalgo.solver import _eliminate, solve
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASETS = REPO_ROOT / "datasets"
+
+
+def signed_det(matrix) -> HalfLaurent:
+    """det(matrix) as `_eliminate` finds it: its d, with the sign of its row swaps."""
+    d, sign, _ = _eliminate(matrix)
+    return d if sign > 0 else -d
+
+
+def extension_invariant(block: BlockData, trials: int) -> bool:
+    """Whether `trials` seeded linear extensions all solve to the default result."""
+    reference = solve(block)
+    return all(solve(block, order_seed=seed) == reference for seed in range(trials))
 
 
 def synthetic_dual_pair() -> BlockData:

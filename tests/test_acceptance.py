@@ -28,13 +28,12 @@ from lsalgo.oracle import kostka_foulkes, ssyt_enumerate
 from lsalgo.solver import (
     SingularLambdaBlock,
     dualize_p,
-    extension_invariance_check,
     reconstruct,
     solve,
 )
 from lsalgo.weyl import char_table_sn, partitions_of
 
-from conftest import DATASETS, singular_lambda_block, synthetic_dual_pair
+from conftest import DATASETS, extension_invariant, singular_lambda_block, synthetic_dual_pair
 
 SHIPPED_DATASETS = [
     DATASETS / "springer_a2.json",
@@ -108,7 +107,7 @@ def test_criterion_3_order_independence(capsys):
     ok = False
     try:
         for n in range(1, 6):
-            assert extension_invariance_check(build_springer_block_a(n), 5)
+            assert extension_invariant(build_springer_block_a(n), 5)
         ok = True
     finally:
         with capsys.disabled():

@@ -84,10 +84,16 @@ TAMPERED_BLOCKS = ([synthetic_dual_pair(), one_orbit_pair()]
 
 @pytest.mark.parametrize("block", TAMPERED_BLOCKS, ids=lambda b: b.name)
 def test_tampered_results_fail_the_check(block):
+    labels, k = block.label_ids(), len(block.labels)
     for name, tampered in tamperings(block):
-        with pytest.raises(SolverError, match=NOT_REPRODUCED):
+        with pytest.raises(SolverError, match=NOT_REPRODUCED) as excinfo:
             check(tampered, block)
-        assert reconstruct(tampered, block) != block.omega, name
+        product = reconstruct(tampered, block)
+        assert product != block.omega, name
+        # located at the first upper-triangle entry of the full product that differs
+        i, j = next((i, j) for i in range(k) for j in range(i, k)
+                    if product[i][j] != block.omega[i][j])
+        assert str(excinfo.value).endswith(f"omega[{labels[i]}][{labels[j]}]"), name
 
 
 def test_off_diagonal_lam_change_leaves_the_diagonal_of_the_product():
@@ -96,8 +102,9 @@ def test_off_diagonal_lam_change_leaves_the_diagonal_of_the_product():
     tampered = bump_lam(solve(block), 0, 1)
     product = reconstruct(tampered, block)
     assert [product[i][i] for i in range(2)] == [block.omega[i][i] for i in range(2)]
-    with pytest.raises(SolverError, match=NOT_REPRODUCED):
+    with pytest.raises(SolverError, match=NOT_REPRODUCED) as excinfo:
         check(tampered, block)
+    assert str(excinfo.value) == "P * Lambda * P^T does not reproduce omega[a][b]"
 
 
 def test_asymmetric_lam_is_caught_by_the_symmetry_test():

@@ -13,7 +13,9 @@ import pytest
 
 from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel, validate_block
 from lsalgo.laurent import ZERO, HalfLaurent, t_half_power
-from lsalgo.solver import bareiss_det, reconstruct, solve
+from lsalgo.solver import reconstruct, solve
+
+from conftest import extension_invariant, signed_det
 
 
 def random_poly(rng: random.Random, parity: int = 0) -> HalfLaurent:
@@ -86,7 +88,7 @@ def random_factorized_block(seed: int) -> tuple[BlockData, list[list[HalfLaurent
                     set_pair(lam, a, b, value)
                     set_pair(lam, b, a, value)
             block_matrix = [[lam[a][b] for b in members] for a in members]
-            if not bareiss_det(block_matrix).is_zero():
+            if not signed_det(block_matrix).is_zero():
                 break
         # rows of P from orbits strictly above, dual-equivariantly
         for j in range(i + 1, n_orbits):
@@ -122,7 +124,5 @@ def test_random_factorization_recovered_exactly(seed):
 
 @pytest.mark.parametrize("seed", range(25, 35))
 def test_random_blocks_are_extension_invariant(seed):
-    from lsalgo.solver import extension_invariance_check
-
     block, _, _ = random_factorized_block(seed)
-    assert extension_invariance_check(block, 4)
+    assert extension_invariant(block, 4)
