@@ -318,8 +318,10 @@ def dot(xs: Iterable[HalfLaurent], ys: Iterable[HalfLaurent]) -> HalfLaurent:
     c: dict[int, int] = {}
     get = c.get
     for x, y in zip(xs, ys, strict=True):
-        yc = y._c.items()
-        for e1, v1 in x._c.items():
+        # the shorter operand drives the outer loop, so the inner loops are long
+        xc, yc = (x._c, y._c) if len(x._c) <= len(y._c) else (y._c, x._c)
+        yc = yc.items()
+        for e1, v1 in xc.items():
             for e2, v2 in yc:
                 e = e1 + e2
                 c[e] = get(e, 0) + v1 * v2
@@ -336,10 +338,11 @@ def exact_div(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
         return ZERO
-    shift = f.valuation() - g.valuation()
-    gd = g.degree() - g.valuation()
-    g0 = {e - g.valuation(): v for e, v in g._c.items()}
-    rem = {e - f.valuation(): v for e, v in f._c.items()}
+    fv, gv = min(f._c), min(g._c)
+    shift = fv - gv
+    gd = max(g._c) - gv
+    g0 = {e - gv: v for e, v in g._c.items()}
+    rem = {e - fv: v for e, v in f._c.items()}
     glead = g0[gd]
     q: dict[int, int] = {}
     while rem:

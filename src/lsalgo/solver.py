@@ -54,20 +54,23 @@ own label order.
 `linear_extension`, imported from `blockdata`, produces every extension:
 ascending (dimension, id) by default, or drawn at random from a seed.
 
-`solve` validates the block before solving, always, and a result is checked
-before it is returned, always: p must be invariant under duality, Lambda
-symmetric, and P * Lambda * P^T must equal omega exactly.  The check forms
-only the upper triangle j >= i of that product and compares it with omega's:
-validation rejects an asymmetric omega, and with Lambda symmetric,
-(P Lambda P^T)^T = P Lambda^T P^T = P Lambda P^T, so two symmetric matrices
-that agree on j >= i are equal.  The product is sparse over the entries the
-result actually holds, not over the support the closure order allows, so a
-stray entry anywhere in p or Lambda still enters it and fails the check.
-The check then requires the constraints above of every entry: p zero off
-the closure order with diagonal t^(-dim/2), Lambda zero off the orbit
-blocks.  A result that passes is a constrained factorization of omega, so
-by uniqueness it is the answer, whatever the elimination did (Lusztig,
-Character sheaves V, 1986, section 24; Shoji 1987).
+`solve` is `_factor`, which validates the block and eliminates, followed by
+`_check_invariants`, so a block is validated before solving, always, and a
+result is checked before it is returned, always: p must be invariant under
+duality, Lambda symmetric, and P * Lambda * P^T must equal omega exactly.
+The check forms only the upper triangle j >= i of that product and compares
+it with omega's: validation rejects an asymmetric omega, and with Lambda
+symmetric, (P Lambda P^T)^T = P Lambda^T P^T = P Lambda P^T, so two
+symmetric matrices that agree on j >= i are equal.  The product is sparse
+over the entries the result actually holds, not over the support the closure
+order allows, so a stray entry anywhere in p or Lambda still enters it and
+fails the check.  The check then requires the constraints above of every
+entry: p zero off the closure order with diagonal t^(-dim/2), Lambda zero
+off the orbit blocks.  A result that passes is a constrained factorization
+of omega, so by uniqueness it is the answer, whatever the elimination did
+(Lusztig, Character sheaves V, 1986, section 24; Shoji 1987).  So a result
+equal to one that passed is the answer as well: `verify` calls `_factor`
+alone for its seeded re-solves and compares each with a checked result.
 `reconstruct` forms the full product the same way.
 """
 
@@ -187,11 +190,20 @@ def _eliminate(matrix: list[list[HalfLaurent]]):
 
 
 def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
-    """Validate one block and run the factorization on it.
+    """Validate one block, run the factorization on it and check the result.
 
     With `order_seed` the linear extension is drawn at random from the given
     seed; the result is identical either way.
     """
+    result, *context = _factor(block, order_seed)
+    _check_invariants(result, block, *context)
+    return result
+
+
+def _factor(block: BlockData, order_seed: int | None):
+    """Validate `block` and eliminate along the extension drawn from
+    `order_seed`: (result, dual, dims, below), the result not yet checked and
+    the rest what `_check_invariants` reads."""
     violations, below = _check_block(block)
     if violations:
         raise InvalidBlock(violations)
@@ -214,11 +226,11 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
     cols_of: list[list[int]] = [[] for _ in range(k)]
 
     def residual(i: int, j: int) -> HalfLaurent:
-        # omega minus the contributions of the processed orbits, at (i, j)
-        if not rhs_of[i]:
-            return block.omega[i][j]
+        # omega minus the contributions of the processed orbits, at (i, j),
+        # over the columns where p[j] is nonzero
         pj = p[j]
-        return block.omega[i][j] - dot(rhs_of[i], [pj[c] for c in cols_of[i]])
+        pairs = [(r, pj[c]) for r, c in zip(rhs_of[i], cols_of[i]) if pj[c]]
+        return block.omega[i][j] - dot(*zip(*pairs)) if pairs else block.omega[i][j]
 
     live = range(k)
 
@@ -261,10 +273,8 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
     dual, dims = _duals(block)
-    result = SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
-                         _dual_stalks(p_matrix, dual, dims))
-    _check_invariants(result, block, dual, dims, below)
-    return result
+    return (SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
+                        _dual_stalks(p_matrix, dual, dims)), dual, dims, below)
 
 
 def _located(exc: Exception, stage: str, orbit: str, row: str | None = None) -> Exception:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -283,18 +284,48 @@ class TestVerify:
         assert code == 0
 
     def test_six_solves_per_n(self, capsys, monkeypatch):
-        # one default solve whose result the five seeded solves are compared with
-        calls = Counter()
+        # one checked default solve whose result the five seeded
+        # factorizations are compared with; they are not checked again
+        factored, checked = Counter(), Counter()
 
-        def counting_solve(block, **kwargs):
-            calls[block.name] += 1
-            return real_solve(block, **kwargs)
+        def counting_factor(block, order_seed):
+            factored[block.name] += 1
+            return real_factor(block, order_seed)
 
-        real_solve = solver.solve
-        monkeypatch.setattr(cli, "solve", counting_solve)
-        monkeypatch.setattr(solver, "solve", counting_solve)
+        def counting_check(result, block, *context):
+            checked[block.name] += 1
+            return real_check(result, block, *context)
+
+        real_factor, real_check = solver._factor, solver._check_invariants
+        monkeypatch.setattr(cli, "_factor", counting_factor)
+        monkeypatch.setattr(solver, "_factor", counting_factor)
+        monkeypatch.setattr(solver, "_check_invariants", counting_check)
         assert run(capsys, "verify", "--n-max", "3")[0] == 0
-        assert calls == {f"springer-a-{n}": 6 for n in (1, 2, 3)}
+        names = [f"springer-a-{n}" for n in (1, 2, 3)]
+        assert factored == {name: 6 for name in names}
+        assert checked == {name: 1 for name in names}
+
+    def test_differing_seeded_factorization_is_order_dependence(self, capsys, monkeypatch):
+        # a seeded factorization that differs from the checked default result
+        # is reported as such, with exit 1, instead of failing a self-check
+        def tampered_factor(block, order_seed):
+            result, *context = real_factor(block, order_seed)
+            if block.name == "springer-a-2" and order_seed == 3:
+                lam = (tuple(v + ONE if j == 0 else v for j, v in enumerate(result.lam[0])),
+                       *result.lam[1:])
+                result = dataclasses.replace(result, lam=lam)
+            return (result, *context)
+
+        real_factor = solver._factor
+        monkeypatch.setattr(cli, "_factor", tampered_factor)
+        monkeypatch.setattr(solver, "_factor", tampered_factor)
+        code, out = run(capsys, "verify", "--n-max", "3")
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        errors = [d for d in report["diagnostics"] if d["severity"] == "error"]
+        assert [d["kind"] for d in errors] == ["OrderDependence"]
+        assert errors[0]["message"].startswith("n=2:")
 
     def test_n8_refused(self, capsys):
         code, out = run(capsys, "verify", "--n-max", "8")

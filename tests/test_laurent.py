@@ -105,6 +105,18 @@ class TestHash:
 
 
 pairs = st.lists(st.tuples(polys, polys), max_size=6)
+nonzero_coeffs = coeffs.filter(bool)
+monomials = st.dictionaries(exps, nonzero_coeffs, min_size=1, max_size=1).map(HalfLaurent)
+wide_polys = st.dictionaries(
+    st.integers(min_value=-80, max_value=80), nonzero_coeffs, min_size=40, max_size=40,
+).map(HalfLaurent)
+# a 1-term and a 40-term operand, in either order within the pair
+mixed_pairs = st.lists(st.tuples(monomials, wide_polys).flatmap(st.permutations),
+                       min_size=1, max_size=4)
+# few terms spread far apart, with a valuation other than 0
+wide_sparse_polys = st.dictionaries(
+    st.integers(min_value=-200, max_value=200), nonzero_coeffs, min_size=2, max_size=8,
+).filter(lambda c: min(c) != 0).map(HalfLaurent)
 
 
 def schoolbook(f, g):
@@ -141,6 +153,20 @@ class TestDot:
     def test_stores_no_zero_coefficient(self, terms):
         result = dot([x for x, _ in terms], [y for _, y in terms])
         assert all(c for _, c in result.items())
+
+    @given(mixed_pairs)
+    def test_short_and_long_operands_in_either_order(self, terms):
+        xs, ys = [x for x, _ in terms], [y for _, y in terms]
+        assert dot(xs, ys) == dot(ys, xs) == fold(xs, ys) == fold(xs, ys, schoolbook)
+
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_zero_on_either_side_of_a_pair(self, zero_first):
+        f = hl({-3: 2, 0: -1, 7: 5})
+        pair = (ZERO, f) if zero_first else (f, ZERO)
+        assert dot(*zip(pair)) == ZERO
+        assert dot(*zip(pair)).support() == ()
+        xs, ys = zip(pair, (f, t_power(1)))
+        assert dot(xs, ys) == dot(ys, xs) == f.shift(2)
 
     def test_partial_cancellation(self):
         f = t_power(1) + 1
@@ -202,6 +228,17 @@ class TestExactDiv:
     @given(polys, nonzero_polys)
     def test_mul_roundtrip(self, q, g):
         assert exact_div(q * g, g) == q
+
+    @given(polys, wide_sparse_polys)
+    def test_mul_roundtrip_wide_sparse_divisor(self, q, g):
+        assert exact_div(q * g, g) == q
+
+    def test_wide_sparse_divisor_off_valuation_zero(self):
+        g = hl({-7: 3, 93: 1, 191: -2})
+        q = hl({-5: 1, 0: -4, 6: 2})
+        assert exact_div(q * g, g) == q
+        with pytest.raises(NonExactDivision):
+            exact_div(q * g + t_half_power(250), g)
 
 
 class TestSerialization:
