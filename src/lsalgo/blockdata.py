@@ -102,12 +102,10 @@ class BlockData:
         return self.omega[self.label_index(a)][self.label_index(b)]
 
 
-def orbit_dim_type_a(lam: Partition, n: int) -> int:
-    """Complex dimension of the type-A orbit with Jordan type lam:
-    n^2 minus the sum of squared conjugate parts."""
-    if lam.n != n:
-        raise SizeMismatch(f"|{lam.parts}| != {n}")
-    return n * n - sum(c * c for c in lam.conjugate())
+def orbit_dim_type_a(lam: Partition) -> int:
+    """Complex dimension of the type-A orbit with Jordan type lam, a
+    partition of n: n^2 minus the sum of squared conjugate parts."""
+    return lam.n * lam.n - sum(c * c for c in lam.conjugate())
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:
@@ -151,9 +149,9 @@ def build_springer_block_a(n: int) -> BlockData:
     if not 1 <= n <= MAX_SPRINGER_N:
         raise ValueError(f"n must be between 1 and {MAX_SPRINGER_N}, got {n}")
     covers = dominance_covers(n)
-    order = sorted(partitions_of(n), key=lambda p: (orbit_dim_type_a(p, n), p.key()))
+    order = sorted(partitions_of(n), key=lambda p: (orbit_dim_type_a(p), p.key()))
     orbits = tuple(
-        OrbitInfo(lam.key(), orbit_dim_type_a(lam, n),
+        OrbitInfo(lam.key(), orbit_dim_type_a(lam),
                   tuple(sorted(mu.key() for mu in covers[lam])))
         for lam in order
     )
@@ -172,14 +170,6 @@ def build_springer_block_a(n: int) -> BlockData:
         "cuspidal_datum": "maximal torus, point orbit, trivial local system",
     }
     return BlockData(f"springer-a-{n}", orbits, labels, omega, provenance)
-
-
-def singleton_cuspidal_block(name: str, dim: int, omega: HalfLaurent) -> BlockData:
-    """A one-label block: a single self-dual local system on a single orbit."""
-    orbit = OrbitInfo("orbit", dim, ())
-    label = SimpleLabel("cuspidal", "orbit", "cuspidal", "cuspidal")
-    return BlockData(name, (orbit,), (label,), ((omega,),),
-                     {"family": "singleton-cuspidal", "dim": dim})
 
 
 # -- poset utilities ---------------------------------------------------------

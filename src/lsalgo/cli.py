@@ -81,6 +81,8 @@ def _diag(severity: str, kind: str, message: str, **fields) -> dict:
 
 
 def cmd_generate(args) -> tuple[int, dict]:
+    if args.n < 1:
+        raise Failure(ERROR, "BadArgument", "--n must be at least 1")
     try:
         block = build_springer_block_a(args.n)
     except ValueError as exc:
@@ -149,20 +151,13 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
             p = result.p_entry(lam.key(), mu.key())
             if dominates(lam, mu):
                 kostka = kostka_foulkes(lam, mu)
-                tableaux = kostka.evaluate_at_one()
                 if _coefficient_multiset(p) != _coefficient_multiset(kostka):
                     ok = False
                     diagnostics.append(_diag(
                         "error", "OracleMismatch",
                         f"n={n} pair ({lam.key()}, {mu.key()}): coefficients "
                         f"{p.pretty()} vs Kostka-Foulkes {kostka.pretty()}"))
-                if p.evaluate_at_one() != tableaux:
-                    ok = False
-                    diagnostics.append(_diag(
-                        "error", "OracleMismatch",
-                        f"n={n} pair ({lam.key()}, {mu.key()}): p(1) = "
-                        f"{p.evaluate_at_one()} but {tableaux} tableaux exist"))
-            elif not p.is_zero():
+            elif p:
                 ok = False
                 diagnostics.append(_diag(
                     "error", "SupportMismatch",

@@ -35,13 +35,14 @@ class GradedDims:
     """
 
     dims: tuple[int, ...]
-    max_degree: int
 
     def __post_init__(self):
-        if len(self.dims) != self.max_degree + 1:
-            raise ValueError("dims must hold one entry per degree 0..max_degree")
         if any(d < 0 for d in self.dims):
             raise ValueError("graded dimensions must be nonnegative")
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.dims) - 1
 
     def to_json(self) -> dict:
         return {"dims": list(self.dims), "max_k": self.max_degree}
@@ -59,18 +60,18 @@ def graded_hom_dims(table: CharTable, chi: str, psi: str, max_k: int) -> GradedD
             raise ArithmeticError(
                 f"negative graded dimension {value} at degree {2 * k}: "
                 f"the character table is inconsistent")
-    return GradedDims(dims, max_k)
+    return GradedDims(dims)
 
 
 def lusztig_sheaf_endo_dims(table: CharTable, rank: int, max_k: int) -> GradedDims:
     """Graded endomorphisms of the full induced sheaf of the block:
     |W| independent copies of the degree-k monomials in `rank` variables,
     so dims[k] = |W| * C(k + rank - 1, rank - 1)."""
-    if rank < 1:
-        raise ValueError("rank must be positive")
+    if rank < 1 or max_k < 0:
+        raise ValueError("rank must be positive and max_k nonnegative")
     dims = tuple(table.group_order * comb(k + rank - 1, rank - 1)
                  for k in range(max_k + 1))
-    return GradedDims(dims, max_k)
+    return GradedDims(dims)
 
 
 def series_consistency(table: CharTable, chi: str, psi: str, max_k: int) -> bool:

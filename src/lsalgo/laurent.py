@@ -111,9 +111,6 @@ class HalfLaurent:
 
     # -- basic queries ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._c
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
@@ -127,12 +124,6 @@ class HalfLaurent:
     def support(self) -> tuple[int, ...]:
         """Doubled exponents carrying a nonzero coefficient, ascending."""
         return tuple(sorted(self._c))
-
-    def valuation(self) -> int:
-        """Smallest doubled exponent; undefined on zero."""
-        if not self._c:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self._c)
 
     def degree(self) -> int:
         """Largest doubled exponent; undefined on zero."""
@@ -304,11 +295,6 @@ def t_half_power(double_exp: int) -> HalfLaurent:
     return HalfLaurent({double_exp: 1})
 
 
-def bar(f: HalfLaurent) -> HalfLaurent:
-    """Function form of the bar involution t^(1/2) -> t^(-1/2)."""
-    return f.bar()
-
-
 def dot(xs: Iterable[HalfLaurent], ys: Iterable[HalfLaurent]) -> HalfLaurent:
     """sum(x * y for x, y in zip(xs, ys)), accumulated in one coefficient map.
 
@@ -334,9 +320,9 @@ def exact_div(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
     Division is over the integers: a remainder, or a leading coefficient
     that fails to divide, both signal inconsistent input data.
     """
-    if g.is_zero():
+    if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
+    if not f:
         return ZERO
     fv, gv = min(f._c), min(g._c)
     shift = fv - gv

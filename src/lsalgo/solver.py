@@ -341,8 +341,7 @@ def reconstruct(result: SolveResult, block: BlockData) -> Matrix:
     not over the support the closure order allows, so a stray entry anywhere
     in p or lam enters the product like any other.
     """
-    k = len(result.labels)
-    if len(block.labels) != k or result.labels != block.label_ids():
+    if result.labels != block.label_ids():
         raise ShapeMismatch("result labels do not match the block")
     p_transpose = tuple(zip(*result.p))
     pl = _sparse_product(result.p, result.lam)
@@ -371,7 +370,7 @@ def _sparse_product(a: Matrix, b: Matrix, *, upper: bool = False) -> Matrix:
 
 
 def dualize_p(result: SolveResult, block: BlockData) -> Matrix:
-    """The dual stalk matrix: p_dual[chi][psi] = t^(-dim O_psi) * bar(p[chi*][psi*]).
+    """The dual stalk matrix: p_dual[chi][psi] = t^(-dim O_psi) * p[chi*][psi*].bar().
 
     Applying the same transformation twice returns the original p, because
     duality preserves orbits and bar is an involution.

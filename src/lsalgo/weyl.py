@@ -341,7 +341,7 @@ def _q_coefficients(f: HalfLaurent) -> tuple[int, ...]:
 def _molien_det_q(c: ClassData) -> tuple[int, ...]:
     """det(1 - q*w) of one class as dense coefficients in q."""
     f = c.molien_det
-    if (f.is_zero() or f.coefficient(0) != 1
+    if (not f or f.coefficient(0) != 1
             or any(e % 2 or e < 0 for e in f.support())):
         raise NonExactDivision(
             f"Molien determinant {f} of class {c.id} is not a polynomial in q "
@@ -412,7 +412,7 @@ def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tup
     return _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, n_terms)[0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, ...], ...]]:
     """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class.
 

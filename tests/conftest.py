@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel, singleton_cuspidal_block
+from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_half_power, t_power
 from lsalgo.solver import _eliminate, solve
 
@@ -23,6 +23,14 @@ def extension_invariant(block: BlockData, trials: int) -> bool:
     """Whether `trials` seeded linear extensions all solve to the default result."""
     reference = solve(block)
     return all(solve(block, order_seed=seed) == reference for seed in range(trials))
+
+
+def singleton_cuspidal_block(name: str, dim: int, omega: HalfLaurent) -> BlockData:
+    """A one-label block: a single self-dual local system on a single orbit."""
+    orbit = OrbitInfo("orbit", dim, ())
+    label = SimpleLabel("cuspidal", "orbit", "cuspidal", "cuspidal")
+    return BlockData(name, (orbit,), (label,), ((omega,),),
+                     {"family": "singleton-cuspidal", "dim": dim})
 
 
 def synthetic_dual_pair() -> BlockData:

@@ -17,13 +17,12 @@ from lsalgo.blockdata import (
     load_dataset,
     orbit_dim_type_a,
     save_dataset,
-    singleton_cuspidal_block,
     validate_block,
     validate_dataset,
 )
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 
-from conftest import top_first_chain
+from conftest import singleton_cuspidal_block, top_first_chain
 
 P = lambda *parts: Partition(tuple(parts))
 
@@ -38,17 +37,13 @@ def replace_omega(block: BlockData, i: int, j: int, value: HalfLaurent) -> Block
 class TestOrbitDim:
     def test_zero_orbit(self):
         for n in range(1, 7):
-            assert orbit_dim_type_a(Partition((1,) * n), n) == 0
+            assert orbit_dim_type_a(Partition((1,) * n)) == 0
 
     def test_regular_gl2(self):
-        assert orbit_dim_type_a(P(2), 2) == 2
+        assert orbit_dim_type_a(P(2)) == 2
 
     def test_subregular_gl3(self):
-        assert orbit_dim_type_a(P(2, 1), 3) == 4
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            orbit_dim_type_a(P(2), 3)
+        assert orbit_dim_type_a(P(2, 1)) == 4
 
 
 class TestDominance:
@@ -111,7 +106,7 @@ class TestSpringerBlock:
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 if lam != mu and dominates(lam, mu):
-                    assert orbit_dim_type_a(mu, n) < orbit_dim_type_a(lam, n)
+                    assert orbit_dim_type_a(mu) < orbit_dim_type_a(lam)
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError):

@@ -17,16 +17,16 @@ from lsalgo.blockdata import (
     block_to_json,
     build_springer_block_a,
     save_dataset,
-    singleton_cuspidal_block,
 )
 from lsalgo.cli import EXTHOM_MAX_K, EXTHOM_MAX_SN, main
-from lsalgo.laurent import MAX_EXPONENT, ONE, t_half_power
+from lsalgo.laurent import MAX_EXPONENT, ONE, T, t_half_power
 from lsalgo.weyl import char_table_sn
 
 from conftest import (
     DATASETS,
     incomparable_orbits_block,
     non_ring_solution_block,
+    singleton_cuspidal_block,
     singular_lambda_block,
     singular_maximal_orbit_blocks,
     synthetic_dual_pair,
@@ -76,6 +76,15 @@ class TestGenerate:
                         "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert read_report(out)["status"] == "error"
+        assert [d["kind"] for d in read_report(out)["diagnostics"]] == ["ResourceLimit"]
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_below_one_is_bad_argument(self, tmp_path, capsys, n):
+        code, out = run(capsys, "generate", "springer-a", "--n", n,
+                        "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        assert [d["kind"] for d in read_report(out)["diagnostics"]] == ["BadArgument"]
+        assert not (tmp_path / "x.json").exists()
 
     def test_io_failure(self, tmp_path, capsys):
         code, out = run(capsys, "generate", "springer-a", "--n", "2",
@@ -326,6 +335,45 @@ class TestVerify:
         errors = [d for d in report["diagnostics"] if d["severity"] == "error"]
         assert [d["kind"] for d in errors] == ["OrderDependence"]
         assert errors[0]["message"].startswith("n=2:")
+
+    def test_oracle_mismatch_is_one_diagnostic_per_pair(self, capsys, monkeypatch):
+        # the oracle polynomial gains a term t at one pair, so its coefficient
+        # multiset and its value at t = 1 both differ from p's
+        def tampered_kostka(lam, mu):
+            value = real_kostka(lam, mu)
+            return value + T if (lam.key(), mu.key()) == ("2.1", "1.1.1") else value
+
+        real_kostka = cli.kostka_foulkes
+        monkeypatch.setattr(cli, "kostka_foulkes", tampered_kostka)
+        code, out = run(capsys, "verify", "--n-max", "3")
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        errors = [d for d in report["diagnostics"] if d["severity"] == "error"]
+        assert [d["kind"] for d in errors] == ["OracleMismatch"]
+        assert errors[0]["message"].startswith("n=3 pair (2.1, 1.1.1)")
+
+    def test_entry_off_the_closure_order_is_support_mismatch(self, capsys, monkeypatch):
+        # p[1.1.1][3] = t lies off the closure order; the untampered seeded
+        # factorizations then differ from the result verify reads
+        def tampered_solve(block, **kwargs):
+            result = real_solve(block, **kwargs)
+            if block.name != "springer-a-3":
+                return result
+            i, j = result.labels.index("1.1.1"), result.labels.index("3")
+            p = tuple(tuple(T if (a, b) == (i, j) else v for b, v in enumerate(row))
+                      for a, row in enumerate(result.p))
+            return dataclasses.replace(result, p=p)
+
+        real_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", tampered_solve)
+        code, out = run(capsys, "verify", "--n-max", "3")
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        errors = [d for d in report["diagnostics"] if d["severity"] == "error"]
+        assert [d["kind"] for d in errors] == ["SupportMismatch", "OrderDependence"]
+        assert errors[0]["message"].startswith("n=3 pair (1.1.1, 3)")
 
     def test_n8_refused(self, capsys):
         code, out = run(capsys, "verify", "--n-max", "8")

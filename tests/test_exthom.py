@@ -12,12 +12,11 @@ from lsalgo.weyl import char_table_sn
 class TestGradedDims:
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
-            GradedDims((1, 2), 3)
-        with pytest.raises(ValueError):
-            GradedDims((1, -1), 1)
+            GradedDims((1, -1))
 
     def test_json(self):
-        assert GradedDims((1, 1, 2), 2).to_json() == {"dims": [1, 1, 2], "max_k": 2}
+        assert GradedDims((1, 1, 2)).to_json() == {"dims": [1, 1, 2], "max_k": 2}
+        assert GradedDims((1, 1, 2)).max_degree == 2
 
 
 class TestGradedHomDims:
@@ -86,6 +85,12 @@ class TestEndoDims:
     def test_s3_rank3_k2(self):
         table = char_table_sn(3)
         assert lusztig_sheaf_endo_dims(table, 3, 2).dims[2] == 36
+
+    @pytest.mark.parametrize("rank, max_k", [(0, 1), (2, -1), (2, -2)])
+    def test_out_of_range_refused(self, rank, max_k):
+        # like graded_hom_dims, no negative truncation bound
+        with pytest.raises(ValueError):
+            lusztig_sheaf_endo_dims(char_table_sn(2), rank, max_k)
 
     def test_matches_sum_over_pairs(self):
         # the endomorphism dims of the full induced sheaf decompose as

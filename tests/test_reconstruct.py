@@ -26,7 +26,7 @@ def dense_reconstruct(result, block):
         for j in range(k):
             acc = ZERO
             for a in range(k):
-                if not result.p[i][a].is_zero() and not result.lam[a][j].is_zero():
+                if result.p[i][a] and result.lam[a][j]:
                     acc = acc + result.p[i][a] * result.lam[a][j]
             pl[i][j] = acc
     out = [[ZERO] * k for _ in range(k)]
@@ -34,7 +34,7 @@ def dense_reconstruct(result, block):
         for j in range(k):
             acc = ZERO
             for a in range(k):
-                if not pl[i][a].is_zero() and not result.p[j][a].is_zero():
+                if pl[i][a] and result.p[j][a]:
                     acc = acc + pl[i][a] * result.p[j][a]
             out[i][j] = acc
     return tuple(tuple(row) for row in out)

@@ -88,7 +88,7 @@ def random_factorized_block(seed: int) -> tuple[BlockData, list[list[HalfLaurent
                     set_pair(lam, a, b, value)
                     set_pair(lam, b, a, value)
             block_matrix = [[lam[a][b] for b in members] for a in members]
-            if not signed_det(block_matrix).is_zero():
+            if signed_det(block_matrix):
                 break
         # rows of P from orbits strictly above, dual-equivariantly
         for j in range(i + 1, n_orbits):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -10,6 +11,7 @@ from lsalgo.weyl import (
     IrrData,
     Partition,
     SizeMismatch,
+    _coinvariant_setup,
     char_table_sn,
     char_table_sn_rows,
     coinvariant_pairing,
@@ -328,6 +330,17 @@ class TestCoinvariantPairing:
         pairs = [(chi, psi) for chi in table.char_ids() for psi in table.char_ids()]
         assert coinvariant_pairings(table, pairs) == [
             coinvariant_pairing(table, chi, psi) for chi, psi in pairs]
+
+    def test_setup_cache_is_bounded(self):
+        # the cache is keyed by the whole table: tables that differ only in
+        # their class ids are distinct keys, and at most 32 of them are kept
+        table = char_table_sn(3)
+        expected = coinvariant_pairing(table, "3", "2.1")
+        for copy in range(40):
+            renamed = replace(table, classes=tuple(
+                replace(c, id=f"{c.id}/{copy}") for c in table.classes))
+            assert coinvariant_pairing(renamed, "3", "2.1") == expected
+        assert _coinvariant_setup.cache_info().currsize <= 32
 
 
 # B_2, the signed permutations of two coordinates (order 8), on its rank-2
