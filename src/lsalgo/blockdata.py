@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
 
 from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int, decode_str
 from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairings, partitions_of

@@ -25,8 +25,8 @@ value, raises DataFormatError.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
 
 # Largest doubled exponent, in absolute value, that decoding accepts; the
 # omega of springer-a n <= 8 reaches 56 and the shipped datasets 6.

@@ -58,20 +58,36 @@ ascending (dimension, id) by default, or drawn at random from a seed.
 `_check_invariants`, so a block is validated before solving, always, and a
 result is checked before it is returned, always: p must be invariant under
 duality, Lambda symmetric, and P * Lambda * P^T must equal omega exactly.
-The check forms only the upper triangle j >= i of that product and compares
-it with omega's: validation rejects an asymmetric omega, and with Lambda
-symmetric, (P Lambda P^T)^T = P Lambda^T P^T = P Lambda P^T, so two
-symmetric matrices that agree on j >= i are equal.  The product is sparse
-over the entries the result actually holds, not over the support the closure
-order allows, so a stray entry anywhere in p or Lambda still enters it and
-fails the check.  The check then requires the constraints above of every
-entry: p zero off the closure order with diagonal t^(-dim/2), Lambda zero
-off the orbit blocks.  A result that passes is a constrained factorization
-of omega, so by uniqueness it is the answer, whatever the elimination did
-(Lusztig, Character sheaves V, 1986, section 24; Shoji 1987).  So a result
-equal to one that passed is the answer as well: `verify` calls `_factor`
-alone for its seeded re-solves and compares each with a checked result.
-`reconstruct` forms the full product the same way.
+The check compares only the upper triangle j >= i of that product with
+omega's: validation rejects an asymmetric omega, and with Lambda symmetric,
+(P Lambda P^T)^T = P Lambda^T P^T = P Lambda P^T, so two symmetric matrices
+that agree on j >= i are equal.  It forms no polynomial product: both sides
+are evaluated exactly under the ring homomorphism t^(1/2) -> x = 2^B, each
+entry held as x^lo times an int, lo its least doubled exponent.  Write
+|f|_1 for the sum of the absolute coefficients of f, and let
+
+  C = max |coefficient of omega| + max |lambda entry|_1 * (max_i sum_m |p[i][m]|_1)^2.
+
+As |f * g|_1 <= |f|_1 * |g|_1, every coefficient of an entry of
+P * Lambda * P^T - omega is at most C in absolute value, and B is one more
+than the bit length of C, so x > C + 1.  By Cauchy's bound a nonzero integer
+polynomial whose coefficients are that small has no root of absolute value
+C + 1 or more, so an entry of the difference that vanishes at x is the zero
+Laurent polynomial: equal values prove equal entries, and the check is a
+certificate, not a probabilistic test.  It shares no arithmetic with `dot`
+or `exact_div`, so a fault there cannot cancel between the elimination and
+the check.  The evaluation reads the entries the result actually holds, not
+the support the closure order allows, so a stray entry anywhere in p or
+Lambda still enters it and fails the check.  The check then requires the
+constraints above of every entry: p zero off the closure order with
+diagonal t^(-dim/2), Lambda zero off the orbit blocks.  A result that
+passes is a constrained factorization of omega, so by uniqueness it is the
+answer, whatever the elimination did (Lusztig, Character sheaves V, 1986,
+section 24; Shoji 1987).  So a result equal to one that passed is the
+answer as well: `verify` calls `_factor` alone for its seeded re-solves and
+compares each with a checked result.
+`reconstruct` forms the full product as polynomials, one `dot` per entry
+over the nonzero entries.
 """
 
 from __future__ import annotations
@@ -297,7 +313,12 @@ def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
     `block`: p dual-invariant, Lambda symmetric, P * Lambda * P^T = omega,
     and the support constraints of the module docstring, under which that
     factorization is unique.  `dual` and `dims` are as `_duals` gives them,
-    `below` is the block's closure order."""
+    `below` is the block's closure order.
+
+    The product is compared on the upper triangle only, by its exact value
+    at t^(1/2) = 2^B against omega's: B exceeds the bit length of an l1
+    bound C on the coefficients of the difference, so by Cauchy's root
+    bound equal values prove equal Laurent polynomials."""
     labels = result.labels
     k = len(labels)
     for i in range(k):
@@ -310,15 +331,12 @@ def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
                 raise SolverError(
                     f"lambda[{labels[i]}][{labels[j]}] is not symmetric")
 
-    # omega and lam are symmetric, so is P * Lambda * P^T: the upper triangles
-    # decide; columns are scanned only in the first row that differs
-    pl = _sparse_product(result.p, result.lam)
-    upper = _sparse_product(pl, tuple(zip(*result.p)), upper=True)
-    for i, row in enumerate(upper):
-        if row != block.omega[i][i:]:
-            j = next(j for j in range(i, k) if row[j - i] != block.omega[i][j])
-            raise SolverError(
-                f"P * Lambda * P^T does not reproduce omega[{labels[i]}][{labels[j]}]")
+    # omega and lam are symmetric, so is P * Lambda * P^T: the upper triangles decide
+    mismatch = _first_mismatch(result.p, result.lam, block.omega)
+    if mismatch:
+        i, j = mismatch
+        raise SolverError(
+            f"P * Lambda * P^T does not reproduce omega[{labels[i]}][{labels[j]}]")
 
     orbit = [lb.orbit for lb in block.labels]
     for i, (p_row, lam_row) in enumerate(zip(result.p, result.lam)):
@@ -348,25 +366,79 @@ def reconstruct(result: SolveResult, block: BlockData) -> Matrix:
     return _sparse_product(pl, p_transpose)
 
 
-def _sparse_product(a: Matrix, b: Matrix, *, upper: bool = False) -> Matrix:
+def _sparse_product(a: Matrix, b: Matrix) -> Matrix:
     """a * b for square matrices: one `dot` per entry, over the indices
-    where both factors are nonzero.  With `upper`, row i holds only the
-    columns j >= i."""
+    where both factors are nonzero."""
     n = len(b)
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i, row in enumerate(a):
-        lo = i if upper else 0
+    for row in a:
         xs: dict[int, list[HalfLaurent]] = {}
         ys: dict[int, list[HalfLaurent]] = {}
         for m, x in enumerate(row):
             if x:
                 for j, y in b_rows[m]:
-                    if j >= lo:
-                        xs.setdefault(j, []).append(x)
-                        ys.setdefault(j, []).append(y)
-        out.append(tuple(dot(xs[j], ys[j]) if j in xs else ZERO for j in range(lo, n)))
+                    xs.setdefault(j, []).append(x)
+                    ys.setdefault(j, []).append(y)
+        out.append(tuple(dot(xs[j], ys[j]) if j in xs else ZERO for j in range(n)))
     return tuple(out)
+
+
+def _first_mismatch(p: Matrix, lam: Matrix, omega: Matrix) -> tuple[int, int] | None:
+    """The first (i, j) with j >= i, in label order, at which P * Lambda * P^T
+    differs from omega, or None if the upper triangles agree.
+
+    Both sides are evaluated at t^(1/2) = x = 2^bits, with bits chosen from
+    the l1 bound C of the module docstring.  A nonzero entry f is the pair
+    (lo, n), lo its least doubled exponent and n the int sum of c * x^(e - lo)
+    over its terms c * t^(e/2), so that f(x) = x^lo * n; no exponent parity
+    is assumed.  A product adds the offsets and multiplies the ints, and a
+    sum shifts its terms to their least offset."""
+    k = len(p)
+    # each nonzero entry read as {doubled exponent: coefficient}, of omega
+    # only the upper triangle
+    p_terms = [[(m, dict(f.items())) for m, f in enumerate(row) if f] for row in p]
+    lam_terms = [[(m, dict(f.items())) for m, f in enumerate(row) if f] for row in lam]
+    omega_terms = [[(j, dict(omega[i][j].items())) for j in range(i, k) if omega[i][j]]
+                   for i in range(k)]
+    row_l1 = max((sum(sum(map(abs, f.values())) for _, f in row) for row in p_terms),
+                 default=0)
+    lam_l1 = max((sum(map(abs, f.values())) for row in lam_terms for _, f in row), default=0)
+    omega_max = max((abs(c) for row in omega_terms for _, f in row for c in f.values()),
+                    default=0)
+    bits = (omega_max + lam_l1 * row_l1 ** 2).bit_length() + 1
+
+    def value(terms: dict[int, int]) -> tuple[int, int]:
+        # the sum of n * x^e over the items e: n of `terms` is x^lo * N
+        lo = min(terms)
+        return lo, sum(n << bits * (e - lo) for e, n in terms.items())
+
+    p_rows = [[(m, value(f)) for m, f in row] for row in p_terms]
+    lam_rows = [[(m, value(f)) for m, f in row] for row in lam_terms]
+    p_cols: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(k)]
+    for j, row in enumerate(p_rows):
+        for m, v in row:
+            p_cols[m].append((j, v))
+    for i, p_row in enumerate(p_rows):
+        # row i of P * Lambda, then its products with the columns j >= i of
+        # P^T, added to -omega[i][j]; products of one offset are summed as
+        # they come
+        pl: dict[int, dict[int, int]] = {}
+        for a, (lo1, n1) in p_row:
+            for m, (lo2, n2) in lam_rows[a]:
+                terms = pl.setdefault(m, {})
+                terms[lo1 + lo2] = terms.get(lo1 + lo2, 0) + n1 * n2
+        diff = {j: {e: -c for e, c in f.items()} for j, f in omega_terms[i]}
+        for m, pl_terms in pl.items():
+            lo1, n1 = value(pl_terms)
+            for j, (lo2, n2) in p_cols[m]:
+                if j >= i:
+                    terms = diff.setdefault(j, {})
+                    terms[lo1 + lo2] = terms.get(lo1 + lo2, 0) + n1 * n2
+        bad = [j for j, terms in diff.items() if value(terms)[1]]
+        if bad:
+            return i, min(bad)
+    return None
 
 
 def dualize_p(result: SolveResult, block: BlockData) -> Matrix:

@@ -23,11 +23,11 @@ proves the table invalid and raises NonExactDivision.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
-from typing import Iterable, Mapping
 
 from .laurent import (
     ONE,

@@ -2,10 +2,15 @@
 
 `_check_invariants` tests p for duality, Lambda for symmetry, and compares
 only the upper triangle of P * Lambda * P^T with omega; both are symmetric,
-so that decides equality.  Each result from `tamperings` keeps p
-dual-invariant and Lambda symmetric, so only the product can reject it;
-`reconstruct`, which forms the full product, must disagree with omega on
-the same results.
+so that decides equality.  It compares the exact values of both sides at
+t^(1/2) = 2^B, with B above the bit length of a bound on the coefficients
+of the difference, so equal values prove equal entries.  Each tampered
+result here keeps p dual-invariant and Lambda symmetric, so only the product
+can reject it; `reconstruct`, which forms the full product as polynomials,
+must disagree with omega on the same results, and the check must name the
+first upper-triangle entry where it does.  Tamperings by (t^(1/2) - 2^s) *
+t^e vanish at t^(1/2) = 2^s, so they fail only a check whose B is large
+enough.
 
 A change of basis P * G, G^-1 * Lambda * G^-T keeps the product, so only
 the support constraints can reject it: p lower triangular along the closure
@@ -13,6 +18,7 @@ order with diagonal t^(-dim/2), and Lambda zero off the orbit blocks.
 """
 
 import dataclasses
+import random
 import re
 
 import pytest
@@ -25,6 +31,7 @@ from lsalgo.solver import SolverError, reconstruct, solve
 
 from conftest import synthetic_dual_pair
 from test_reconstruct import dataset_blocks
+from test_solver import planted_block
 from test_solver_roundtrip import random_factorized_block
 
 NOT_REPRODUCED = re.escape("P * Lambda * P^T does not reproduce omega")
@@ -43,21 +50,21 @@ def check(result, block):
     solver._check_invariants(result, block, *solver._duals(block), closure_below(block))
 
 
-def bumped(matrix, cells):
+def bumped(matrix, cells, f=ONE):
     rows = [list(row) for row in matrix]
     for i, j in cells:
-        rows[i][j] += ONE
+        rows[i][j] += f
     return tuple(tuple(row) for row in rows)
 
 
-def bump_p(result, dual, i, j):
-    """p[i][j] and its dual entry, one unit more: p stays dual-invariant."""
-    return dataclasses.replace(result, p=bumped(result.p, {(i, j), (dual[i], dual[j])}))
+def bump_p(result, dual, i, j, f=ONE):
+    """p[i][j] and its dual entry plus f: p stays dual-invariant."""
+    return dataclasses.replace(result, p=bumped(result.p, {(i, j), (dual[i], dual[j])}, f))
 
 
-def bump_lam(result, i, j):
-    """lam[i][j] and lam[j][i], one unit more: lam stays symmetric."""
-    return dataclasses.replace(result, lam=bumped(result.lam, {(i, j), (j, i)}))
+def bump_lam(result, i, j, f=ONE):
+    """lam[i][j] and lam[j][i] plus f: lam stays symmetric."""
+    return dataclasses.replace(result, lam=bumped(result.lam, {(i, j), (j, i)}, f))
 
 
 def tamperings(block):
@@ -82,18 +89,68 @@ TAMPERED_BLOCKS = ([synthetic_dual_pair(), one_orbit_pair()]
                    + [random_factorized_block(seed)[0] for seed in ROUNDTRIP_SEEDS])
 
 
+def first_difference(result, block):
+    """The first (label, label) in the upper triangle at which the full
+    product `reconstruct` forms differs from omega, or None."""
+    product, labels, k = reconstruct(result, block), block.label_ids(), len(block.labels)
+    return next(((labels[i], labels[j]) for i in range(k) for j in range(i, k)
+                 if product[i][j] != block.omega[i][j]), None)
+
+
+def assert_rejected_at_first_difference(tampered, block, name):
+    at = first_difference(tampered, block)
+    assert at is not None, name
+    with pytest.raises(SolverError, match=NOT_REPRODUCED) as excinfo:
+        check(tampered, block)
+    assert str(excinfo.value).endswith(f"omega[{at[0]}][{at[1]}]"), name
+
+
 @pytest.mark.parametrize("block", TAMPERED_BLOCKS, ids=lambda b: b.name)
 def test_tampered_results_fail_the_check(block):
-    labels, k = block.label_ids(), len(block.labels)
     for name, tampered in tamperings(block):
-        with pytest.raises(SolverError, match=NOT_REPRODUCED) as excinfo:
-            check(tampered, block)
-        product = reconstruct(tampered, block)
-        assert product != block.omega, name
-        # located at the first upper-triangle entry of the full product that differs
-        i, j = next((i, j) for i in range(k) for j in range(i, k)
-                    if product[i][j] != block.omega[i][j])
-        assert str(excinfo.value).endswith(f"omega[{labels[i]}][{labels[j]}]"), name
+        assert_rejected_at_first_difference(tampered, block, name)
+
+
+@pytest.mark.parametrize("s", [0, 1, 8, 64, 256])
+@pytest.mark.parametrize("block", [synthetic_dual_pair(), build_springer_block_a(4)]
+                         + [random_factorized_block(seed)[0] for seed in ROUNDTRIP_SEEDS[:3]],
+                         ids=lambda b: b.name)
+def test_tampering_that_vanishes_at_a_power_of_two_fails_the_check(block, s):
+    # (t^(1/2) - 2^s) * t^e vanishes at t^(1/2) = 2^s, and so does the
+    # tampered product minus omega: an evaluation at a point of s bits or
+    # fewer could not tell it from zero.  With s = 0 its two terms differ
+    # in parity, so an encoding that merged t^(e/2) with t^((e+1)/2), as
+    # one assuming a single parity would, sees zero too
+    result = solve(block)
+    dual = solver._duals(block)[0]
+    k = len(block.labels)
+    for e in (-3, 0, 2):
+        f = HalfLaurent({2 * e + 1: 1, 2 * e: -(2 ** s)})
+        for i, j in ((k - 1, 0), (0, k - 1)):
+            assert_rejected_at_first_difference(bump_p(result, dual, i, j, f), block, (e, i, j))
+
+
+PROPERTY_BLOCKS = ([build_springer_block_a(n) for n in range(1, 7)] + [synthetic_dual_pair()]
+                   + [random_factorized_block(seed)[0] for seed in ROUNDTRIP_SEEDS]
+                   + [planted_block(seed, 8)[0] for seed in range(3)])
+
+
+@pytest.mark.parametrize("block", PROPERTY_BLOCKS, ids=lambda b: b.name)
+def test_check_agrees_with_reconstruct_on_random_tamperings(block):
+    # one entry of p or Lambda changed by c * t^(e/2), its dual or symmetric
+    # partner too: each changes the upper triangle of reconstruct, and the
+    # product test must fail at its first differing entry; results that keep
+    # the product, and so pass the product test, are the untampered ones and
+    # the changes of basis below
+    rng = random.Random(block.name)
+    result = solve(block)
+    dual = solver._duals(block)[0]
+    k = len(block.labels)
+    for trial in range(16):
+        i, j = rng.randrange(k), rng.randrange(k)
+        f = HalfLaurent({rng.randint(-40, 40): rng.choice((1, -1)) * rng.choice((1, 2 ** 100))})
+        tampered = bump_lam(result, i, j, f) if trial % 2 else bump_p(result, dual, i, j, f)
+        assert_rejected_at_first_difference(tampered, block, (trial, i, j))
 
 
 def test_off_diagonal_lam_change_leaves_the_diagonal_of_the_product():
