@@ -85,22 +85,6 @@ class BlockData:
     def label_ids(self) -> tuple[str, ...]:
         return tuple(lb.id for lb in self.labels)
 
-    def label_index(self, label_id: str) -> int:
-        for i, lb in enumerate(self.labels):
-            if lb.id == label_id:
-                return i
-        raise KeyError(f"unknown label id {label_id!r}")
-
-    def orbit_of(self, label_id: str) -> OrbitInfo:
-        lb = self.labels[self.label_index(label_id)]
-        for orb in self.orbits:
-            if orb.id == lb.orbit:
-                return orb
-        raise KeyError(f"label {label_id!r} references unknown orbit {lb.orbit!r}")
-
-    def omega_entry(self, a: str, b: str) -> HalfLaurent:
-        return self.omega[self.label_index(a)][self.label_index(b)]
-
 
 def orbit_dim_type_a(lam: Partition) -> int:
     """Complex dimension of the type-A orbit with Jordan type lam, a
@@ -370,7 +354,8 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
             # a redundant copy of some single block's own pairing; it only
             # has to agree with the authoritative omega of that block
             home = ds.blocks[owner[entry.row]]
-            if home.omega_entry(entry.row, entry.col) != entry.value:
+            ids = home.label_ids()
+            if home.omega[ids.index(entry.row)][ids.index(entry.col)] != entry.value:
                 out.append(Violation(
                     "InconsistentDuplicate",
                     f"omega[{entry.row}][{entry.col}] recorded in "

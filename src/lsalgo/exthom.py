@@ -20,10 +20,8 @@ dimension proves the table inconsistent and raises an ArithmeticError
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .laurent import HalfLaurent
-from .weyl import CharTable, class_pair_series, coinvariant_pairing, degrees_product
+from .weyl import CharTable, class_pair_series
 
 
 @dataclass(frozen=True)
@@ -61,25 +59,3 @@ def graded_hom_dims(table: CharTable, chi: str, psi: str, max_k: int) -> GradedD
                 f"negative graded dimension {value} at degree {2 * k}: "
                 f"the character table is inconsistent")
     return GradedDims(dims)
-
-
-def lusztig_sheaf_endo_dims(table: CharTable, rank: int, max_k: int) -> GradedDims:
-    """Graded endomorphisms of the full induced sheaf of the block:
-    |W| independent copies of the degree-k monomials in `rank` variables,
-    so dims[k] = |W| * C(k + rank - 1, rank - 1)."""
-    if rank < 1 or max_k < 0:
-        raise ValueError("rank must be positive and max_k nonnegative")
-    dims = tuple(table.group_order * comb(k + rank - 1, rank - 1)
-                 for k in range(max_k + 1))
-    return GradedDims(dims)
-
-
-def series_consistency(table: CharTable, chi: str, psi: str, max_k: int) -> bool:
-    """Check the formal identity tying the infinite Hom series to the finite
-    coinvariant pairing: the series times prod (1 - u^d_j) must agree with
-    coinvariant_pairing(chi, psi) through degree max_k."""
-    dims = graded_hom_dims(table, chi, psi, max_k).dims
-    product = HalfLaurent({2 * k: v for k, v in enumerate(dims)}) * degrees_product(table)
-    pairing = coinvariant_pairing(table, chi, psi)
-    return all(product.coefficient(2 * k) == pairing.coefficient(2 * k)
-               for k in range(max_k + 1))

@@ -25,7 +25,7 @@ value, raises DataFormatError.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, ItemsView, Mapping
 from functools import lru_cache
 
 # Largest doubled exponent, in absolute value, that decoding accepts; the
@@ -92,9 +92,9 @@ class HalfLaurent:
 
     Exponents and coefficients must have type int (bool is refused), else
     TypeError.  Zero coefficients are dropped on construction; the zero
-    polynomial has an empty coefficient map.  Supports +, -, *, ** and
-    mixing with ints, but not with bools: ONE + True raises TypeError and
-    ONE == True is False.
+    polynomial has an empty coefficient map.  Supports +, -, *, ** (by an
+    int n >= 0, else ValueError) and mixing with ints, but not with bools:
+    ONE + True raises TypeError and ONE == True is False.
     """
 
     __slots__ = ("_c",)
@@ -114,9 +114,9 @@ class HalfLaurent:
     def __bool__(self) -> bool:
         return bool(self._c)
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        """Pairs (doubled exponent, coefficient) in ascending exponent order."""
-        return iter(sorted(self._c.items()))
+    def items(self) -> ItemsView[int, int]:
+        """Pairs (doubled exponent, coefficient), in no particular order."""
+        return self._c.items()
 
     def coefficient(self, double_exp: int) -> int:
         return self._c.get(double_exp, 0)
@@ -174,13 +174,7 @@ class HalfLaurent:
 
     def __pow__(self, n: int) -> HalfLaurent:
         if n < 0:
-            # only units (signed monomials) may be inverted
-            if len(self._c) == 1:
-                ((e, v),) = self._c.items()
-                if v in (1, -1):
-                    sign = -1 if (v == -1 and n % 2) else 1
-                    return HalfLaurent({n * e: sign})
-            raise ValueError(f"({self}) is not invertible in the ring")
+            raise ValueError(f"negative exponent {n}")
         result = ONE
         base = self
         while n:
@@ -204,7 +198,7 @@ class HalfLaurent:
             return hash(c[0])
         return hash(frozenset(c.items())) if c else 0
 
-    # -- the bar involution and evaluation --------------------------------
+    # -- the bar involution and shifts ------------------------------------
 
     def bar(self) -> HalfLaurent:
         """The ring involution t^(1/2) -> t^(-1/2): every exponent is negated."""
@@ -213,9 +207,6 @@ class HalfLaurent:
     def shift(self, double_exp: int) -> HalfLaurent:
         """Multiply by the monomial t^(double_exp/2)."""
         return _raw({e + double_exp: v for e, v in self._c.items()})
-
-    def evaluate_at_one(self) -> int:
-        return sum(self._c.values())
 
     # -- serialization and display -----------------------------------------
 

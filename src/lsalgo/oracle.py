@@ -39,18 +39,6 @@ class Tableau:
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError("columns must strictly increase")
 
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(row) for row in self.rows))
-
-    @property
-    def content(self) -> Partition:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-        return Partition(tuple(counts[k] for k in sorted(counts)))
-
     def reading_word(self) -> tuple[int, ...]:
         """Rows bottom to top, each left to right."""
         word: list[int] = []

@@ -151,9 +151,6 @@ class SolveResult:
     def lam_entry(self, row: str, col: str) -> HalfLaurent:
         return self.entry(self.lam, row, col)
 
-    def p_dual_entry(self, row: str, col: str) -> HalfLaurent:
-        return self.entry(self.p_dual, row, col)
-
     def to_json(self) -> dict:
         return {
             "block": self.block,
@@ -180,21 +177,20 @@ class SolveResult:
 
 def _eliminate(matrix: list[list[HalfLaurent]]):
     """One fraction-free Gauss-Jordan elimination of [A | I] for a square A:
-    (d, sign, E) with d = sign * det(A), sign that of the row swaps, and
-    E * A = d * I, or (ZERO, sign, None) if A is singular.  Each entry is a
+    (d, E) with d = +-det(A), the sign that of the row swaps, and
+    E * A = d * I, or (ZERO, None) if A is singular.  Each entry is a
     minor of [A | I], so every division by the previous pivot is exact
     (Sylvester's identity).  Columns left of the pivot are never read again,
     so they are not updated."""
     n = len(matrix)
     rows = [list(row) + [ONE if j == i else ZERO for j in range(n)]
             for i, row in enumerate(matrix)]
-    sign, prev = 1, ONE
+    prev = ONE
     for k in range(n):
         pivot = next((i for i in range(k, n) if rows[i][k]), None)
         if pivot is None:
-            return ZERO, sign, None
+            return ZERO, None
         rows[k], rows[pivot] = rows[pivot], rows[k]
-        sign = sign if pivot == k else -sign
         pivot_row = rows[k]
         for i, row in enumerate(rows):
             if i != k:
@@ -202,7 +198,7 @@ def _eliminate(matrix: list[list[HalfLaurent]]):
                 for j in range(k + 1, 2 * n):
                     row[j] = exact_div(dot(pair, (row[j], pivot_row[j])), prev)
         prev = pivot_row[k]
-    return prev, sign, [row[n:] for row in rows]
+    return prev, [row[n:] for row in rows]
 
 
 def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
@@ -261,7 +257,7 @@ def _factor(block: BlockData, order_seed: int | None):
             p[i][i] = t_half_power(-dim)
             for j in members[a:]:
                 lam[i][j] = lam[j][i] = residual(i, j).shift(2 * dim)
-        d, _, e = _eliminate([[lam[i][j] for j in members] for i in members])
+        d, e = _eliminate([[lam[i][j] for j in members] for i in members])
         if not d:
             raise _located(SingularLambdaBlock(
                 f"stage (i): the Lambda block of orbit {orbit_id!r} has determinant zero"),
@@ -310,15 +306,10 @@ def _duals(block: BlockData) -> tuple[list[int], list[int]]:
 def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
                       dims: list[int], below: dict[str, frozenset[str]]) -> None:
     """Raise SolverError unless `result` is the constrained factorization of
-    `block`: p dual-invariant, Lambda symmetric, P * Lambda * P^T = omega,
-    and the support constraints of the module docstring, under which that
-    factorization is unique.  `dual` and `dims` are as `_duals` gives them,
-    `below` is the block's closure order.
-
-    The product is compared on the upper triangle only, by its exact value
-    at t^(1/2) = 2^B against omega's: B exceeds the bit length of an l1
-    bound C on the coefficients of the difference, so by Cauchy's root
-    bound equal values prove equal Laurent polynomials."""
+    `block`: p dual-invariant, Lambda symmetric, P * Lambda * P^T = omega by
+    `_first_mismatch`, then the support constraints; the module docstring
+    says why that certifies it.  `dual` and `dims` are as `_duals` gives
+    them, `below` is the block's closure order."""
     labels = result.labels
     k = len(labels)
     for i in range(k):
@@ -331,7 +322,6 @@ def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
                 raise SolverError(
                     f"lambda[{labels[i]}][{labels[j]}] is not symmetric")
 
-    # omega and lam are symmetric, so is P * Lambda * P^T: the upper triangles decide
     mismatch = _first_mismatch(result.p, result.lam, block.omega)
     if mismatch:
         i, j = mismatch
@@ -386,32 +376,28 @@ def _sparse_product(a: Matrix, b: Matrix) -> Matrix:
 
 def _first_mismatch(p: Matrix, lam: Matrix, omega: Matrix) -> tuple[int, int] | None:
     """The first (i, j) with j >= i, in label order, at which P * Lambda * P^T
-    differs from omega, or None if the upper triangles agree.
-
-    Both sides are evaluated at t^(1/2) = x = 2^bits, with bits chosen from
-    the l1 bound C of the module docstring.  A nonzero entry f is the pair
-    (lo, n), lo its least doubled exponent and n the int sum of c * x^(e - lo)
-    over its terms c * t^(e/2), so that f(x) = x^lo * n; no exponent parity
-    is assumed.  A product adds the offsets and multiplies the ints, and a
-    sum shifts its terms to their least offset."""
+    differs from omega, or None if the upper triangles agree, decided at
+    t^(1/2) = x = 2^bits as the module docstring sets out.  A nonzero entry f
+    is the pair (lo, n) with f(x) = x^lo * n, lo its least doubled exponent;
+    a product adds the offsets and multiplies the ints, a sum shifts its
+    terms to their least offset."""
     k = len(p)
-    # each nonzero entry read as {doubled exponent: coefficient}, of omega
-    # only the upper triangle
-    p_terms = [[(m, dict(f.items())) for m, f in enumerate(row) if f] for row in p]
-    lam_terms = [[(m, dict(f.items())) for m, f in enumerate(row) if f] for row in lam]
-    omega_terms = [[(j, dict(omega[i][j].items())) for j in range(i, k) if omega[i][j]]
+    # each nonzero entry read as its pairs (doubled exponent, coefficient),
+    # of omega only the upper triangle
+    p_terms = [[(m, f.items()) for m, f in enumerate(row) if f] for row in p]
+    lam_terms = [[(m, f.items()) for m, f in enumerate(row) if f] for row in lam]
+    omega_terms = [[(j, omega[i][j].items()) for j in range(i, k) if omega[i][j]]
                    for i in range(k)]
-    row_l1 = max((sum(sum(map(abs, f.values())) for _, f in row) for row in p_terms),
-                 default=0)
-    lam_l1 = max((sum(map(abs, f.values())) for row in lam_terms for _, f in row), default=0)
-    omega_max = max((abs(c) for row in omega_terms for _, f in row for c in f.values()),
-                    default=0)
+    row_l1 = max((sum(abs(c) for _, f in row for _, c in f) for row in p_terms), default=0)
+    lam_l1 = max((sum(abs(c) for _, c in f) for row in lam_terms for _, f in row), default=0)
+    omega_max = max((abs(c) for row in omega_terms for _, f in row for _, c in f), default=0)
     bits = (omega_max + lam_l1 * row_l1 ** 2).bit_length() + 1
 
-    def value(terms: dict[int, int]) -> tuple[int, int]:
-        # the sum of n * x^e over the items e: n of `terms` is x^lo * N
-        lo = min(terms)
-        return lo, sum(n << bits * (e - lo) for e, n in terms.items())
+    def value(terms) -> tuple[int, int]:
+        # the sum of n * x^e over the pairs (e, n) of `terms` is x^lo * N;
+        # the exponents are distinct, so the least pair holds the least one
+        lo = min(terms)[0]
+        return lo, sum(n << bits * (e - lo) for e, n in terms)
 
     p_rows = [[(m, value(f)) for m, f in row] for row in p_terms]
     lam_rows = [[(m, value(f)) for m, f in row] for row in lam_terms]
@@ -428,14 +414,14 @@ def _first_mismatch(p: Matrix, lam: Matrix, omega: Matrix) -> tuple[int, int] | 
             for m, (lo2, n2) in lam_rows[a]:
                 terms = pl.setdefault(m, {})
                 terms[lo1 + lo2] = terms.get(lo1 + lo2, 0) + n1 * n2
-        diff = {j: {e: -c for e, c in f.items()} for j, f in omega_terms[i]}
+        diff = {j: {e: -c for e, c in f} for j, f in omega_terms[i]}
         for m, pl_terms in pl.items():
-            lo1, n1 = value(pl_terms)
+            lo1, n1 = value(pl_terms.items())
             for j, (lo2, n2) in p_cols[m]:
                 if j >= i:
                     terms = diff.setdefault(j, {})
                     terms[lo1 + lo2] = terms.get(lo1 + lo2, 0) + n1 * n2
-        bad = [j for j, terms in diff.items() if value(terms)[1]]
+        bad = [j for j, terms in diff.items() if value(terms.items())[1]]
         if bad:
             return i, min(bad)
     return None

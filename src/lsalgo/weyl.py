@@ -84,14 +84,6 @@ class Partition:
         """Stable string id, parts joined by dots: (2,1,1) -> "2.1.1"."""
         return ".".join(str(p) for p in self.parts) if self.parts else "0"
 
-    @classmethod
-    def from_key(cls, key: str) -> Partition:
-        """The partition whose `key()` is exactly `key`, else ValueError."""
-        lam = cls(()) if key == "0" else cls(tuple(int(p) for p in key.split(".")))
-        if lam.key() != key:
-            raise ValueError(f"{key!r} is not the key of a partition")
-        return lam
-
     def __repr__(self) -> str:
         return f"Partition({self.parts})"
 

@@ -1,22 +1,66 @@
 """Shared test data: hand-checked blocks exercising nontrivial duality and
-solver error paths, and two checks read through the solver's own code."""
+solver error paths, and oracles that the library itself does not ship."""
 
+import itertools
 from pathlib import Path
 
 import pytest
 
 from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel
+from lsalgo.exthom import graded_hom_dims
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_half_power, t_power
-from lsalgo.solver import _eliminate, solve
+from lsalgo.solver import solve
+from lsalgo.weyl import CharTable, coinvariant_pairing, degrees_product
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASETS = REPO_ROOT / "datasets"
 
 
-def signed_det(matrix) -> HalfLaurent:
-    """det(matrix) as `_eliminate` finds it: its d, with the sign of its row swaps."""
-    d, sign, _ = _eliminate(matrix)
-    return d if sign > 0 else -d
+def leibniz_det(m) -> HalfLaurent:
+    """det(m) as the signed sum over permutations, independent of elimination."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[a] > perm[b] for a in range(len(m)) for b in range(a + 1, len(m)))
+        term = -ONE if inversions % 2 else ONE
+        for row, col in enumerate(perm):
+            term = term * m[row][col]
+        total = total + term
+    return total
+
+
+def value_at_one(f: HalfLaurent) -> int:
+    """f(1), the sum of the coefficients."""
+    return sum(c for _, c in f.items())
+
+
+def orbit_dim(block: BlockData, label_id: str) -> int:
+    """The dim of the orbit that the label `label_id` sits on."""
+    (orbit,) = (lb.orbit for lb in block.labels if lb.id == label_id)
+    return next(o.dim for o in block.orbits if o.id == orbit)
+
+
+def series_consistency(table: CharTable, chi: str, psi: str, max_k: int) -> bool:
+    """The identity tying the infinite Hom series to the finite coinvariant
+    pairing: the series times prod (1 - u^d_j) agrees with
+    coinvariant_pairing(chi, psi) through degree max_k."""
+    dims = graded_hom_dims(table, chi, psi, max_k).dims
+    product = HalfLaurent({2 * k: v for k, v in enumerate(dims)}) * degrees_product(table)
+    pairing = coinvariant_pairing(table, chi, psi)
+    return all(product.coefficient(2 * k) == pairing.coefficient(2 * k)
+               for k in range(max_k + 1))
+
+
+def induced_endo_dims(table: CharTable, max_k: int) -> tuple[int, ...]:
+    """Graded endomorphism dims of the full induced sheaf through degree
+    2 * max_k, as the sum of deg(chi) * deg(psi) * Hom dims over all pairs;
+    an S_n table lists the identity class last."""
+    degree = {irr.id: irr.values[-1] for irr in table.irreducibles}
+    total = [0] * (max_k + 1)
+    for chi in degree:
+        for psi in degree:
+            for k, d in enumerate(graded_hom_dims(table, chi, psi, max_k).dims):
+                total[k] += degree[chi] * degree[psi] * d
+    return tuple(total)
 
 
 def extension_invariant(block: BlockData, trials: int) -> bool:

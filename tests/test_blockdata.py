@@ -82,13 +82,14 @@ class TestSpringerBlock:
 
     def test_gl3_corner(self):
         block = build_springer_block_a(3)
-        assert block.omega_entry("3", "1.1.1") == t_power(-3)
+        ids = block.label_ids()
+        assert block.omega[ids.index("3")][ids.index("1.1.1")] == t_power(-3)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sign_diagonal_is_one(self, n):
         block = build_springer_block_a(n)
-        key = ".".join(["1"] * n)
-        assert block.omega_entry(key, key) == ONE
+        i = block.label_ids().index(".".join(["1"] * n))
+        assert block.omega[i][i] == ONE
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_validates(self, n):

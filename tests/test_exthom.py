@@ -1,12 +1,11 @@
+from math import comb
+
 import pytest
 
-from lsalgo.exthom import (
-    GradedDims,
-    graded_hom_dims,
-    lusztig_sheaf_endo_dims,
-    series_consistency,
-)
+from lsalgo.exthom import GradedDims, graded_hom_dims
 from lsalgo.weyl import char_table_sn
+
+from conftest import induced_endo_dims, series_consistency
 
 
 class TestGradedDims:
@@ -66,46 +65,31 @@ class TestGradedHomDims:
                 dims = graded_hom_dims(table, irr.id, table.irreducibles[0].id, max_k).dims
                 for k in range(max_k + 1):
                     total[k] += degree * dims[k]
-            from math import comb
-
             expected = [comb(k + n - 1, n - 1) for k in range(max_k + 1)]
             assert total == expected
 
 
 class TestEndoDims:
+    """The endomorphism dims of the full induced sheaf, summed from the Hom
+    dims of every pair of simples."""
+
     def test_s2_rank2(self):
-        table = char_table_sn(2)
-        assert lusztig_sheaf_endo_dims(table, 2, 1).dims == (2, 4)
+        assert induced_endo_dims(char_table_sn(2), 1) == (2, 4)
 
     def test_degree_zero_is_group_order(self):
         for n in [2, 3, 4]:
             table = char_table_sn(n)
-            assert lusztig_sheaf_endo_dims(table, n, 0).dims == (table.group_order,)
+            assert induced_endo_dims(table, 0) == (table.group_order,)
 
     def test_s3_rank3_k2(self):
-        table = char_table_sn(3)
-        assert lusztig_sheaf_endo_dims(table, 3, 2).dims[2] == 36
-
-    @pytest.mark.parametrize("rank, max_k", [(0, 1), (2, -1), (2, -2)])
-    def test_out_of_range_refused(self, rank, max_k):
-        # like graded_hom_dims, no negative truncation bound
-        with pytest.raises(ValueError):
-            lusztig_sheaf_endo_dims(char_table_sn(2), rank, max_k)
+        assert induced_endo_dims(char_table_sn(3), 2)[2] == 36
 
     def test_matches_sum_over_pairs(self):
-        # the endomorphism dims of the full induced sheaf decompose as
-        # sum over (chi, psi) of deg(chi) * deg(psi) * hom dims
+        # |W| independent copies of the degree-k monomials in n variables
         n, max_k = 3, 6
         table = char_table_sn(n)
-        identity_index = len(table.classes) - 1
-        total = [0] * (max_k + 1)
-        for chi in table.irreducibles:
-            for psi in table.irreducibles:
-                dims = graded_hom_dims(table, chi.id, psi.id, max_k).dims
-                weight = chi.values[identity_index] * psi.values[identity_index]
-                for k in range(max_k + 1):
-                    total[k] += weight * dims[k]
-        assert tuple(total) == lusztig_sheaf_endo_dims(table, n, max_k).dims
+        assert induced_endo_dims(table, max_k) == tuple(
+            table.group_order * comb(k + n - 1, n - 1) for k in range(max_k + 1))
 
 
 class TestSeriesConsistency:

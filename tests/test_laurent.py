@@ -3,9 +3,11 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from lsalgo import laurent
 from lsalgo.laurent import (
     MAX_EXPONENT,
     ONE,
+    T,
     ZERO,
     HalfLaurent,
     DataFormatError,
@@ -62,6 +64,17 @@ class TestMul:
 
     def test_negative_powers(self):
         assert t_power(-1) * t_power(-1) == t_power(-2)
+
+    @pytest.mark.parametrize("f, n", [(T, -1), (ONE + T, -1), (ONE, -2)],
+                             ids=["t", "1+t", "1"])
+    def test_negative_exponent_raises_at_once(self, monkeypatch, f, n):
+        # repeated squaring never ends on n < 0, so no product may be formed
+        def no_product(xs, ys):
+            raise AssertionError("a product was formed")
+        monkeypatch.setattr(laurent, "dot", no_product)
+        with pytest.raises(ValueError):
+            f ** n
+        assert f ** 0 == ONE
 
     @given(polys, polys)
     def test_commutative(self, f, g):
@@ -339,6 +352,3 @@ class TestSerialization:
         for bad in (None, 5, True, ["a"]):
             with pytest.raises(DataFormatError):
                 decode_str(bad, "x")
-
-    def test_evaluate_at_one(self):
-        assert (t_power(2) - 1 + 3 * t_power(-1)).evaluate_at_one() == 3

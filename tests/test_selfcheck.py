@@ -210,7 +210,8 @@ def basis_change(k, diagonal=None, cell=None):
     g = [[ONE if a == b else ZERO for b in range(k)] for a in range(k)]
     g_inv = [list(row) for row in g]
     for a, unit in (diagonal or {}).items():
-        g[a][a], g_inv[a][a] = unit, unit ** -1
+        # a unit is a signed monomial, and its bar is its inverse
+        g[a][a], g_inv[a][a] = unit, unit.bar()
     if cell:
         i, j, c = cell
         g[i][j], g_inv[i][j] = c, -c

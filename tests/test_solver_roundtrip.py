@@ -15,7 +15,7 @@ from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel, validate_block
 from lsalgo.laurent import ZERO, HalfLaurent, t_half_power
 from lsalgo.solver import reconstruct, solve
 
-from conftest import extension_invariant, signed_det
+from conftest import extension_invariant, leibniz_det
 
 
 def random_poly(rng: random.Random, parity: int = 0) -> HalfLaurent:
@@ -88,7 +88,7 @@ def random_factorized_block(seed: int) -> tuple[BlockData, list[list[HalfLaurent
                     set_pair(lam, a, b, value)
                     set_pair(lam, b, a, value)
             block_matrix = [[lam[a][b] for b in members] for a in members]
-            if signed_det(block_matrix):
+            if leibniz_det(block_matrix):
                 break
         # rows of P from orbits strictly above, dual-equivariantly
         for j in range(i + 1, n_orbits):
