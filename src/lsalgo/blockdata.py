@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int, decode_str
-from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairings, partitions_of
+from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, partitions_of
 
 # Springer blocks beyond this size are refused: the character-table and
 # pairing computations stay exact but stop being desk-checkable.
@@ -47,15 +47,15 @@ class OrbitInfo:
 
 @dataclass(frozen=True)
 class SimpleLabel:
-    """A simple object: the orbit it sits on, a local system name, its dual."""
+    """A simple object: the orbit it sits on, a local system name, its dual (None: itself)."""
 
     id: str
     orbit: str
     local_system: str = "triv"
-    dual: str = ""
+    dual: str | None = None
 
     def __post_init__(self):
-        if not self.dual:
+        if self.dual is None:
             object.__setattr__(self, "dual", self.id)
 
 
@@ -141,10 +141,11 @@ def build_springer_block_a(n: int) -> BlockData:
     )
     labels = tuple(SimpleLabel(lam.key(), lam.key(), "triv", lam.key()) for lam in order)
     keys = [lam.key() for lam in order]
-    pairs = [(a, b) for i, a in enumerate(keys) for b in keys[i:]]
+    table = char_table_sn(n)
     pairings: dict[tuple[str, str], HalfLaurent] = {}
-    for (a, b), value in zip(pairs, coinvariant_pairings(char_table_sn(n), pairs)):
-        pairings[a, b] = pairings[b, a] = value.bar()
+    for i, a in enumerate(keys):
+        for b in keys[i:]:
+            pairings[a, b] = pairings[b, a] = coinvariant_pairing(table, a, b).bar()
     omega = tuple(tuple(pairings[a, b] for b in keys) for a in keys)
     provenance = {
         "family": "springer-a",
@@ -461,10 +462,6 @@ def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
     return block, cross
 
 
-def dataset_to_json(ds: Dataset) -> list:
-    return [block_to_json(b) for b in ds.blocks]
-
-
 def dataset_from_json(obj) -> Dataset:
     if isinstance(obj, Mapping):
         obj = [obj]
@@ -495,5 +492,5 @@ def load_dataset(path) -> Dataset:
 
 def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataset_to_json(ds), fh, indent=2, sort_keys=True)
+        json.dump([block_to_json(b) for b in ds.blocks], fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -28,6 +28,7 @@ from .blockdata import (
     DataFormatError,
     Dataset,
     build_springer_block_a,
+    closure_below,
     dominates,
     load_dataset,
     read_json,
@@ -166,7 +167,8 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
     # `result` passed the self-check, so it is the constrained factorization,
     # which is unique: a seeded factorization equal to it is certified by that
     # equality alone, and one that differs depends on the linear extension
-    if any(_factor(block, seed)[0] != result for seed in range(5)):
+    below = closure_below(block)
+    if any(_factor(block, below, seed) != result for seed in range(5)):
         ok = False
         diagnostics.append(_diag(
             "error", "OrderDependence",

@@ -54,7 +54,8 @@ own label order.
 `linear_extension`, imported from `blockdata`, produces every extension:
 ascending (dimension, id) by default, or drawn at random from a seed.
 
-`solve` is `_factor`, which validates the block and eliminates, followed by
+`solve` validates the block with `_check_block`, which also builds the
+closure order, eliminates with `_factor` and checks the result with
 `_check_invariants`, so a block is validated before solving, always, and a
 result is checked before it is returned, always: p must be invariant under
 duality, Lambda symmetric, and P * Lambda * P^T must equal omega exactly.
@@ -84,10 +85,10 @@ diagonal t^(-dim/2), Lambda zero off the orbit blocks.  A result that
 passes is a constrained factorization of omega, so by uniqueness it is the
 answer, whatever the elimination did (Lusztig, Character sheaves V, 1986,
 section 24; Shoji 1987).  So a result equal to one that passed is the
-answer as well: `verify` calls `_factor` alone for its seeded re-solves and
-compares each with a checked result.
-`reconstruct` forms the full product as polynomials, one `dot` per entry
-over the nonzero entries.
+answer as well: `verify` validates once, calls `_factor` alone for its
+seeded re-solves and compares each with a checked result.
+`reconstruct` forms the full product as polynomials, two plain matrix
+products of one `dot` per entry.
 """
 
 from __future__ import annotations
@@ -207,19 +208,18 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
     With `order_seed` the linear extension is drawn at random from the given
     seed; the result is identical either way.
     """
-    result, *context = _factor(block, order_seed)
-    _check_invariants(result, block, *context)
-    return result
-
-
-def _factor(block: BlockData, order_seed: int | None):
-    """Validate `block` and eliminate along the extension drawn from
-    `order_seed`: (result, dual, dims, below), the result not yet checked and
-    the rest what `_check_invariants` reads."""
     violations, below = _check_block(block)
     if violations:
         raise InvalidBlock(violations)
+    result = _factor(block, below, order_seed)
+    _check_invariants(result, block, below)
+    return result
 
+
+def _factor(block: BlockData, below: dict[str, frozenset[str]],
+            order_seed: int | None) -> SolveResult:
+    """Eliminate a validated `block`, whose closure order is `below`, along
+    the extension drawn from `order_seed`; the result is not yet checked."""
     labels = block.label_ids()
     k = len(labels)
     dim_of = {o.id: o.dim for o in block.orbits}
@@ -284,9 +284,8 @@ def _factor(block: BlockData, order_seed: int | None):
                     f"which the closure order forbids"), "iii", orbit_id, labels[i])
 
     p_matrix: Matrix = tuple(tuple(row) for row in p)
-    dual, dims = _duals(block)
-    return (SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
-                        _dual_stalks(p_matrix, dual, dims)), dual, dims, below)
+    return SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
+                       _dual_stalks(p_matrix, *_duals(block)))
 
 
 def _located(exc: Exception, stage: str, orbit: str, row: str | None = None) -> Exception:
@@ -303,13 +302,13 @@ def _duals(block: BlockData) -> tuple[list[int], list[int]]:
     return [index[lb.dual] for lb in block.labels], [dim_of[lb.orbit] for lb in block.labels]
 
 
-def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
-                      dims: list[int], below: dict[str, frozenset[str]]) -> None:
+def _check_invariants(result: SolveResult, block: BlockData,
+                      below: dict[str, frozenset[str]]) -> None:
     """Raise SolverError unless `result` is the constrained factorization of
-    `block`: p dual-invariant, Lambda symmetric, P * Lambda * P^T = omega by
-    `_first_mismatch`, then the support constraints; the module docstring
-    says why that certifies it.  `dual` and `dims` are as `_duals` gives
-    them, `below` is the block's closure order."""
+    `block`, whose closure order is `below`: p dual-invariant, Lambda
+    symmetric, P * Lambda * P^T = omega by `_first_mismatch`, then the
+    support constraints; the module docstring says why that certifies it."""
+    dual, dims = _duals(block)
     labels = result.labels
     k = len(labels)
     for i in range(k):
@@ -345,33 +344,14 @@ def _check_invariants(result: SolveResult, block: BlockData, dual: list[int],
 def reconstruct(result: SolveResult, block: BlockData) -> Matrix:
     """P * Lambda * P^T, for comparison against the block's omega.
 
-    The products run over the nonzero entries that `result` actually holds,
-    not over the support the closure order allows, so a stray entry anywhere
-    in p or lam enters the product like any other.
+    The products run over every entry that `result` holds, not over the
+    support the closure order allows, so a stray entry anywhere in p or lam
+    enters the product like any other.
     """
     if result.labels != block.label_ids():
         raise ShapeMismatch("result labels do not match the block")
-    p_transpose = tuple(zip(*result.p))
-    pl = _sparse_product(result.p, result.lam)
-    return _sparse_product(pl, p_transpose)
-
-
-def _sparse_product(a: Matrix, b: Matrix) -> Matrix:
-    """a * b for square matrices: one `dot` per entry, over the indices
-    where both factors are nonzero."""
-    n = len(b)
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        xs: dict[int, list[HalfLaurent]] = {}
-        ys: dict[int, list[HalfLaurent]] = {}
-        for m, x in enumerate(row):
-            if x:
-                for j, y in b_rows[m]:
-                    xs.setdefault(j, []).append(x)
-                    ys.setdefault(j, []).append(y)
-        out.append(tuple(dot(xs[j], ys[j]) if j in xs else ZERO for j in range(n)))
-    return tuple(out)
+    pl = [[dot(row, col) for col in zip(*result.lam)] for row in result.p]
+    return tuple(tuple(dot(pl_row, p_row) for p_row in result.p) for pl_row in pl)
 
 
 def _first_mismatch(p: Matrix, lam: Matrix, omega: Matrix) -> tuple[int, int] | None:

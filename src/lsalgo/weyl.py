@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import mul
 
@@ -197,6 +197,11 @@ class CharTable:
 
     def char_ids(self) -> tuple[str, ...]:
         return tuple(irr.id for irr in self.irreducibles)
+
+    @cached_property
+    def _coinvariant_memo(self) -> tuple[HalfLaurent, tuple[tuple[int, ...], ...]]:
+        """`_coinvariant_setup(self)`, built on first use and dropped with the table."""
+        return _coinvariant_setup(self)
 
     def character(self, char_id: str) -> IrrData:
         for irr in self.irreducibles:
@@ -375,7 +380,6 @@ def _inverse_series(f: tuple[int, ...], n_terms: int) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@lru_cache(maxsize=32)
 def _inverse_dets(table: CharTable, n_terms: int):
     """First n_terms coefficients of 1/det(1 - q*w) for every class, and of
     their invariant average, the Molien series of W.
@@ -404,9 +408,9 @@ def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tup
     return _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, n_terms)[0])
 
 
-@lru_cache(maxsize=32)
 def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, ...], ...]]:
-    """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class.
+    """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class;
+    read through `table._coinvariant_memo`, so each table builds it once.
 
     P has degree N + r, where r is the rank and N the number of reflections
     (the classes with det = (1-q)^(r-1) * (1+q)), so inverting the Molien
@@ -437,26 +441,16 @@ def degrees_product(table: CharTable) -> HalfLaurent:
     (1/|W|) sum |c| / det(1 - q*w), truncated at its degree N + r and
     certified exactly.  For S_n this returns (1-q)(1-q^2)...(1-q^n).
     """
-    return _coinvariant_setup(table)[0]
+    return table._coinvariant_memo[0]
 
 
 def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
-    """Graded multiplicity of the pair (chi, psi) in the coinvariant algebra.
+    """Graded multiplicity of the pair (chi, psi) in the coinvariant algebra:
+    the pair's weights averaged against the table's c_w.
 
     Symmetric in chi and psi, has nonnegative integer coefficients, and
     evaluates at q=1 to deg(chi)*deg(psi).  Raises NonExactDivision when the
     table data is not internally consistent.
     """
-    return coinvariant_pairings(table, [(chi, psi)])[0]
-
-
-def coinvariant_pairings(table: CharTable, pairs) -> list[HalfLaurent]:
-    """`coinvariant_pairing` of each (chi, psi) in `pairs`, in order.
-
-    The table's setup is looked up once for all pairs: the cache key is the
-    whole table, so each lookup hashes every class and character.
-    """
-    graded = _coinvariant_setup(table)[1]
-    return [HalfLaurent({2 * k: v for k, v in enumerate(
-                _average(table, _pair_weights(table, chi, psi), graded))})
-            for chi, psi in pairs]
+    return HalfLaurent({2 * k: v for k, v in enumerate(
+        _average(table, _pair_weights(table, chi, psi), table._coinvariant_memo[1]))})

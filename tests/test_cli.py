@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from lsalgo import cli, solver
+from lsalgo import blockdata, cli, solver
 from lsalgo.blockdata import (
     MAX_ORBIT_DIM,
     BlockData,
@@ -140,6 +140,19 @@ class TestSolve:
         assert report["status"] == "violation"
         kinds = {d["kind"] for d in report["diagnostics"]}
         assert "SymmetryViolation" in kinds
+
+    def test_empty_dual_is_unknown_not_self_dual(self, tmp_path, capsys):
+        # only an absent dual means self-dual; "" names no label
+        obj = block_to_json(build_springer_block_a(2))
+        obj["labels"][0]["dual"] = ""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([obj]))
+        code, out = run(capsys, "solve", str(bad), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        assert [(d["kind"], d["message"]) for d in report["diagnostics"]] == [
+            ("UnknownLabel", "label '1.1' has unknown dual ''")]
 
     @pytest.mark.parametrize("edit", [
         lambda b: b["omega"]["entries"][0].__setitem__(0, {"0": 1.9}),
@@ -293,37 +306,46 @@ class TestVerify:
         assert code == 0
 
     def test_six_solves_per_n(self, capsys, monkeypatch):
-        # one checked default solve whose result the five seeded
-        # factorizations are compared with; they are not checked again
-        factored, checked = Counter(), Counter()
+        # one validated and checked default solve whose result the five
+        # seeded factorizations are compared with; they are not validated
+        # or checked again
+        factored, checked, validated = Counter(), Counter(), Counter()
 
-        def counting_factor(block, order_seed):
+        def counting_factor(block, below, order_seed):
             factored[block.name] += 1
-            return real_factor(block, order_seed)
+            return real_factor(block, below, order_seed)
 
-        def counting_check(result, block, *context):
+        def counting_check(result, block, below):
             checked[block.name] += 1
-            return real_check(result, block, *context)
+            return real_check(result, block, below)
+
+        def counting_validate(block):
+            validated[block.name] += 1
+            return real_validate(block)
 
         real_factor, real_check = solver._factor, solver._check_invariants
+        real_validate = blockdata._check_block
         monkeypatch.setattr(cli, "_factor", counting_factor)
         monkeypatch.setattr(solver, "_factor", counting_factor)
         monkeypatch.setattr(solver, "_check_invariants", counting_check)
+        monkeypatch.setattr(solver, "_check_block", counting_validate)
+        monkeypatch.setattr(blockdata, "_check_block", counting_validate)
         assert run(capsys, "verify", "--n-max", "3")[0] == 0
         names = [f"springer-a-{n}" for n in (1, 2, 3)]
         assert factored == {name: 6 for name in names}
         assert checked == {name: 1 for name in names}
+        assert validated == {name: 1 for name in names}
 
     def test_differing_seeded_factorization_is_order_dependence(self, capsys, monkeypatch):
         # a seeded factorization that differs from the checked default result
         # is reported as such, with exit 1, instead of failing a self-check
-        def tampered_factor(block, order_seed):
-            result, *context = real_factor(block, order_seed)
+        def tampered_factor(block, below, order_seed):
+            result = real_factor(block, below, order_seed)
             if block.name == "springer-a-2" and order_seed == 3:
                 lam = (tuple(v + ONE if j == 0 else v for j, v in enumerate(result.lam[0])),
                        *result.lam[1:])
                 result = dataclasses.replace(result, lam=lam)
-            return (result, *context)
+            return result
 
         real_factor = solver._factor
         monkeypatch.setattr(cli, "_factor", tampered_factor)

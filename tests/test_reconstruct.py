@@ -1,10 +1,10 @@
 """The self-check `reconstruct` against a dense reference.
 
-`dense_reconstruct` is the plain triple loop over every index, the form
-`reconstruct` had before it became a sparse product.  Both must agree on
-solved blocks and on tampered results, and a tampered result must not
-reproduce omega: the sparse product reads the entries the result holds, not
-the support the closure order allows, so a stray entry cannot hide.
+`dense_reconstruct` is the plain triple loop over every index, with `+` and
+`*` in place of `reconstruct`'s `dot`.  Both must agree on solved blocks and
+on tampered results, and a tampered result must not reproduce omega: the
+product reads every entry the result holds, not the support the closure
+order allows, so a stray entry cannot hide.
 """
 
 import dataclasses

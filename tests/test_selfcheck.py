@@ -47,7 +47,7 @@ def one_orbit_pair() -> BlockData:
 
 
 def check(result, block):
-    solver._check_invariants(result, block, *solver._duals(block), closure_below(block))
+    solver._check_invariants(result, block, closure_below(block))
 
 
 def bumped(matrix, cells, f=ONE):
