@@ -463,8 +463,6 @@ def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
 
 
 def dataset_from_json(obj) -> Dataset:
-    if isinstance(obj, Mapping):
-        obj = [obj]
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise DataFormatError("a dataset file must hold a JSON array of blocks")
     blocks: list[BlockData] = []

@@ -29,7 +29,6 @@ from .blockdata import (
     Dataset,
     build_springer_block_a,
     closure_below,
-    dominates,
     load_dataset,
     read_json,
     save_dataset,
@@ -37,12 +36,10 @@ from .blockdata import (
     MAX_SPRINGER_N,
 )
 from .exthom import graded_hom_dims
-from .laurent import HalfLaurent, NonExactDivision
+from .laurent import NonExactDivision
 from .oracle import kostka_foulkes
 from .solver import SolveResult, SolverError, _factor, solve
 from .weyl import CharTable, char_table_sn_rows, partitions_of
-
-VERIFY_MAX_N = 7
 
 # exthom size bounds: the truncation degree and the built-in S_n table both
 # stay well under a second at these values
@@ -139,31 +136,24 @@ def cmd_solve(args) -> tuple[int, dict]:
 # -- verify -------------------------------------------------------------------
 
 
-def _coefficient_multiset(f: HalfLaurent) -> list[int]:
-    return sorted(c for _, c in f.items())
-
-
 def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
     block = build_springer_block_a(n)
     result = solve(block)
     ok = True
-    for lam in partitions_of(n):
-        for mu in partitions_of(n):
+    partitions = partitions_of(n)
+    top = partitions[-1].n_statistic()
+    for lam in partitions:
+        for mu in partitions:
+            # Lusztig's bridge p[lam][mu] = t^(n(mu) - n(1^n)) * K[lam][mu](t^-1);
+            # K is zero exactly where lam does not dominate mu
+            expected = kostka_foulkes(lam, mu).bar().shift(2 * (mu.n_statistic() - top))
             p = result.p_entry(lam.key(), mu.key())
-            if dominates(lam, mu):
-                kostka = kostka_foulkes(lam, mu)
-                if _coefficient_multiset(p) != _coefficient_multiset(kostka):
-                    ok = False
-                    diagnostics.append(_diag(
-                        "error", "OracleMismatch",
-                        f"n={n} pair ({lam.key()}, {mu.key()}): coefficients "
-                        f"{p.pretty()} vs Kostka-Foulkes {kostka.pretty()}"))
-            elif p:
+            if p != expected:
                 ok = False
                 diagnostics.append(_diag(
-                    "error", "SupportMismatch",
-                    f"n={n} pair ({lam.key()}, {mu.key()}): expected zero, "
-                    f"got {p.pretty()}"))
+                    "error", "OracleMismatch" if expected else "SupportMismatch",
+                    f"n={n} pair ({lam.key()}, {mu.key()}): got {p.pretty()}, "
+                    f"Kostka-Foulkes bridge gives {expected.pretty()}"))
     # `result` passed the self-check, so it is the constrained factorization,
     # which is unique: a seeded factorization equal to it is certified by that
     # equality alone, and one that differs depends on the linear extension
@@ -181,10 +171,10 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    if args.n_max > VERIFY_MAX_N:
+    if args.n_max > MAX_SPRINGER_N:
         raise Failure(ERROR, "ResourceLimit",
-                      f"verify supports --n-max up to {VERIFY_MAX_N}; tableau "
-                      f"enumeration beyond that is out of the desk-checkable range")
+                      f"verify supports --n-max up to {MAX_SPRINGER_N}, the largest "
+                      f"n that generate builds")
     if args.n_max < 1:
         raise Failure(ERROR, "BadArgument", "--n-max must be at least 1")
     diagnostics: list[dict] = []
@@ -222,7 +212,7 @@ def cmd_exthom(args) -> tuple[int, dict]:
     if problems:
         return VIOLATION, _report("exthom", VIOLATION, diagnostics=[
             _diag("error", "InvalidTable", f"table {source!r}: {p}") for p in problems])
-    return OK, {"chi": args.chi, "psi": args.psi, **dims.to_json()}
+    return OK, {"chi": args.chi, "psi": args.psi, "dims": list(dims), "max_k": args.max_k}
 
 
 # -- dualize ------------------------------------------------------------------
@@ -230,8 +220,6 @@ def cmd_exthom(args) -> tuple[int, dict]:
 
 def cmd_dualize(args) -> tuple[int, list]:
     raw = read_json(args.input)
-    if isinstance(raw, dict):
-        raw = [raw]
     if not isinstance(raw, list):
         raise DataFormatError("a solve result file must hold a JSON array of results")
     results = [SolveResult.from_json(entry).to_json() for entry in raw]
@@ -269,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="cross-check the solver against the "
                                         "tableau oracle for all n up to a bound")
     ver.add_argument("--n-max", type=int, required=True,
-                     help=f"largest n to verify (1..{VERIFY_MAX_N})")
+                     help=f"largest n to verify (1..{MAX_SPRINGER_N})")
     ver.set_defaults(func=cmd_verify)
 
     ext = sub.add_parser("exthom", help="graded Hom dimensions for a character pair")

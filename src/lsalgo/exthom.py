@@ -19,35 +19,13 @@ dimension proves the table inconsistent and raises an ArithmeticError
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .weyl import CharTable, class_pair_series
 
 
-@dataclass(frozen=True)
-class GradedDims:
-    """dims[k] = dim Hom in cohomological degree 2k, for k = 0..max_degree.
-
-    Entries beyond max_degree are not represented and are *not* implicitly
-    zero; the underlying series is infinite.
-    """
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.dims):
-            raise ValueError("graded dimensions must be nonnegative")
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.dims) - 1
-
-    def to_json(self) -> dict:
-        return {"dims": list(self.dims), "max_k": self.max_degree}
-
-
-def graded_hom_dims(table: CharTable, chi: str, psi: str, max_k: int) -> GradedDims:
-    """Graded Hom dimensions of the pair (chi, psi) through degree 2*max_k.
+def graded_hom_dims(table: CharTable, chi: str, psi: str, max_k: int) -> tuple[int, ...]:
+    """Graded Hom dimensions of the pair (chi, psi): entry k, for k = 0..max_k,
+    is the dimension of Hom in cohomological degree 2k.  Higher degrees are
+    not represented and are *not* implicitly zero; the series is infinite.
 
     Symmetric in chi and psi; the k=0 entry is 1 on the diagonal and 0 off
     it, because degree-0 maps between simples are scalars.
@@ -58,4 +36,4 @@ def graded_hom_dims(table: CharTable, chi: str, psi: str, max_k: int) -> GradedD
             raise ArithmeticError(
                 f"negative graded dimension {value} at degree {2 * k}: "
                 f"the character table is inconsistent")
-    return GradedDims(dims)
+    return dims

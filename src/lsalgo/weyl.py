@@ -417,9 +417,11 @@ def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, 
     series to that degree recovers it.  Each c_w must divide exactly, and
     sum |c| * c_w == |W| certifies P * Molien == 1 as a power series.
     """
-    for c in table.classes:
-        _molien_det_q(c)  # reject a malformed determinant before reading degrees
-    r = table.rank()
+    degrees = {len(_molien_det_q(c)) - 1 for c in table.classes}
+    if len(degrees) != 1:
+        raise NonExactDivision(
+            "Molien determinants of inconsistent degree: the table is not reflection data")
+    (r,) = degrees
     reflection = (ONE - T) ** (r - 1) * (ONE + T)
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
     p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)

@@ -43,7 +43,7 @@ def series_consistency(table: CharTable, chi: str, psi: str, max_k: int) -> bool
     """The identity tying the infinite Hom series to the finite coinvariant
     pairing: the series times prod (1 - u^d_j) agrees with
     coinvariant_pairing(chi, psi) through degree max_k."""
-    dims = graded_hom_dims(table, chi, psi, max_k).dims
+    dims = graded_hom_dims(table, chi, psi, max_k)
     product = HalfLaurent({2 * k: v for k, v in enumerate(dims)}) * degrees_product(table)
     pairing = coinvariant_pairing(table, chi, psi)
     return all(product.coefficient(2 * k) == pairing.coefficient(2 * k)
@@ -58,7 +58,7 @@ def induced_endo_dims(table: CharTable, max_k: int) -> tuple[int, ...]:
     total = [0] * (max_k + 1)
     for chi in degree:
         for psi in degree:
-            for k, d in enumerate(graded_hom_dims(table, chi, psi, max_k).dims):
+            for k, d in enumerate(graded_hom_dims(table, chi, psi, max_k)):
                 total[k] += degree[chi] * degree[psi] * d
     return tuple(total)
 

@@ -10,6 +10,7 @@ import pytest
 from lsalgo import blockdata, cli, solver
 from lsalgo.blockdata import (
     MAX_ORBIT_DIM,
+    MAX_SPRINGER_N,
     BlockData,
     Dataset,
     OrbitInfo,
@@ -140,6 +141,15 @@ class TestSolve:
         assert report["status"] == "violation"
         kinds = {d["kind"] for d in report["diagnostics"]}
         assert "SymmetryViolation" in kinds
+
+    def test_bare_block_object_is_a_format_error(self, tmp_path, capsys):
+        # a dataset file holds a JSON array of blocks, even for one block
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(block_to_json(build_springer_block_a(2))))
+        code, out = run(capsys, "solve", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
 
     def test_empty_dual_is_unknown_not_self_dual(self, tmp_path, capsys):
         # only an absent dual means self-dual; "" names no label
@@ -397,8 +407,35 @@ class TestVerify:
         assert [d["kind"] for d in errors] == ["SupportMismatch", "OrderDependence"]
         assert errors[0]["message"].startswith("n=3 pair (1.1.1, 3)")
 
-    def test_n8_refused(self, capsys):
-        code, out = run(capsys, "verify", "--n-max", "8")
+    def test_shifted_entry_is_oracle_mismatch(self, capsys, monkeypatch):
+        # p[2.1][1.1.1] times t keeps its coefficient multiset but not its
+        # exponents; the untampered seeded factorizations then differ too
+        def tampered_solve(block, **kwargs):
+            result = real_solve(block, **kwargs)
+            if block.name != "springer-a-3":
+                return result
+            i, j = result.labels.index("2.1"), result.labels.index("1.1.1")
+            p = tuple(tuple(v * T if (a, b) == (i, j) else v for b, v in enumerate(row))
+                      for a, row in enumerate(result.p))
+            return dataclasses.replace(result, p=p)
+
+        real_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", tampered_solve)
+        code, out = run(capsys, "verify", "--n-max", "3")
+        assert code == 1
+        errors = [d for d in read_report(out)["diagnostics"] if d["severity"] == "error"]
+        assert [d["kind"] for d in errors] == ["OracleMismatch", "OrderDependence"]
+        assert errors[0]["message"].startswith("n=3 pair (2.1, 1.1.1)")
+
+    def test_n_max_is_the_largest_generated_n(self, capsys):
+        code, out = run(capsys, "verify", "--n-max", str(MAX_SPRINGER_N))
+        assert code == 0
+        report = read_report(out)
+        assert report["status"] == "ok"
+        assert [d["kind"] for d in report["diagnostics"]] == ["Verified"] * MAX_SPRINGER_N
+
+    def test_n9_refused(self, capsys):
+        code, out = run(capsys, "verify", "--n-max", str(MAX_SPRINGER_N + 1))
         assert code == 2
         report = read_report(out)
         assert any(d["kind"] == "ResourceLimit" for d in report["diagnostics"])
@@ -442,6 +479,18 @@ class TestExthom:
         assert code == 1
         assert any(d["kind"] == "UnknownLabel"
                    for d in read_report(out)["diagnostics"])
+
+    def test_negative_dimension_is_a_violation(self, tmp_path, capsys):
+        # the S_2 classes with a fake character f whose values are (1, -3)
+        path = tmp_path / "fake.json"
+        path.write_text(json.dumps({**char_table_sn(2).to_json(), "irreducibles": [
+            {"id": "a", "values": [1, 1]}, {"id": "f", "values": [1, -3]}]}))
+        code, out = run(capsys, "exthom", "--table", str(path),
+                        "--chi", "a", "--psi", "f", "--max-k", "3")
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "ArithmeticError"
+        assert "negative graded dimension -1 at degree 0" in diag["message"]
 
     @staticmethod
     def s3_table_file(tmp_path, edit):
@@ -566,6 +615,16 @@ class TestDualize:
     def test_not_a_result_is_a_format_error(self, tmp_path, capsys, content):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(content))
+        code, out = run(capsys, "dualize", str(path))
+        assert code == 1
+        (diag,) = read_report(out)["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
+
+    def test_bare_result_object_is_a_format_error(self, tmp_path, capsys):
+        # a result file holds a JSON array of results, even for one block
+        (result,) = self.gl2_result(tmp_path, capsys)
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(result))
         code, out = run(capsys, "dualize", str(path))
         assert code == 1
         (diag,) = read_report(out)["diagnostics"]

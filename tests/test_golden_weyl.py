@@ -32,7 +32,7 @@ def pairing_doc(n: int) -> dict:
 
 def ext_doc(table: CharTable) -> dict:
     ids = table.char_ids()
-    return {f"{chi},{psi}": list(graded_hom_dims(table, chi, psi, EXT_MAX_K).dims)
+    return {f"{chi},{psi}": list(graded_hom_dims(table, chi, psi, EXT_MAX_K))
             for chi in ids for psi in ids}
 
 

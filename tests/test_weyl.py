@@ -321,6 +321,16 @@ class TestCoinvariantPairing:
         with pytest.raises(KeyError):
             coinvariant_pairing(char_table_sn(2), "nope", "2")
 
+    def test_inconsistent_degrees_are_not_reflection_data(self):
+        # the S_2 classes with the identity's determinant cut to degree 1
+        obj = char_table_sn(2).to_json()
+        obj["classes"][1]["molien_det"] = {"0": 1, "2": -1}
+        table = CharTable.from_json(obj)
+        with pytest.raises(NonExactDivision, match="not reflection data"):
+            coinvariant_pairing(table, "2", "2")
+        with pytest.raises(NonExactDivision, match="not reflection data"):
+            degrees_product(table)
+
     def test_setup_cache_is_bounded(self):
         # the setup is memoized on its own table, so nothing global holds a
         # table: a renamed copy is freed once its last reference is dropped
