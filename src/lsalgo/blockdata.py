@@ -22,6 +22,7 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int, decode_str
 from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, partitions_of
@@ -484,11 +485,49 @@ def read_json(path):
         raise DataFormatError(f"not valid JSON: {exc}") from exc
 
 
+def write_json(value, fh) -> None:
+    """Write `value` to the text stream `fh` as exactly the characters of the
+    stdlib json encoder with indent=2 and sort_keys=True, which runs in pure
+    Python whenever it indents.  One `fh.write` per node, so a document never
+    exists as one string.  Only dicts with str keys, lists, str, int, bool and
+    None are written; any other value, a float included, raises TypeError."""
+    _write_node(value, fh, "\n")
+
+
+def _write_node(value, fh, newline: str) -> None:
+    # a dict or list of plain ints (not bools), as every polynomial's to_json, is one join
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if value and set(map(type, value.values())) == {int}:
+            items = [f"{encode_basestring_ascii(key)}: {value[key]}" for key in sorted(value)]
+            fh.write("{" + inner + ("," + inner).join(items) + newline + "}")
+            return
+        for i, key in enumerate(sorted(value)):
+            fh.write(("," if i else "{") + inner + encode_basestring_ascii(key) + ": ")
+            _write_node(value[key], fh, inner)
+        fh.write(newline + "}" if value else "{}")
+    elif isinstance(value, list):
+        if value and set(map(type, value)) == {int}:
+            fh.write("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        for i, item in enumerate(value):
+            fh.write(("," if i else "[") + inner)
+            _write_node(item, fh, inner)
+        fh.write(newline + "]" if value else "[]")
+    elif isinstance(value, str):
+        fh.write(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, int):
+        fh.write("null" if value is None else "true" if value is True
+                 else "false" if value is False else int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def load_dataset(path) -> Dataset:
     return dataset_from_json(read_json(path))
 
 
 def save_dataset(ds: Dataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([block_to_json(b) for b in ds.blocks], fh, indent=2, sort_keys=True)
+        write_json([block_to_json(b) for b in ds.blocks], fh)
         fh.write("\n")

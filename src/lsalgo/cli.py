@@ -6,9 +6,10 @@ through the exit code: 0 success, 1 data/validation/verification failure,
 UTF-8 is a DataFormatError with exit code 1 for every command that reads
 one.  An unexpected exception in a command is reported as an "Internal"
 diagnostic with exit code 2, its traceback going to stderr.  If stdout is
-closed, the exit code is 2 and one line on stderr says so.  JSON output is
-deterministic (sorted keys, fixed indentation), so identical inputs give
-byte-identical output regardless of any seeds.
+closed, the exit code is 2 and one line on stderr says so.  Every JSON
+document lsalgo writes is exactly what the stdlib's json encoder gives with
+indent=2 and sort_keys=True, and a file ends in one newline; so identical
+inputs give byte-identical output regardless of any seeds.
 
 A command returns (exit code, document) or raises; `main` alone turns that
 outcome into the one printed document and the exit code.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 import traceback
@@ -33,6 +33,7 @@ from .blockdata import (
     read_json,
     save_dataset,
     validate_dataset,
+    write_json,
     MAX_SPRINGER_N,
 )
 from .exthom import graded_hom_dims
@@ -92,9 +93,8 @@ def cmd_generate(args) -> tuple[int, dict]:
 # -- solve --------------------------------------------------------------------
 
 
-def _results_to_csv(results: list[SolveResult]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+def _write_csv(results: list[SolveResult], fh) -> None:
+    writer = csv.writer(fh)
     writer.writerow(["block", "matrix", "row", "col", "value"])
     for result in results:
         for name, matrix in (("p", result.p), ("lambda", result.lam),
@@ -103,7 +103,6 @@ def _results_to_csv(results: list[SolveResult]) -> str:
                 for j, col_label in enumerate(result.labels):
                     writer.writerow([result.block, name, row_label, col_label,
                                      matrix[i][j].pretty()])
-    return buffer.getvalue()
 
 
 def cmd_solve(args) -> tuple[int, dict]:
@@ -124,12 +123,12 @@ def cmd_solve(args) -> tuple[int, dict]:
             raise Failure(ERROR, type(exc).__name__, f"block {block.name!r}: {exc}",
                           block=block.name, **where) from exc
 
-    if args.format == "json":
-        payload = json.dumps([r.to_json() for r in results], indent=2, sort_keys=True) + "\n"
-    else:
-        payload = _results_to_csv(results)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
+        if args.format == "json":
+            write_json([r.to_json() for r in results], fh)
+            fh.write("\n")
+        else:
+            _write_csv(results, fh)
     return OK, _report("solve", OK, artifacts=[args.out])
 
 
@@ -299,7 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         document = _report(args.command, code,
                            diagnostics=[_diag("error", kind, message, **fields)])
     try:
-        print(json.dumps(document, indent=2, sort_keys=True), flush=True)
+        buffer = io.StringIO()
+        write_json(document, buffer)
+        print(buffer.getvalue(), flush=True)
     except BrokenPipeError:
         # nobody reads stdout; send what is still buffered to devnull so
         # the flush at interpreter exit does not fail a second time

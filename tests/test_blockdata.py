@@ -1,4 +1,8 @@
+import io
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_power
 from lsalgo.blockdata import (
@@ -19,6 +23,7 @@ from lsalgo.blockdata import (
     save_dataset,
     validate_block,
     validate_dataset,
+    write_json,
 )
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 
@@ -196,6 +201,20 @@ class TestSingletonBlock:
         assert validate_block(block) == []
 
 
+# ints beyond 64 bits either way, keys whose string order is not their
+# numeric order, and strings with quotes, backslashes, control and non-ASCII
+# characters; int-only dicts and lists take the writer's one-join path
+INTS = (st.integers() | st.integers(min_value=2**64, max_value=2**200)
+        | st.integers(min_value=-2**200, max_value=-2**64))
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600') | st.characters())
+KEYS = st.sampled_from(["-10", "-2", "10", "9"]) | TEXT
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | TEXT,
+    lambda children: (st.lists(children) | st.dictionaries(KEYS, children)
+                      | st.lists(INTS) | st.dictionaries(KEYS, INTS | st.booleans())),
+    max_leaves=30)
+
+
 class TestJson:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_block_roundtrip(self, n):
@@ -218,6 +237,21 @@ class TestJson:
         save_dataset(ds, p1)
         save_dataset(ds, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_write_json_matches_the_stdlib_encoder(self, value):
+        out = io.StringIO()
+        write_json(value, out)
+        assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        1.5, [1, 2.0], {"a": {"b": 0.5}}, (1, 2), {1: 2}, {"a": {1: "x"}}, {"a": 1, 2: 3},
+    ], ids=["float", "float-in-int-list", "nested-float", "tuple", "int-key",
+            "nested-int-key", "mixed-keys"])
+    def test_write_json_rejects_other_values(self, value):
+        with pytest.raises(TypeError):
+            write_json(value, io.StringIO())
 
     def test_malformed_raises(self):
         with pytest.raises(DataFormatError):
