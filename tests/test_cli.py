@@ -702,6 +702,62 @@ class TestClosedStdout:
         assert "Traceback" not in err
 
 
+SOLVE_DEFAULTS = {"command": "solve", "format": "json", "order_seed": None}
+EXTHOM_DEFAULTS = {"command": "exthom", "sn": None, "table": None}
+
+
+class TestArguments:
+    # argv -> what the command's handler receives, as vars(args) without `func`
+    PARSED = [
+        # the README's invocations
+        (["generate", "springer-a", "--n", "4", "--out", "a4.json"],
+         {"command": "generate", "type": "springer-a", "n": 4, "out": "a4.json"}),
+        (["solve", "a4.json", "--out", "result.json", "--format", "json"],
+         {**SOLVE_DEFAULTS, "input": "a4.json", "out": "result.json"}),
+        (["solve", "a4.json", "--out", "result.json", "--order-seed", "7"],
+         {**SOLVE_DEFAULTS, "input": "a4.json", "out": "result.json", "order_seed": 7}),
+        (["verify", "--n-max", "6"], {"command": "verify", "n_max": 6}),
+        (["exthom", "--sn", "2", "--chi", "2", "--psi", "2", "--max-k", "4"],
+         {**EXTHOM_DEFAULTS, "sn": 2, "chi": "2", "psi": "2", "max_k": 4}),
+        (["exthom", "--table", "s3.json", "--chi", "3", "--psi", "1.1.1", "--max-k", "20"],
+         {**EXTHOM_DEFAULTS, "table": "s3.json", "chi": "3", "psi": "1.1.1", "max_k": 20}),
+        (["dualize", "result.json"], {"command": "dualize", "input": "result.json"}),
+        # --opt=value, a unique prefix, a negative value
+        (["solve", "a.json", "--out=r.csv", "--format=csv"],
+         {**SOLVE_DEFAULTS, "input": "a.json", "out": "r.csv", "format": "csv"}),
+        (["solve", "a.json", "--out", "r.json", "--order", "7"],
+         {**SOLVE_DEFAULTS, "input": "a.json", "out": "r.json", "order_seed": 7}),
+        (["solve", "a.json", "--out", "r.json", "--order-seed", "-3"],
+         {**SOLVE_DEFAULTS, "input": "a.json", "out": "r.json", "order_seed": -3}),
+        (["exthom", "--chi", "2", "--psi", "2", "--max-k", "-1", "--sn", "2"],
+         {**EXTHOM_DEFAULTS, "sn": 2, "chi": "2", "psi": "2", "max_k": -1}),
+        # options before the positional
+        (["generate", "--n", "3", "--out", "a3.json", "springer-a"],
+         {"command": "generate", "type": "springer-a", "n": 3, "out": "a3.json"}),
+        (["solve", "--out", "r.json", "--format", "csv", "a.json"],
+         {**SOLVE_DEFAULTS, "input": "a.json", "out": "r.json", "format": "csv"}),
+        # a repeated option takes its last value
+        (["verify", "--n-max", "2", "--n-max", "5"], {"command": "verify", "n_max": 5}),
+        (["solve", "a.json", "--out", "x.json", "--out", "y.json", "--format", "csv",
+          "--format", "json"],
+         {**SOLVE_DEFAULTS, "input": "a.json", "out": "y.json"}),
+    ]
+
+    @pytest.mark.parametrize("argv,expected", PARSED, ids=[" ".join(a) for a, _ in PARSED])
+    def test_handler_receives(self, monkeypatch, capsys, argv, expected):
+        seen = []
+
+        def record(args):
+            seen.append({k: v for k, v in vars(args).items() if k != "func"})
+            return 0, {}
+
+        for name in ("generate", "solve", "verify", "exthom", "dualize"):
+            monkeypatch.setattr(cli, f"cmd_{name}", record)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "{}\n"
+        assert seen == [expected]
+
+
 class TestInternalError:
     def test_unexpected_exception_is_one_report_exit2(self, tmp_path, capsys, monkeypatch):
         def broken(args):
