@@ -489,8 +489,8 @@ def write_json(value, fh) -> None:
     """Write `value` to the text stream `fh` as exactly the characters of the
     stdlib json encoder with indent=2 and sort_keys=True, which runs in pure
     Python whenever it indents.  One `fh.write` per node, so a document never
-    exists as one string.  Only dicts with str keys, lists, str, int, bool and
-    None are written; any other value, a float included, raises TypeError."""
+    exists as one string.  Only dicts with str keys, lists, str, int, float,
+    bool and None are written; any other value, a tuple included, raises TypeError."""
     _write_node(value, fh, "\n")
 
 
@@ -519,6 +519,8 @@ def _write_node(value, fh, newline: str) -> None:
     elif value is None or isinstance(value, int):
         fh.write("null" if value is None else "true" if value is True
                  else "false" if value is False else int.__repr__(value))
+    elif isinstance(value, float):  # repr, or NaN and the infinities by name
+        fh.write(json.dumps(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 

@@ -2,14 +2,17 @@
 
 Every command prints exactly one JSON document to stdout and communicates
 through the exit code: 0 success, 1 data/validation/verification failure,
-2 internal, resource, or I/O error.  A file that is not valid JSON or not
-UTF-8 is a DataFormatError with exit code 1 for every command that reads
-one.  An unexpected exception in a command is reported as an "Internal"
-diagnostic with exit code 2, its traceback going to stderr.  If stdout is
-closed, the exit code is 2 and one line on stderr says so.  Every JSON
-document lsalgo writes is exactly what the stdlib's json encoder gives with
-indent=2 and sort_keys=True, and a file ends in one newline; so identical
-inputs give byte-identical output regardless of any seeds.
+2 argument, internal, resource, or I/O error.  An argument error is a
+"BadArgument" report; options may be abbreviated to a unique prefix or given
+as --opt=value.  -h or --help prints usage text, the one output that is not
+JSON, and exits 0.  A file that is not valid JSON or not UTF-8 is a
+DataFormatError with exit code 1 for every command that reads one.  An
+unexpected exception in a command is reported as an "Internal" diagnostic
+with exit code 2, its traceback going to stderr.  If stdout is closed, the
+exit code is 2 and one line on stderr says so.  Every JSON document lsalgo
+writes is exactly what the stdlib's json encoder gives with indent=2 and
+sort_keys=True, and a file ends in one newline; so identical inputs give
+byte-identical output regardless of any seeds.
 
 A command returns (exit code, document) or raises; `main` alone turns that
 outcome into the one printed document and the exit code.
@@ -17,12 +20,13 @@ outcome into the one printed document and the exit code.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import os
 import sys
 import traceback
+from getopt import GetoptError, gnu_getopt
+from types import SimpleNamespace
 
 from .blockdata import (
     DataFormatError,
@@ -52,24 +56,17 @@ _STATUS = {OK: "ok", VIOLATION: "violation", ERROR: "error"}
 
 
 class Failure(Exception):
-    """A command's failure as one error diagnostic with its exit code;
-    `fields` are extra keys of that diagnostic."""
+    """A command's failure: one error diagnostic, with extra keys `fields`."""
 
     def __init__(self, code: int, kind: str, message: str, **fields):
         super().__init__(message)
-        self.code = code
-        self.kind = kind
-        self.fields = fields
+        self.code, self.kind, self.fields = code, kind, fields
 
 
-def _report(command: str, code: int, artifacts: list[str] | None = None,
+def _report(command: str | None, code: int, artifacts: list[str] | None = None,
             diagnostics: list[dict] | None = None) -> dict:
-    return {
-        "command": command,
-        "status": _STATUS[code],
-        "artifacts": artifacts or [],
-        "diagnostics": diagnostics or [],
-    }
+    return {"command": command, "status": _STATUS[code], "artifacts": artifacts or [],
+            "diagnostics": diagnostics or []}
 
 
 def _diag(severity: str, kind: str, message: str, **fields) -> dict:
@@ -190,15 +187,15 @@ def cmd_exthom(args) -> tuple[int, dict]:
         raise Failure(ERROR, "BadArgument", "--max-k must be nonnegative")
     if args.max_k > EXTHOM_MAX_K:
         raise Failure(ERROR, "ResourceLimit", f"exthom supports --max-k up to {EXTHOM_MAX_K}")
-    if args.sn is not None and args.sn < 1:
+    if args.sn is None:
+        source, table = args.table, CharTable.from_json(read_json(args.table))
+    elif args.sn < 1:
         raise Failure(ERROR, "BadArgument", "--sn must be at least 1")
-    if args.sn is not None and args.sn > EXTHOM_MAX_SN:
+    elif args.sn > EXTHOM_MAX_SN:
         raise Failure(ERROR, "ResourceLimit", f"exthom supports --sn up to {EXTHOM_MAX_SN}")
-    if args.sn is not None:
+    else:
         # the series reads every class but only the rows of chi and psi
         source, table = f"S_{args.sn}", char_table_sn_rows(args.sn, (args.chi, args.psi))
-    else:
-        source, table = args.table, CharTable.from_json(read_json(args.table))
     try:
         dims = graded_hom_dims(table, args.chi, args.psi, args.max_k)
     except KeyError as exc:
@@ -228,64 +225,90 @@ def cmd_dualize(args) -> tuple[int, list]:
 # -- entry point ---------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lsalgo",
-        description="Exact block factorization omega = P * Lambda * P^T over "
-                    "Laurent polynomials in t^(1/2).")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler name, help line, arguments (name, type, required, choices,
+# default, help)); an option --a-b sets args.a_b, any other name a positional
+COMMANDS = {
+    "generate": ("cmd_generate", "write a generated block dataset", [
+        ("type", str, True, ("springer-a",), None, "dataset family to generate"),
+        ("--n", int, True, None, None, f"size parameter (1..{MAX_SPRINGER_N})"),
+        ("--out", str, True, None, None, "output dataset path")]),
+    "solve": ("cmd_solve", "validate and solve every block of a dataset", [
+        ("input", str, True, None, None, "dataset JSON path"),
+        ("--out", str, True, None, None, "output path for the results"),
+        ("--format", str, False, ("json", "csv"), "json", "json is exact, csv pretty-prints"),
+        ("--order-seed", int, False, None, None, "linear extension seed; output ignores it")]),
+    "verify": ("cmd_verify", "check the solver against the tableau oracle up to --n-max", [
+        ("--n-max", int, True, None, None, f"largest n to verify (1..{MAX_SPRINGER_N})")]),
+    "exthom": ("cmd_exthom", "graded Hom dimensions for a character pair", [
+        ("--table", str, False, None, None, "character table JSON path, or else:"),
+        ("--sn", int, False, None, None, f"the built-in S_n table (1..{EXTHOM_MAX_SN})"),
+        ("--chi", str, True, None, None, "first character id"),
+        ("--psi", str, True, None, None, "second character id"),
+        ("--max-k", int, True, None, None, f"report degrees 0..2*max_k (0..{EXTHOM_MAX_K})")]),
+    "dualize": ("cmd_dualize", "print the dual stalk tables of a solve result file", [
+        ("input", str, True, None, None, "solve result JSON path")]),
+}
 
-    gen = sub.add_parser("generate", help="write a generated block dataset")
-    gen.add_argument("type", choices=["springer-a"],
-                     help="dataset family to generate")
-    gen.add_argument("--n", type=int, required=True,
-                     help=f"size parameter (1..{MAX_SPRINGER_N})")
-    gen.add_argument("--out", required=True, help="output dataset path")
-    gen.set_defaults(func=cmd_generate)
 
-    slv = sub.add_parser("solve", help="validate and solve every block of a dataset")
-    slv.add_argument("input", help="dataset JSON path")
-    slv.add_argument("--out", required=True, help="output path for the results")
-    slv.add_argument("--format", choices=["json", "csv"], default="json",
-                     help="json round-trips exactly; csv is lossy pretty-printing")
-    slv.add_argument("--order-seed", type=int, default=None,
-                     help="seed for drawing the linear extension; the "
-                          "solution is independent of it")
-    slv.set_defaults(func=cmd_solve)
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `argv`'s handler reads, or None for -h/--help usage text.
+    An argument that departs from COMMANDS raises GetoptError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        raise GetoptError(f"unknown command {argv[0]!r}" if argv else "a command is required")
+    arguments = COMMANDS[argv[0]][2]
+    positionals = [name for name, *_ in arguments if not name.startswith("--")]
+    given, rest = gnu_getopt(argv[1:], "h", ["help"] + [
+        name[2:] + "=" for name, *_ in arguments if name not in positionals])
+    given = dict(given + list(zip(positionals, rest)))  # a repeated option's last value
+    if "-h" in given or "--help" in given:
+        return None
+    if len(rest) > len(positionals):
+        raise GetoptError(f"unrecognized arguments: {' '.join(rest[len(positionals):])}")
+    values = {}
+    for name, kind, required, choices, default, _ in arguments:
+        if required and name not in given:
+            raise GetoptError(f"{name} is required")
+        try:
+            value = kind(given[name]) if name in given else default
+        except ValueError:
+            raise GetoptError(f"{name}: invalid {kind.__name__} value {given[name]!r}") from None
+        if choices and value not in choices:
+            raise GetoptError(f"{name}: invalid choice {value!r}, not one of {choices}")
+        values[name.lstrip("-").replace("-", "_")] = value
+    if argv[0] == "exthom" and (values["sn"] is None) == (values["table"] is None):
+        raise GetoptError("exthom takes exactly one of --table and --sn")
+    return SimpleNamespace(command=argv[0], **values)
 
-    ver = sub.add_parser("verify", help="cross-check the solver against the "
-                                        "tableau oracle for all n up to a bound")
-    ver.add_argument("--n-max", type=int, required=True,
-                     help=f"largest n to verify (1..{MAX_SPRINGER_N})")
-    ver.set_defaults(func=cmd_verify)
 
-    ext = sub.add_parser("exthom", help="graded Hom dimensions for a character pair")
-    source = ext.add_mutually_exclusive_group(required=True)
-    source.add_argument("--table", help="character table JSON path")
-    source.add_argument("--sn", type=int,
-                        help=f"use the built-in S_n table (1..{EXTHOM_MAX_SN})")
-    ext.add_argument("--chi", required=True, help="first character id")
-    ext.add_argument("--psi", required=True, help="second character id")
-    ext.add_argument("--max-k", type=int, required=True,
-                     help=f"truncation bound (0..{EXTHOM_MAX_K}): degrees "
-                          f"0..2*max_k are reported")
-    ext.set_defaults(func=cmd_exthom)
-
-    dua = sub.add_parser("dualize", help="print the dual stalk tables of a "
-                                         "solve result file")
-    dua.add_argument("input", help="solve result JSON path")
-    dua.set_defaults(func=cmd_dualize)
-    return parser
+def help_text(commands) -> str:
+    """The usage of each of `commands`."""
+    lines = ["usage: lsalgo COMMAND [ARGS]"]
+    for command in commands:
+        lines += ["", f"lsalgo {command}: {COMMANDS[command][1]}"]
+        for name, _, required, choices, _, help in COMMANDS[command][2]:
+            word = f"{name} {name[2:].upper()}" if name.startswith("--") else name.upper()
+            lines.append(f"  {word if required else f'[{word}]':24} {help}"
+                         + (f" ({', '.join(choices)})" if choices else ""))
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        code, document = args.func(args)
+        args = parse_args(argv)
+        if args is None:  # -h/--help: the one output that is not JSON
+            print(help_text([command] if command else COMMANDS))
+            return OK
+        code, document = globals()[COMMANDS[command][0]](args)
     except Exception as exc:
         fields = {}
         if isinstance(exc, Failure):
             code, kind, message, fields = exc.code, exc.kind, str(exc), exc.fields
+        elif isinstance(exc, GetoptError):
+            code, kind, message = ERROR, "BadArgument", str(exc)
         elif isinstance(exc, DataFormatError):
             code, kind, message = VIOLATION, "DataFormatError", str(exc)
         elif isinstance(exc, OSError):
@@ -295,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
             # still print the one JSON document every command promises
             traceback.print_exc()
             code, kind, message = ERROR, "Internal", f"{type(exc).__name__}: {exc}"
-        document = _report(args.command, code,
+        document = _report(command, code,
                            diagnostics=[_diag("error", kind, message, **fields)])
     try:
         buffer = io.StringIO()

@@ -27,7 +27,7 @@ from lsalgo.blockdata import (
 )
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 
-from conftest import singleton_cuspidal_block, top_first_chain
+from conftest import DATASETS, singleton_cuspidal_block, top_first_chain
 
 P = lambda *parts: Partition(tuple(parts))
 
@@ -208,10 +208,12 @@ INTS = (st.integers() | st.integers(min_value=2**64, max_value=2**200)
         | st.integers(min_value=-2**200, max_value=-2**64))
 TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600') | st.characters())
 KEYS = st.sampled_from(["-10", "-2", "10", "9"]) | TEXT
+# floats include NaN, the infinities, -0.0 and subnormals
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | INTS | TEXT,
+    st.none() | st.booleans() | INTS | st.floats() | TEXT,
     lambda children: (st.lists(children) | st.dictionaries(KEYS, children)
-                      | st.lists(INTS) | st.dictionaries(KEYS, INTS | st.booleans())),
+                      | st.lists(INTS) | st.dictionaries(KEYS, INTS | st.booleans())
+                      | st.lists(INTS | st.floats())),
     max_leaves=30)
 
 
@@ -246,12 +248,28 @@ class TestJson:
         assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [
-        1.5, [1, 2.0], {"a": {"b": 0.5}}, (1, 2), {1: 2}, {"a": {1: "x"}}, {"a": 1, 2: 3},
-    ], ids=["float", "float-in-int-list", "nested-float", "tuple", "int-key",
-            "nested-int-key", "mixed-keys"])
+        1.5, [1, 2.0], {"a": {"b": 0.5}}, [float("nan"), float("inf"), -float("inf"), -0.0],
+    ], ids=["float", "float-in-int-list", "nested-float", "non-finite"])
+    def test_write_json_writes_floats_as_the_stdlib(self, value):
+        out = io.StringIO()
+        write_json(value, out)
+        assert out.getvalue() == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        (1, 2), {1: 2}, {"a": {1: "x"}}, {"a": 1, 2: 3},
+    ], ids=["tuple", "int-key", "nested-int-key", "mixed-keys"])
     def test_write_json_rejects_other_values(self, value):
         with pytest.raises(TypeError):
             write_json(value, io.StringIO())
+
+    def test_float_provenance_survives_load_then_save(self, tmp_path):
+        # provenance keeps any JSON value, so every decodable file re-saves
+        (obj,) = json.loads((DATASETS / "springer_a2.json").read_text())
+        obj["provenance"].update(weight=0.5, bounds=[float("-inf"), 1e-300])
+        path, again = tmp_path / "a2.json", tmp_path / "again.json"
+        path.write_text(json.dumps([obj], indent=2, sort_keys=True) + "\n")
+        save_dataset(load_dataset(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_malformed_raises(self):
         with pytest.raises(DataFormatError):

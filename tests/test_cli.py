@@ -757,6 +757,15 @@ class TestArguments:
         assert capsys.readouterr().out == "{}\n"
         assert seen == [expected]
 
+    def test_posixly_correct_ends_options_at_the_first_positional(self, monkeypatch, capsys):
+        # as in GNU tools: the README documents this
+        monkeypatch.setenv("POSIXLY_CORRECT", "1")
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: (0, {}))
+        assert run(capsys, "solve", "--out", "r.json", "a.json") == (0, "{}\n")
+        code, out = run(capsys, "solve", "a.json", "--out", "r.json")
+        assert code == 2
+        assert read_report(out)["diagnostics"][0]["kind"] == "BadArgument"
+
 
 class TestInternalError:
     def test_unexpected_exception_is_one_report_exit2(self, tmp_path, capsys, monkeypatch):
@@ -775,12 +784,74 @@ class TestInternalError:
         assert "RuntimeError: boom" in diag["message"]
         assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
-    @pytest.mark.parametrize("argv,code", [(["nonsense"], 2), (["solve"], 2), (["--help"], 0)])
-    def test_argparse_exit_passes_through(self, capsys, argv, code):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == code
-        assert '"status"' not in capsys.readouterr().out
+
+
+class TestBadArgument:
+    CASES = {
+        "no-arguments": ([], None),
+        "nonsense": (["nonsense"], None),
+        "unknown-top-level-option": (["--bogus"], None),
+        "solve": (["solve"], "solve"),
+        "format-xml": (["solve", "a.json", "--out", "r.json", "--format", "xml"], "solve"),
+        "unknown-option": (["solve", "a.json", "--out", "r.json", "--bogus", "1"], "solve"),
+        "ambiguous-prefix": (["solve", "a.json", "--out", "r.json", "--o", "1"], "solve"),
+        "option-without-value": (["solve", "a.json", "--out"], "solve"),
+        "n-not-an-int": (["generate", "springer-a", "--n", "x", "--out", "a.json"], "generate"),
+        "unknown-type": (["generate", "springer-b", "--n", "2", "--out", "a.json"], "generate"),
+        "missing-out": (["generate", "springer-a", "--n", "2"], "generate"),
+        "n-max-not-an-int": (["verify", "--n-max", "2.5"], "verify"),
+        "sn-and-table": (["exthom", "--sn", "3", "--table", "x", "--chi", "3", "--psi", "3",
+                          "--max-k", "2"], "exthom"),
+        "neither-sn-nor-table": (["exthom", "--chi", "3", "--psi", "3", "--max-k", "2"],
+                                 "exthom"),
+        "extra-positional": (["dualize", "a.json", "b.json"], "dualize"),
+    }
+
+    @pytest.mark.parametrize("argv,command", CASES.values(), ids=CASES.keys())
+    def test_one_report_exit2(self, capsys, argv, command):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        report = read_report(out)  # exactly one JSON document
+        assert report["command"] == command
+        assert report["status"] == "error"
+        (diag,) = report["diagnostics"]
+        assert diag["kind"] == "BadArgument"
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["exthom", "--help"],
+                                      ["solve", "a.json", "-h"], ["solve", "--he"]],
+                             ids=["help", "h", "exthom-help", "solve-h-after-input",
+                                  "solve-help-prefix"])
+    def test_help_exits_0_without_json(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: lsalgo ")
+        assert '"status"' not in out
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out)
+
+    def test_command_help_lists_every_option(self, capsys):
+        for command, (_, _, arguments) in cli.COMMANDS.items():
+            _, out = run(capsys, command, "--help")
+            for name, *_ in arguments:
+                assert (name if name.startswith("--") else name.upper()) in out
+
+    def test_a_valid_operation_imports_nothing(self):
+        # the per-run cost must not come back through a lazy import
+        script = (
+            "import sys\n"
+            "import lsalgo.cli\n"
+            "assert 'argparse' not in sys.modules and 'locale' not in sys.modules\n"
+            "before = set(sys.modules)\n"
+            "code = lsalgo.cli.main(['exthom', '--sn', '3', '--chi', '3', '--psi', '2.1',"
+            " '--max-k', '2'])\n"
+            "assert code == 0, code\n"
+            "assert set(sys.modules) == before, sorted(set(sys.modules) ^ before)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], stdin=subprocess.DEVNULL, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(DATASETS.parent / "src")}, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert len(json.loads(proc.stdout)["dims"]) == 3
 
 
 class TestDeterminism:
