@@ -240,8 +240,8 @@ COMMANDS = {
     "verify": ("cmd_verify", "check the solver against the tableau oracle up to --n-max", [
         ("--n-max", int, True, None, None, f"largest n to verify (1..{MAX_SPRINGER_N})")]),
     "exthom": ("cmd_exthom", "graded Hom dimensions for a character pair", [
-        ("--table", str, False, None, None, "character table JSON path, or else:"),
-        ("--sn", int, False, None, None, f"the built-in S_n table (1..{EXTHOM_MAX_SN})"),
+        ("--table", str, False, None, None, "character table JSON path, or --sn"),
+        ("--sn", int, False, None, None, f"built-in S_n table (1..{EXTHOM_MAX_SN}), or --table"),
         ("--chi", str, True, None, None, "first character id"),
         ("--psi", str, True, None, None, "second character id"),
         ("--max-k", int, True, None, None, f"report degrees 0..2*max_k (0..{EXTHOM_MAX_K})")]),
