@@ -237,9 +237,9 @@ class CharTable:
                 problems.append(f"character {chi.id} has {len(chi.values)} values for {k} classes")
                 continue
             weighted = [c.size * x for c, x in zip(self.classes, chi.values)]
-            for psi in self.irreducibles[i:]:
+            for j, psi in enumerate(self.irreducibles[i:], i):
                 dot = sum(map(mul, weighted, psi.values))
-                expected = self.group_order if chi.id == psi.id else 0
+                expected = self.group_order if j == i else 0
                 if dot != expected:
                     problems.append(f"orthogonality fails for ({chi.id}, {psi.id})")
         return problems

@@ -26,6 +26,10 @@ CASES = {
     # the sign row replaced by the trivial row: every certified division
     # passes, only validate() sees it
     "table_repeated_row.json": (("exthom", "--table", "{file}", *PAIR), "InvalidTable"),
+    # the sign row replaced by the trivial row, id "3" included: two rows
+    # under one id, which only comparing rows by position catches
+    "table_repeated_id.json": (("exthom", "--table", "{file}", "--chi", "3", "--psi", "3",
+                                "--max-k", "4"), "InvalidTable"),
     "result_null_p_dual.json": (("dualize", "{file}"), "DataFormatError"),
     "dataset_null_entries.json": (("solve", "{file}", "--out", "{out}"), "DataFormatError"),
 }
