@@ -77,13 +77,7 @@ def _diag(severity: str, kind: str, message: str, **fields) -> dict:
 
 
 def cmd_generate(args) -> tuple[int, dict]:
-    if args.n < 1:
-        raise Failure(ERROR, "BadArgument", "--n must be at least 1")
-    try:
-        block = build_springer_block_a(args.n)
-    except ValueError as exc:
-        raise Failure(ERROR, "ResourceLimit", str(exc)) from exc
-    save_dataset(Dataset((block,)), args.out)
+    save_dataset(Dataset((build_springer_block_a(args.n),)), args.out)
     return OK, _report("generate", OK, artifacts=[args.out])
 
 
@@ -167,12 +161,6 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    if args.n_max > MAX_SPRINGER_N:
-        raise Failure(ERROR, "ResourceLimit",
-                      f"verify supports --n-max up to {MAX_SPRINGER_N}, the largest "
-                      f"n that generate builds")
-    if args.n_max < 1:
-        raise Failure(ERROR, "BadArgument", "--n-max must be at least 1")
     diagnostics: list[dict] = []
     all_ok = all([_verify_one_n(n, diagnostics) for n in range(1, args.n_max + 1)])
     code = OK if all_ok else VIOLATION
@@ -183,16 +171,8 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 def cmd_exthom(args) -> tuple[int, dict]:
-    if args.max_k < 0:
-        raise Failure(ERROR, "BadArgument", "--max-k must be nonnegative")
-    if args.max_k > EXTHOM_MAX_K:
-        raise Failure(ERROR, "ResourceLimit", f"exthom supports --max-k up to {EXTHOM_MAX_K}")
     if args.sn is None:
         source, table = args.table, CharTable.from_json(read_json(args.table))
-    elif args.sn < 1:
-        raise Failure(ERROR, "BadArgument", "--sn must be at least 1")
-    elif args.sn > EXTHOM_MAX_SN:
-        raise Failure(ERROR, "ResourceLimit", f"exthom supports --sn up to {EXTHOM_MAX_SN}")
     else:
         # the series reads every class but only the rows of chi and psi
         source, table = f"S_{args.sn}", char_table_sn_rows(args.sn, (args.chi, args.psi))
@@ -226,11 +206,13 @@ def cmd_dualize(args) -> tuple[int, list]:
 
 
 # command -> (handler name, help line, arguments (name, type, required, choices,
-# default, help)); an option --a-b sets args.a_b, any other name a positional
+# default, help)); an option --a-b sets args.a_b, any other name a positional.
+# An int's choices are its range: below it is a BadArgument, above it a
+# ResourceLimit, and no handler checks it again
 COMMANDS = {
     "generate": ("cmd_generate", "write a generated block dataset", [
         ("type", str, True, ("springer-a",), None, "dataset family to generate"),
-        ("--n", int, True, None, None, f"size parameter (1..{MAX_SPRINGER_N})"),
+        ("--n", int, True, range(1, MAX_SPRINGER_N + 1), None, "size parameter"),
         ("--out", str, True, None, None, "output dataset path")]),
     "solve": ("cmd_solve", "validate and solve every block of a dataset", [
         ("input", str, True, None, None, "dataset JSON path"),
@@ -238,13 +220,13 @@ COMMANDS = {
         ("--format", str, False, ("json", "csv"), "json", "json is exact, csv pretty-prints"),
         ("--order-seed", int, False, None, None, "linear extension seed; output ignores it")]),
     "verify": ("cmd_verify", "check the solver against the tableau oracle up to --n-max", [
-        ("--n-max", int, True, None, None, f"largest n to verify (1..{MAX_SPRINGER_N})")]),
+        ("--n-max", int, True, range(1, MAX_SPRINGER_N + 1), None, "largest n to verify")]),
     "exthom": ("cmd_exthom", "graded Hom dimensions for a character pair", [
         ("--table", str, False, None, None, "character table JSON path, or --sn"),
-        ("--sn", int, False, None, None, f"built-in S_n table (1..{EXTHOM_MAX_SN}), or --table"),
+        ("--sn", int, False, range(1, EXTHOM_MAX_SN + 1), None, "built-in S_n table, or --table"),
         ("--chi", str, True, None, None, "first character id"),
         ("--psi", str, True, None, None, "second character id"),
-        ("--max-k", int, True, None, None, f"report degrees 0..2*max_k (0..{EXTHOM_MAX_K})")]),
+        ("--max-k", int, True, range(EXTHOM_MAX_K + 1), None, "report degrees 0..2*max_k")]),
     "dualize": ("cmd_dualize", "print the dual stalk tables of a solve result file", [
         ("input", str, True, None, None, "solve result JSON path")]),
 }
@@ -274,11 +256,17 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
             value = kind(given[name]) if name in given else default
         except ValueError:
             raise GetoptError(f"{name}: invalid {kind.__name__} value {given[name]!r}") from None
-        if choices and value not in choices:
+        if choices and not isinstance(choices, range) and value not in choices:
             raise GetoptError(f"{name}: invalid choice {value!r}, not one of {choices}")
         values[name.lstrip("-").replace("-", "_")] = value
     if argv[0] == "exthom" and (values["sn"] is None) == (values["table"] is None):
         raise GetoptError("exthom takes exactly one of --table and --sn")
+    # ranges last, so that an argv that is also malformed reports that first
+    for (name, _, _, bounds, _, _), value in zip(arguments, values.values()):
+        if isinstance(bounds, range) and value is not None and value not in bounds:
+            if value < bounds.start:
+                raise GetoptError(f"{name} must be at least {bounds.start}")
+            raise Failure(ERROR, "ResourceLimit", f"{argv[0]} supports {name} up to {bounds[-1]}")
     return SimpleNamespace(command=argv[0], **values)
 
 
@@ -289,6 +277,8 @@ def help_text(commands) -> str:
         lines += ["", f"lsalgo {command}: {COMMANDS[command][1]}"]
         for name, _, required, choices, _, help in COMMANDS[command][2]:
             word = f"{name} {name[2:].upper()}" if name.startswith("--") else name.upper()
+            if isinstance(choices, range):
+                choices = [f"{choices.start}..{choices[-1]}"]
             lines.append(f"  {word if required else f'[{word}]':24} {help}"
                          + (f" ({', '.join(choices)})" if choices else ""))
     return "\n".join(lines)

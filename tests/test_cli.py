@@ -729,8 +729,6 @@ class TestArguments:
          {**SOLVE_DEFAULTS, "input": "a.json", "out": "r.json", "order_seed": 7}),
         (["solve", "a.json", "--out", "r.json", "--order-seed", "-3"],
          {**SOLVE_DEFAULTS, "input": "a.json", "out": "r.json", "order_seed": -3}),
-        (["exthom", "--chi", "2", "--psi", "2", "--max-k", "-1", "--sn", "2"],
-         {**EXTHOM_DEFAULTS, "sn": 2, "chi": "2", "psi": "2", "max_k": -1}),
         # options before the positional
         (["generate", "--n", "3", "--out", "a3.json", "springer-a"],
          {"command": "generate", "type": "springer-a", "n": 3, "out": "a3.json"}),
@@ -756,6 +754,43 @@ class TestArguments:
         assert main(argv) == 0
         assert capsys.readouterr().out == "{}\n"
         assert seen == [expected]
+
+    # one valid argv per command that holds every ranged argument
+    VALID = {"generate": ["generate", "springer-a", "--n", "4", "--out", "a4.json"],
+             "verify": ["verify", "--n-max", "6"],
+             "exthom": ["exthom", "--sn", "2", "--chi", "2", "--psi", "2", "--max-k", "4"]}
+    RANGED = [(command, name, choices) for command, (_, _, arguments) in cli.COMMANDS.items()
+              for name, _, _, choices, _, _ in arguments if isinstance(choices, range)]
+
+    @pytest.mark.parametrize("command,name,bounds", RANGED,
+                             ids=[f"{command} {name}" for command, name, _ in RANGED])
+    def test_range_is_checked_before_the_handler(self, monkeypatch, capsys, command, name,
+                                                 bounds):
+        seen = []
+        monkeypatch.setattr(cli, cli.COMMANDS[command][0],
+                            lambda args: (seen.append(args), (0, {}))[1])
+        lo, hi = bounds.start, bounds[-1]
+
+        def run_with(value):
+            argv = list(self.VALID[command])
+            argv[argv.index(name) + 1] = str(value)
+            return run(capsys, *argv)
+
+        assert run_with(lo) == run_with(hi) == (0, "{}\n")
+        assert [getattr(args, name[2:].replace("-", "_")) for args in seen] == [lo, hi]
+        for value, kind, message in (
+                (lo - 1, "BadArgument", f"{name} must be at least {lo}"),
+                (hi + 1, "ResourceLimit", f"{command} supports {name} up to {hi}")):
+            code, out = run_with(value)
+            assert code == 2
+            report = read_report(out)
+            assert (report["command"], report["status"]) == (command, "error")
+            assert [(d["kind"], d["message"]) for d in report["diagnostics"]] == [(kind, message)]
+        assert len(seen) == 2
+        _, out = run(capsys, command, "--help")
+        (line,) = [line for line in out.splitlines() if line.startswith(f"  {name} ")
+                   or line.startswith(f"  [{name} ")]
+        assert line.endswith(f"({lo}..{hi})")
 
     def test_posixly_correct_ends_options_at_the_first_positional(self, monkeypatch, capsys):
         # as in GNU tools: the README documents this
@@ -800,6 +835,12 @@ class TestBadArgument:
         "unknown-type": (["generate", "springer-b", "--n", "2", "--out", "a.json"], "generate"),
         "missing-out": (["generate", "springer-a", "--n", "2"], "generate"),
         "n-max-not-an-int": (["verify", "--n-max", "2.5"], "verify"),
+        "max-k-negative": (["exthom", "--chi", "2", "--psi", "2", "--max-k", "-1", "--sn", "2"],
+                           "exthom"),
+        # a range is checked last: the other fault is reported, not the range
+        "n-over-range-missing-out": (["generate", "springer-a", "--n", "9"], "generate"),
+        "sn-over-range-and-table": (["exthom", "--sn", "13", "--table", "x", "--chi", "3",
+                                     "--psi", "3", "--max-k", "2"], "exthom"),
         "sn-and-table": (["exthom", "--sn", "3", "--table", "x", "--chi", "3", "--psi", "3",
                           "--max-k", "2"], "exthom"),
         "neither-sn-nor-table": (["exthom", "--chi", "3", "--psi", "3", "--max-k", "2"],
