@@ -2,10 +2,12 @@
 
 Each digest is the SHA-256 of a canonical JSON document holding the exit
 code and the exact stdout of `cli.main`, for every unordered character pair
-of S_n with n = 1..7 and for the error paths of unknown labels and an
+of S_n with n = 1..8 and for the error paths of unknown labels and an
 oversized --sn.  They were computed while `exthom --sn` still built the
 whole S_n character table, so any change to how that table is built must
-leave every byte of every report unchanged.
+leave every byte of every report unchanged.  The n = 8 digest was computed
+before the Molien determinants, inverse series and Murnaghan-Nakayama rule
+were rewritten on plain int sequences, and pins that rewrite the same way.
 """
 
 import hashlib
@@ -41,6 +43,7 @@ PAIR_DIGESTS = {
     5: "4a69d2e6fb63089c180270a4c75fef8ea81515c48ae4d24ecfe92aec6da54125",
     6: "de2eac3fed4b46ea90223667af6e3f95b94f511255fc25f679ae35a2f57a3ee8",
     7: "ee22732bdd7238ab422b74e442c969aab527d5202d745a6df1cbe851b2443c91",
+    8: "74b2ba01d368a3956d0b46815187564c3cf4493fda2cf14960a390ea0915df34",
 }
 
 ERROR_DIGESTS = {
@@ -60,7 +63,7 @@ ERROR_ARGV = {
 }
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_every_pair_pinned(capsys, n):
     keys = [lam.key() for lam in partitions_of(n)]
     doc = {f"{chi},{psi}": run(capsys, sn_argv(n, chi, psi))
