@@ -23,6 +23,7 @@ proves the table invalid and raises NonExactDivision.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -38,7 +39,6 @@ from .laurent import (
     decode_int,
     decode_str,
     exact_div,
-    t_power,
 )
 
 
@@ -125,26 +125,21 @@ def conjugacy_classes(n: int) -> list[tuple[Partition, int]]:
 
 
 @lru_cache(maxsize=None)
-def _mn(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+def _mn(beta: int, rho: tuple[int, ...]) -> int:
+    # beta is a beta-set as a bitmask, bit b for a bead at b on the abacus;
+    # a border strip of length k is a bead b moved to an empty b - k, with
+    # sign (-1)^(beads passed)
     if not rho:
         return 1
     k, rest = rho[0], rho[1:]
-    # beta-set of lam: strictly decreasing first-column hook lengths
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(beta)
     total = 0
-    for b in beta:
-        low = b - k
-        if low < 0 or low in beta_set:
-            continue
-        # removing the strip: replace b by b-k; leg length counts entries
-        # of the beta-set strictly between them
-        leg = sum(1 for x in beta if low < x < b)
-        new_beta = sorted((x if x != b else low for x in beta), reverse=True)
-        new_lam = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta))
-        new_lam = tuple(p for p in new_lam if p > 0)
-        total += (-1) ** leg * _mn(new_lam, rest)
+    movable = beta & ~(beta << k) >> k << k
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        low = bead >> k
+        value = _mn(beta ^ bead ^ low, rest)
+        total += -value if (beta & (bead - (low << 1))).bit_count() & 1 else value
     return total
 
 
@@ -155,18 +150,22 @@ def mn_character(lam: Partition, rho: Partition) -> int:
     (-1)^(leg length).  The single-row partition gives the trivial character;
     the single-column partition gives the sign character.
     """
-    if lam.n != rho.n:
+    n = lam.n
+    if n != rho.n:
         raise SizeMismatch(f"|{lam.parts}| != |{rho.parts}|")
-    return _mn(lam.parts, rho.parts)
+    # n beads, so each partition of at most n has one beta-set in the memo
+    parts = lam.parts + (0,) * (n - len(lam))
+    return _mn(sum(1 << (p + n - 1 - i) for i, p in enumerate(parts)), rho.parts)
 
 
 def perm_molien_det(rho: Partition) -> HalfLaurent:
     """det(1 - q*w) for a permutation w of cycle type rho acting on its
     natural rank-n space: the product of (1 - q^length) over cycles."""
-    out = ONE
+    c = [1] + [0] * rho.n
     for length in rho:
-        out = out * (ONE - t_power(length))
-    return out
+        for k in range(rho.n, length - 1, -1):
+            c[k] -= c[k - length]
+    return HalfLaurent({2 * k: v for k, v in enumerate(c)})
 
 
 @dataclass(frozen=True)
@@ -232,6 +231,8 @@ class CharTable:
         k = len(self.classes)
         if len(self.irreducibles) != k:
             problems.append(f"{len(self.irreducibles)} characters for {k} classes")
+        for kind, ids in (("class", [c.id for c in self.classes]), ("character", self.char_ids())):
+            problems += [f"{kind} id {i} appears {m} times" for i, m in Counter(ids).items() if m > 1]
         for i, chi in enumerate(self.irreducibles):
             if len(chi.values) != k:
                 problems.append(f"character {chi.id} has {len(chi.values)} values for {k} classes")
@@ -271,11 +272,7 @@ class CharTable:
                               HalfLaurent.from_json(c["molien_det"]))
                     for c in obj["classes"]
                 ),
-                irreducibles=tuple(
-                    IrrData(decode_str(i["id"], "a character id"), tuple(
-                        decode_int(v, f"value of character {i['id']!r}") for v in i["values"]))
-                    for i in obj["irreducibles"]
-                ),
+                irreducibles=tuple(map(_decode_row, obj["irreducibles"])),
             )
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"malformed character table: {exc!r}") from exc
@@ -288,6 +285,15 @@ class CharTable:
                 raise DataFormatError(f"character {irr.id!r} has {len(irr.values)} "
                                       f"values for {len(table.classes)} classes")
         return table
+
+
+def _decode_row(obj: Mapping) -> IrrData:
+    char_id = decode_str(obj["id"], "a character id")
+    values = tuple(obj["values"])
+    if set(map(type, values)) - {int}:
+        for v in values:
+            decode_int(v, f"value of character {obj['id']!r}")
+    return IrrData(char_id, values)
 
 
 def char_table_sn_rows(n: int, char_ids: Iterable[str]) -> CharTable:
@@ -373,10 +379,10 @@ def _pair_weights(table: CharTable, chi: str, psi: str) -> list[int]:
 
 def _inverse_series(f: tuple[int, ...], n_terms: int) -> tuple[int, ...]:
     """First n_terms coefficients of 1/f for an integer series f with f[0] = 1."""
-    terms = [(j, v) for j, v in enumerate(f) if j and v]
+    tail = f[1:]
     inv = [1]
-    for k in range(1, n_terms):
-        inv.append(-sum(v * inv[k - j] for j, v in terms if j <= k))
+    for _ in range(1, n_terms):
+        inv.append(-sum(map(mul, tail, reversed(inv))))
     return tuple(inv)
 
 

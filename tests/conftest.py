@@ -2,6 +2,7 @@
 solver error paths, and oracles that the library itself does not ship."""
 
 import itertools
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel
 from lsalgo.exthom import graded_hom_dims
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_half_power, t_power
 from lsalgo.solver import solve
-from lsalgo.weyl import CharTable, coinvariant_pairing, degrees_product
+from lsalgo.weyl import CharTable, Partition, coinvariant_pairing, degrees_product
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASETS = REPO_ROOT / "datasets"
@@ -61,6 +62,46 @@ def induced_endo_dims(table: CharTable, max_k: int) -> tuple[int, ...]:
             for k, d in enumerate(graded_hom_dims(table, chi, psi, max_k)):
                 total[k] += degree[chi] * degree[psi] * d
     return tuple(total)
+
+
+def molien_det_product(rho: Partition) -> HalfLaurent:
+    """det(1 - q*w) for cycle type rho as a product of HalfLaurent factors
+    (1 - q^length), one per cycle."""
+    out = ONE
+    for length in rho:
+        out = out * (ONE - t_power(length))
+    return out
+
+
+def inverse_series_by_terms(f: tuple[int, ...], n_terms: int) -> tuple[int, ...]:
+    """First n_terms coefficients of 1/f, f[0] = 1, by the recurrence over
+    the nonzero terms of f."""
+    terms = [(j, v) for j, v in enumerate(f) if j and v]
+    inv = [1]
+    for k in range(1, n_terms):
+        inv.append(-sum(v * inv[k - j] for j, v in terms if j <= k))
+    return tuple(inv)
+
+
+@lru_cache(maxsize=None)
+def mn_by_partitions(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama on partitions: each border strip is removed from
+    the beta-set of lam, which is sorted back into a partition."""
+    if not rho:
+        return 1
+    k, rest = rho[0], rho[1:]
+    m = len(lam)
+    beta = [lam[i] + (m - 1 - i) for i in range(m)]
+    total = 0
+    for b in beta:
+        low = b - k
+        if low < 0 or low in beta:
+            continue
+        leg = sum(1 for x in beta if low < x < b)
+        new_beta = sorted((x if x != b else low for x in beta), reverse=True)
+        new_lam = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta))
+        total += (-1) ** leg * mn_by_partitions(tuple(p for p in new_lam if p > 0), rest)
+    return total
 
 
 def extension_invariant(block: BlockData, trials: int) -> bool:

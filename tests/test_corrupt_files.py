@@ -30,6 +30,10 @@ CASES = {
     # under one id, which only comparing rows by position catches
     "table_repeated_id.json": (("exthom", "--table", "{file}", "--chi", "3", "--psi", "3",
                                 "--max-k", "4"), "InvalidTable"),
+    # S_3 with the sign row's id "1.1.1" renamed "3": the rows are distinct
+    # and orthogonal, only the repeated id is wrong
+    "table_shared_char_id.json": (("exthom", "--table", "{file}", "--chi", "3", "--psi", "3",
+                                   "--max-k", "4"), "InvalidTable"),
     "result_null_p_dual.json": (("dualize", "{file}"), "DataFormatError"),
     "dataset_null_entries.json": (("solve", "{file}", "--out", "{out}"), "DataFormatError"),
 }

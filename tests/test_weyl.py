@@ -10,6 +10,7 @@ from lsalgo.exthom import graded_hom_dims
 from lsalgo.laurent import ONE, DataFormatError, NonExactDivision, t_power
 from lsalgo.weyl import (
     CharTable,
+    ClassData,
     IrrData,
     Partition,
     SizeMismatch,
@@ -184,7 +185,7 @@ class TestCharTable:
         identity_index = len(table.classes) - 1
         assert sum(irr.values[identity_index] ** 2 for irr in table.irreducibles) == 120
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_invariants(self, n):
         assert char_table_sn(n).validate() == []
 
@@ -223,6 +224,18 @@ class TestCharTable:
         rows = tuple(IrrData(irr.id, trivial if irr.id == "1.1.1" else irr.values)
                      for irr in table.irreducibles)
         assert "orthogonality fails for (3, 1.1.1)" in CharTable(6, table.classes, rows).validate()
+
+    def test_validate_flags_shared_character_id(self):
+        table = char_table_sn(3)
+        rows = tuple(IrrData("3" if irr.id == "1.1.1" else irr.id, irr.values)
+                     for irr in table.irreducibles)
+        assert CharTable(6, table.classes, rows).validate() == ["character id 3 appears 2 times"]
+
+    def test_validate_flags_shared_class_id(self):
+        table = char_table_sn(3)
+        classes = tuple(ClassData("3" if c.id == "2.1" else c.id, c.size, c.molien_det)
+                        for c in table.classes)
+        assert CharTable(6, classes, table.irreducibles).validate() == ["class id 3 appears 2 times"]
 
 
 def sn_pairs(n_max: int):
