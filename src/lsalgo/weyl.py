@@ -27,6 +27,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat, zip_longest
 from math import factorial
 from operator import mul
 
@@ -133,12 +134,13 @@ def _mn(beta: int, rho: tuple[int, ...]) -> int:
         return 1
     k, rest = rho[0], rho[1:]
     total = 0
-    movable = beta & ~(beta << k) >> k << k
+    movable = beta & ~(beta << k) >> k << k  # beads at b >= k with b - k empty
     while movable:
         bead = movable & -movable
         movable ^= bead
         low = bead >> k
         value = _mn(beta ^ bead ^ low, rest)
+        # bead - 2 * low has the bits strictly between b - k and b
         total += -value if (beta & (bead - (low << 1))).bit_count() & 1 else value
     return total
 
@@ -150,12 +152,17 @@ def mn_character(lam: Partition, rho: Partition) -> int:
     (-1)^(leg length).  The single-row partition gives the trivial character;
     the single-column partition gives the sign character.
     """
-    n = lam.n
-    if n != rho.n:
+    if lam.n != rho.n:
         raise SizeMismatch(f"|{lam.parts}| != |{rho.parts}|")
-    # n beads, so each partition of at most n has one beta-set in the memo
+    return _mn(_beta_set(lam), rho.parts)
+
+
+def _beta_set(lam: Partition) -> int:
+    """The beta-set of lam with n = |lam| beads, as the bitmask `_mn` takes;
+    with n beads each partition of at most n has one beta-set in the memo."""
+    n = lam.n
     parts = lam.parts + (0,) * (n - len(lam))
-    return _mn(sum(1 << (p + n - 1 - i) for i, p in enumerate(parts)), rho.parts)
+    return sum(1 << (p + n - 1 - i) for i, p in enumerate(parts))
 
 
 def perm_molien_det(rho: Partition) -> HalfLaurent:
@@ -232,7 +239,8 @@ class CharTable:
         if len(self.irreducibles) != k:
             problems.append(f"{len(self.irreducibles)} characters for {k} classes")
         for kind, ids in (("class", [c.id for c in self.classes]), ("character", self.char_ids())):
-            problems += [f"{kind} id {i} appears {m} times" for i, m in Counter(ids).items() if m > 1]
+            problems += [f"{kind} id {i} appears {m} times"
+                         for i, m in Counter(ids).items() if m > 1]
         for i, chi in enumerate(self.irreducibles):
             if len(chi.values) != k:
                 problems.append(f"character {chi.id} has {len(chi.values)} values for {k} classes")
@@ -288,6 +296,8 @@ class CharTable:
 
 
 def _decode_row(obj: Mapping) -> IrrData:
+    """One row of a table; its value types are checked in one pass, and a
+    per-value message is built only when one of them is not int."""
     char_id = decode_str(obj["id"], "a character id")
     values = tuple(obj["values"])
     if set(map(type, values)) - {int}:
@@ -313,8 +323,9 @@ def char_table_sn_rows(n: int, char_ids: Iterable[str]) -> CharTable:
     )
     wanted = set(char_ids)
     rhos = partitions_of(n)
+    cycle_types = [rho.parts for rho in rhos]
     irreducibles = tuple(
-        IrrData(lam.key(), tuple(mn_character(lam, rho) for rho in rhos))
+        IrrData(lam.key(), tuple(map(_mn, repeat(_beta_set(lam)), cycle_types)))
         for lam in rhos if lam.key() in wanted
     )
     return CharTable(factorial(n), classes, irreducibles)
@@ -355,11 +366,7 @@ def _molien_det_q(c: ClassData) -> tuple[int, ...]:
 def _average(table: CharTable, weights, series) -> tuple[int, ...]:
     """(1/|W|) * sum over classes of weights[c] * series[c], coefficientwise,
     with every division certified exact."""
-    acc = [0] * max(map(len, series))
-    for w, s in zip(weights, series):
-        if w:
-            for k, v in enumerate(s):
-                acc[k] += w * v
+    acc = [sum(map(mul, weights, column)) for column in zip_longest(*series, fillvalue=0)]
     out = []
     for k, v in enumerate(acc):
         quotient, remainder = divmod(v, table.group_order)

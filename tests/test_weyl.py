@@ -235,7 +235,8 @@ class TestCharTable:
         table = char_table_sn(3)
         classes = tuple(ClassData("3" if c.id == "2.1" else c.id, c.size, c.molien_det)
                         for c in table.classes)
-        assert CharTable(6, classes, table.irreducibles).validate() == ["class id 3 appears 2 times"]
+        problems = CharTable(6, classes, table.irreducibles).validate()
+        assert problems == ["class id 3 appears 2 times"]
 
 
 def sn_pairs(n_max: int):
