@@ -23,7 +23,6 @@ proves the table invalid and raises NonExactDivision.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -239,8 +238,8 @@ class CharTable:
         if len(self.irreducibles) != k:
             problems.append(f"{len(self.irreducibles)} characters for {k} classes")
         for kind, ids in (("class", [c.id for c in self.classes]), ("character", self.char_ids())):
-            problems += [f"{kind} id {i} appears {m} times"
-                         for i, m in Counter(ids).items() if m > 1]
+            problems += [f"{kind} id {i} appears {ids.count(i)} times"
+                         for i in dict.fromkeys(ids) if ids.count(i) > 1]
         for i, chi in enumerate(self.irreducibles):
             if len(chi.values) != k:
                 problems.append(f"character {chi.id} has {len(chi.values)} values for {k} classes")
