@@ -104,6 +104,58 @@ def mn_by_partitions(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
     return total
 
 
+def _rfind(word: list[int], letter: int, start: int) -> int | None:
+    for p in range(start, -1, -1):
+        if word[p] == letter:
+            return p
+    return None
+
+
+def _standard_charge(subword: list[int]) -> int:
+    # subword holds each letter 1..k exactly once, in original word order
+    position = {letter: pos for pos, letter in enumerate(subword)}
+    index = 0
+    total = 0
+    for r in range(1, len(subword)):
+        if position[r + 1] > position[r]:
+            index += 1
+        total += index
+    return total
+
+
+def _extract_standard_subword(word: list[int]) -> list[int]:
+    # Reading right to left, select the first 1 encountered; then, still
+    # moving leftward (cyclically, wrapping past the start to the right
+    # end), the first 2; and so on while the next letter exists.  Selected
+    # letters are removed from `word` in place and returned in their
+    # original order.
+    chosen: list[int] = []
+    letter = 1
+    pos = _rfind(word, 1, len(word) - 1)
+    while pos is not None:
+        chosen.append(pos)
+        letter += 1
+        nxt = _rfind(word, letter, pos - 1)
+        if nxt is None:
+            nxt = _rfind(word, letter, len(word) - 1)
+        pos = nxt
+    chosen.sort()
+    subword = [word[p] for p in chosen]
+    for p in reversed(chosen):
+        del word[p]
+    return subword
+
+
+def charge_by_subwords(t) -> int:
+    """Charge by extracting each standard subword, then reading its index
+    sum off the positions of its letters.  The content must be a partition."""
+    word = list(t.reading_word())
+    total = 0
+    while word:
+        total += _standard_charge(_extract_standard_subword(word))
+    return total
+
+
 def extension_invariant(block: BlockData, trials: int) -> bool:
     """Whether `trials` seeded linear extensions all solve to the default result."""
     reference = solve(block)
