@@ -8,11 +8,11 @@ Springer block and shares no code path with the factorization algorithm.
 
 Charge convention: the reading word lists rows bottom to top, each left to
 right.  Standard subwords are extracted scanning right to left (the first 1
-met, then cyclically leftward the first 2, and so on).  On a standard word
+met, then cyclically leftward the first 2, and so on).  In each subword
 the letter 1 has index 0 and the index of r+1 is that of r, plus one
-exactly when r+1 sits to the right of r; charge is the sum of indices over
-all extracted subwords.  With this convention the row word 1 2 ... n has
-charge n(n-1)/2 and K_{lambda,lambda} = 1.
+exactly when the leftward search for r+1 wrapped; charge is the sum of
+indices over all extracted subwords.  With this convention the row word
+1 2 ... n has charge n(n-1)/2 and K_{lambda,lambda} = 1.
 """
 
 from __future__ import annotations
@@ -84,45 +84,9 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
             grid[i][j] = v
             fill(cell + 1)
             counts[v - 1] += 1
-        grid[i][j] = 0
 
     fill(0)
     return out
-
-
-def _standard_charge(subword: list[int]) -> int:
-    # subword holds each letter 1..k exactly once, in original word order
-    position = {letter: pos for pos, letter in enumerate(subword)}
-    index = 0
-    total = 0
-    for r in range(1, len(subword)):
-        if position[r + 1] > position[r]:
-            index += 1
-        total += index
-    return total
-
-
-def _extract_standard_subword(word: list[int]) -> list[int]:
-    # Reading right to left, select the first 1 encountered; then, still
-    # moving leftward (cyclically, wrapping past the start to the right
-    # end), the first 2; and so on while the next letter exists.  Selected
-    # letters are removed from `word` in place and returned in their
-    # original order.
-    chosen: list[int] = []
-    letter = 1
-    pos = _rfind(word, 1, len(word) - 1)
-    while pos is not None:
-        chosen.append(pos)
-        letter += 1
-        nxt = _rfind(word, letter, pos - 1)
-        if nxt is None:
-            nxt = _rfind(word, letter, len(word) - 1)
-        pos = nxt
-    chosen.sort()
-    subword = [word[p] for p in chosen]
-    for p in reversed(chosen):
-        del word[p]
-    return subword
 
 
 def _rfind(word: list[int], letter: int, start: int) -> int | None:
@@ -135,13 +99,27 @@ def _rfind(word: list[int], letter: int, start: int) -> int | None:
 def charge(t: Tableau) -> int:
     """Lascoux-Schutzenberger charge of the tableau's reading word.
 
-    The content must be a partition (weakly decreasing letter multiplicities).
-    The word is split into standard subwords, each contributing its index sum.
+    The content must be a partition (weakly decreasing letter multiplicities);
+    otherwise a pass finds no 1 in what is left of the word, and ValueError
+    is raised.  Each pass extracts one standard subword and adds its indices.
     """
     word = list(t.reading_word())
     total = 0
     while word:
-        total += _standard_charge(_extract_standard_subword(word))
+        pos = _rfind(word, 1, len(word) - 1)
+        if pos is None:
+            raise ValueError(f"content of {t!r} is not a partition")
+        letter, index = 1, 0
+        while pos is not None:
+            word[pos] = 0  # picked; no later search looks for 0
+            total += index
+            letter += 1
+            nxt = _rfind(word, letter, pos - 1)
+            if nxt is None:
+                index += 1
+                nxt = _rfind(word, letter, len(word) - 1)
+            pos = nxt
+        word = [x for x in word if x]
     return total
 
 

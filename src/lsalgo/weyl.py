@@ -434,7 +434,7 @@ def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, 
         raise NonExactDivision(
             "Molien determinants of inconsistent degree: the table is not reflection data")
     (r,) = degrees
-    reflection = (ONE - T) ** (r - 1) * (ONE + T)
+    reflection = (ONE - T) ** max(r - 1, 0) * (ONE + T)
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
     p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)
     product = HalfLaurent({2 * k: v for k, v in enumerate(p)})

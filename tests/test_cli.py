@@ -500,11 +500,14 @@ class TestExthom:
         path.write_text(json.dumps(obj))
         return path
 
-    @pytest.mark.parametrize("edit", [
-        lambda t: t["classes"][1].update(size=4),
-        lambda t: t["classes"][0].update(molien_det={"0": 2, "6": -1}),
-    ], ids=["class-size", "molien-constant-term-2"])
-    def test_inconsistent_table_is_a_violation(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda t: t["classes"][1].update(size=4), "not divisible by |W| = 6"),
+        (lambda t: t["classes"][0].update(molien_det={"0": 2, "6": -1}),
+         "is not an integer series"),
+        # the Molien certificate: 1 + 3 + 2 class elements against |W| = 3
+        (lambda t: t.update(group_order=3), "class sizes sum to 2 * |W|"),
+    ], ids=["class-size", "molien-constant-term-2", "group-order-3"])
+    def test_inconsistent_table_is_a_violation(self, tmp_path, capsys, edit, problem):
         path = self.s3_table_file(tmp_path, edit)
         code, out = run(capsys, "exthom", "--table", str(path),
                         "--chi", "2.1", "--psi", "2.1", "--max-k", "6")
@@ -514,6 +517,7 @@ class TestExthom:
         (diag,) = report["diagnostics"]
         assert diag["kind"] == "NonExactDivision"
         assert str(path) in diag["message"] and "(2.1, 2.1)" in diag["message"]
+        assert problem in diag["message"]
 
     @pytest.mark.parametrize("edit,problem", [
         # the sign row overwritten by the trivial row: every certified

@@ -124,6 +124,14 @@ class TestCharge:
             t = Tableau((tuple(range(1, n + 1)),))
             assert charge(t) == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("rows", [((2,),), ((1, 2, 2),)], ids=["no-1", "two-2s-one-1"])
+    def test_content_not_a_partition(self, rows):
+        # semistandard fillings that Tableau accepts, but charge needs
+        # weakly decreasing letter multiplicities
+        t = Tableau(rows)
+        with pytest.raises(ValueError, match="not a partition"):
+            charge(t)
+
 
 class TestKostkaFoulkes:
     def test_column_content(self):

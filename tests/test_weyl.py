@@ -288,6 +288,18 @@ class TestDegreesProduct:
             expected = expected * (ONE - t_power(d))
         assert degrees_product(char_table_sn(n)) == expected
 
+    def test_rank_zero_table(self):
+        # the trivial relative Weyl group of a cuspidal datum: no reflections
+        table = CharTable.from_json({
+            "group_order": 1,
+            "classes": [{"id": "e", "size": 1, "molien_det": {"0": 1}}],
+            "irreducibles": [{"id": "triv", "values": [1]}],
+        })
+        assert table.validate() == []
+        assert degrees_product(table) == ONE
+        assert coinvariant_pairing(table, "triv", "triv") == ONE
+        assert series_consistency(table, "triv", "triv", 5)
+
 
 class TestCoinvariantPairing:
     def test_s2_examples(self):
