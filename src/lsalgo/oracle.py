@@ -61,6 +61,7 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
     if shape.n != content.n:
         raise SizeMismatch(f"|{shape.parts}| != |{content.parts}|")
     rows = shape.parts
+    n = shape.n
     positions = [(i, j) for i, r in enumerate(rows) for j in range(r)]
     counts = list(content.parts)
     m = len(counts)
@@ -68,7 +69,7 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
     out: list[Tableau] = []
 
     def fill(cell: int):
-        if cell == shape.n:
+        if cell == n:
             out.append(Tableau(tuple(tuple(r) for r in grid)))
             return
         i, j = positions[cell]

@@ -204,9 +204,15 @@ class CharTable:
         return tuple(irr.id for irr in self.irreducibles)
 
     @cached_property
-    def _coinvariant_memo(self) -> tuple[HalfLaurent, tuple[tuple[int, ...], ...]]:
+    def _coinvariant_memo(self) -> tuple[HalfLaurent, _Packed]:
         """`_coinvariant_setup(self)`, built on first use and dropped with the table."""
         return _coinvariant_setup(self)
+
+    @cached_property
+    def _inverse_memo(self) -> list:
+        """At most one `_inverse_dets` entry, the longest computed so far;
+        dropped with the table."""
+        return []
 
     def character(self, char_id: str) -> IrrData:
         for irr in self.irreducibles:
@@ -341,6 +347,14 @@ def char_table_sn(n: int) -> CharTable:
 # Every series below is in q = t and held as a dense tuple of integer
 # coefficients, index k for q^k.  A sum over classes is formed in the integers
 # and divided by |W| once at the end; a remainder proves the table invalid.
+# The coinvariant characters c_w, which every pairing of a table reuses, are
+# also held packed: each class's series as the one integer sum_k c_w[k] *
+# 2^(width * k), so a pairing sums one product per class and reads its
+# coefficients back as signed width-bit digits.  The width comes from a bound
+# on every digit, taken from the table's own class sizes and values, so it
+# holds whether or not the table is consistent.  Series used once, such as
+# the inverse determinants of `class_pair_series`, are summed column by
+# column: packing them would cost more than it saves.
 
 
 def _q_coefficients(f: HalfLaurent) -> tuple[int, ...]:
@@ -362,10 +376,9 @@ def _molien_det_q(c: ClassData) -> tuple[int, ...]:
     return _q_coefficients(f)
 
 
-def _average(table: CharTable, weights, series) -> tuple[int, ...]:
-    """(1/|W|) * sum over classes of weights[c] * series[c], coefficientwise,
-    with every division certified exact."""
-    acc = [sum(map(mul, weights, column)) for column in zip_longest(*series, fillvalue=0)]
+def _divide_by_order(table: CharTable, acc: Iterable[int]) -> tuple[int, ...]:
+    """Each coefficient of acc divided by |W|, in ascending k; the first
+    remainder raises NonExactDivision."""
     out = []
     for k, v in enumerate(acc):
         quotient, remainder = divmod(v, table.group_order)
@@ -375,6 +388,79 @@ def _average(table: CharTable, weights, series) -> tuple[int, ...]:
                 f"{table.group_order}: the character table is inconsistent")
         out.append(quotient)
     return tuple(out)
+
+
+def _average(table: CharTable, weights, series) -> tuple[int, ...]:
+    """(1/|W|) * sum over classes of weights[c] * series[c], coefficientwise,
+    with every division certified exact."""
+    return _divide_by_order(table, [sum(map(mul, weights, column))
+                                    for column in zip_longest(*series, fillvalue=0)])
+
+
+def _digit_width(bound: int) -> int:
+    """Bits per packed coefficient for signed digits of absolute value at
+    most bound: one more than bound needs, for the sign."""
+    return bound.bit_length() + 1
+
+
+def _pack(series: Iterable[int], width: int) -> int:
+    """sum_k series[k] * 2^(width * k); each |series[k]| < 2^(width - 1)."""
+    return sum(v << width * k for k, v in enumerate(series))
+
+
+def _unpack(value: int, width: int, n_terms: int) -> list[int]:
+    """The n_terms signed width-bit digits of value, ascending: the inverse
+    of `_pack` for digits of absolute value below 2^(width - 1).  Anything
+    left over means a digit was out of range, and raises ArithmeticError."""
+    mask = (1 << width) - 1
+    half = 1 << width - 1
+    out = []
+    for _ in range(n_terms):
+        digit = value & mask
+        value >>= width
+        if digit >= half:
+            digit -= mask + 1
+            value += 1
+        out.append(digit)
+    if value:
+        raise ArithmeticError(
+            f"a packed series does not fit {n_terms} digits of {width} bits")
+    return out
+
+
+@dataclass(frozen=True)
+class _Packed:
+    """Per-class series of one table packed at one width, n_terms digits each.
+
+    `width` bounds every digit of sum_c w_c * series[c] for w_c the weights
+    of any pair of the table's characters and for the class sizes."""
+
+    packs: tuple[int, ...]
+    width: int
+    n_terms: int
+
+    @classmethod
+    def of(cls, table: CharTable, series: tuple[tuple[int, ...], ...]) -> _Packed:
+        # |w_c| <= |c| * peak_c^2, with peak_c >= 1 the largest |value| on
+        # class c: for the class sizes, and for any pair of rows with one
+        # value per class (`_pair_weights` refuses other rows)
+        k = len(table.classes)
+        peaks = [1] * k
+        for irr in table.irreducibles:
+            if len(irr.values) == k:
+                peaks = list(map(max, peaks, map(abs, irr.values)))
+        weight_bounds = [abs(c.size) * peak * peak for c, peak in zip(table.classes, peaks)]
+        bound = max((sum(map(mul, weight_bounds, map(abs, column)))
+                     for column in zip_longest(*series, fillvalue=0)), default=0)
+        width = _digit_width(bound)
+        return cls(tuple(_pack(s, width) for s in series), width,
+                   max(map(len, series), default=0))
+
+    def average(self, table: CharTable, weights: Iterable[int]) -> tuple[int, ...]:
+        """`_average(table, weights, series)` for the packed series: the
+        same quotients, and the same NonExactDivision at the same q^k."""
+        return _divide_by_order(table, _unpack(
+            sum(map(mul, weights, self.packs)), self.width, self.n_terms))
 
 
 def _pair_weights(table: CharTable, chi: str, psi: str) -> list[int]:
@@ -399,14 +485,24 @@ def _inverse_dets(table: CharTable, n_terms: int):
     The constant term of each determinant is 1, so the inverse is an integer
     power series.  The Molien series must itself be an integer series with
     constant term 1; that certifies the class sizes before any pair is
-    summed.
+    summed.  The longest result so far is kept in `table._inverse_memo`,
+    and a shorter request reads its prefix: both series are power series,
+    so their first terms do not depend on how many are taken.
     """
-    out = [_inverse_series(_molien_det_q(c), n_terms) for c in table.classes]
-    molien = _average(table, [c.size for c in table.classes], out)
-    if molien[0] != 1:
-        raise NonExactDivision(
-            f"class sizes sum to {molien[0]} * |W|: the character table is inconsistent")
-    return tuple(out), molien
+    memo = table._inverse_memo
+    entry = memo[0] if memo else None
+    if entry is None or len(entry[1]) < n_terms:
+        out = tuple(_inverse_series(_molien_det_q(c), n_terms) for c in table.classes)
+        molien = _average(table, [c.size for c in table.classes], out)
+        if molien[0] != 1:
+            raise NonExactDivision(
+                f"class sizes sum to {molien[0]} * |W|: the character table is inconsistent")
+        entry = out, molien
+        memo[:] = [entry]
+    out, molien = entry
+    if len(molien) == n_terms:
+        return entry
+    return tuple(s[:n_terms] for s in out), molien[:n_terms]
 
 
 def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tuple[int, ...]:
@@ -420,9 +516,10 @@ def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tup
     return _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, n_terms)[0])
 
 
-def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, ...], ...]]:
-    """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class;
-    read through `table._coinvariant_memo`, so each table builds it once.
+def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, _Packed]:
+    """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class,
+    packed; read through `table._coinvariant_memo`, so each table builds it
+    once.
 
     P has degree N + r, where r is the rank and N the number of reflections
     (the classes with det = (1-q)^(r-1) * (1+q)), so inverting the Molien
@@ -438,14 +535,14 @@ def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, tuple[tuple[int, 
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
     p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)
     product = HalfLaurent({2 * k: v for k, v in enumerate(p)})
-    graded = tuple(_q_coefficients(exact_div(product, c.molien_det))
-                   for c in table.classes)
-    certificate = _average(table, [c.size for c in table.classes], graded)
+    packed = _Packed.of(table, tuple(_q_coefficients(exact_div(product, c.molien_det))
+                                     for c in table.classes))
+    certificate = packed.average(table, [c.size for c in table.classes])
     if certificate[0] != 1 or any(certificate[1:]):
         raise NonExactDivision(
             "the inverted Molien series is not a polynomial of degree N + r: "
             "the table is not reflection data")
-    return product, graded
+    return product, packed
 
 
 def degrees_product(table: CharTable) -> HalfLaurent:
@@ -460,11 +557,13 @@ def degrees_product(table: CharTable) -> HalfLaurent:
 
 def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
     """Graded multiplicity of the pair (chi, psi) in the coinvariant algebra:
-    the pair's weights averaged against the table's c_w.
+    the pair's weights averaged against the table's c_w, as one integer dot
+    product with the packed c_w.
 
     Symmetric in chi and psi, has nonnegative integer coefficients, and
     evaluates at q=1 to deg(chi)*deg(psi).  Raises NonExactDivision when the
     table data is not internally consistent.
     """
+    packed = table._coinvariant_memo[1]
     return HalfLaurent({2 * k: v for k, v in enumerate(
-        _average(table, _pair_weights(table, chi, psi), table._coinvariant_memo[1]))})
+        packed.average(table, _pair_weights(table, chi, psi)))})

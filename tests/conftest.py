@@ -3,13 +3,15 @@ solver error paths, and oracles that the library itself does not ship."""
 
 import itertools
 from functools import lru_cache
+from itertools import zip_longest
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel
 from lsalgo.exthom import graded_hom_dims
-from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_half_power, t_power
+from lsalgo.laurent import ONE, ZERO, HalfLaurent, NonExactDivision, exact_div, t_half_power, t_power
 from lsalgo.solver import solve
 from lsalgo.weyl import CharTable, Partition, coinvariant_pairing, degrees_product
 
@@ -49,6 +51,29 @@ def series_consistency(table: CharTable, chi: str, psi: str, max_k: int) -> bool
     pairing = coinvariant_pairing(table, chi, psi)
     return all(product.coefficient(2 * k) == pairing.coefficient(2 * k)
                for k in range(max_k + 1))
+
+
+def coinvariant_pairing_by_columns(table: CharTable, chi: str, psi: str) -> HalfLaurent:
+    """The coinvariant pairing with each coefficient of sum_c |c| * chi *
+    psi * c_w summed over the classes on its own, then divided by |W| in
+    ascending k; the first remainder raises NonExactDivision."""
+    product = degrees_product(table)
+    graded = []
+    for c in table.classes:
+        c_w = exact_div(product, c.molien_det)
+        graded.append([c_w.coefficient(2 * k) for k in range(c_w.degree() // 2 + 1)])
+    weights = [c.size * x * y for c, x, y in zip(
+        table.classes, table.character(chi).values, table.character(psi).values, strict=True)]
+    acc = [sum(map(mul, weights, column)) for column in zip_longest(*graded, fillvalue=0)]
+    out = {}
+    for k, v in enumerate(acc):
+        quotient, remainder = divmod(v, table.group_order)
+        if remainder:
+            raise NonExactDivision(
+                f"coefficient {v} of q^{k} is not divisible by |W| = "
+                f"{table.group_order}: the character table is inconsistent")
+        out[2 * k] = quotient
+    return HalfLaurent(out)
 
 
 def induced_endo_dims(table: CharTable, max_k: int) -> tuple[int, ...]:
