@@ -24,7 +24,7 @@ proves the table invalid and raises NonExactDivision.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat, zip_longest
 from math import factorial
@@ -199,20 +199,18 @@ class CharTable:
     group_order: int
     classes: tuple[ClassData, ...]
     irreducibles: tuple[IrrData, ...]
+    # at most one `_inverse_dets` entry, the longest computed so far, freed
+    # with the table; a field, not a `cached_property`, because every
+    # `exthom` operation reads it once, cold
+    _inverse_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def char_ids(self) -> tuple[str, ...]:
         return tuple(irr.id for irr in self.irreducibles)
 
     @cached_property
-    def _coinvariant_memo(self) -> tuple[HalfLaurent, _Packed]:
+    def _coinvariant_memo(self) -> tuple[HalfLaurent, _Packing]:
         """`_coinvariant_setup(self)`, built on first use and dropped with the table."""
         return _coinvariant_setup(self)
-
-    @cached_property
-    def _inverse_memo(self) -> list:
-        """At most one `_inverse_dets` entry, the longest computed so far;
-        dropped with the table."""
-        return []
 
     def character(self, char_id: str) -> IrrData:
         for irr in self.irreducibles:
@@ -428,39 +426,36 @@ def _unpack(value: int, width: int, n_terms: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class _Packed:
-    """Per-class series of one table packed at one width, n_terms digits each.
+# packs, width, digits per pack: see `_packing`
+_Packing = tuple[tuple[int, ...], int, int]
 
-    `width` bounds every digit of sum_c w_c * series[c] for w_c the weights
-    of any pair of the table's characters and for the class sizes."""
 
-    packs: tuple[int, ...]
-    width: int
-    n_terms: int
+def _packing(table: CharTable, series: tuple[tuple[int, ...], ...]) -> _Packing:
+    """The per-class series packed at one width, with that width and the
+    number of digits.  The width bounds every digit of sum_c w_c * series[c]
+    for w_c the class sizes or the weights of any pair of the table's
+    characters."""
+    # |w_c| <= |c| * peak_c^2, with peak_c >= 1 the largest |value| on
+    # class c: for the class sizes, and for any pair of rows with one
+    # value per class (`_pair_weights` refuses other rows)
+    k = len(table.classes)
+    peaks = [1] * k
+    for irr in table.irreducibles:
+        if len(irr.values) == k:
+            peaks = list(map(max, peaks, map(abs, irr.values)))
+    weight_bounds = [abs(c.size) * peak * peak for c, peak in zip(table.classes, peaks)]
+    bound = max((sum(map(mul, weight_bounds, map(abs, column)))
+                 for column in zip_longest(*series, fillvalue=0)), default=0)
+    width = _digit_width(bound)
+    return tuple(_pack(s, width) for s in series), width, max(map(len, series), default=0)
 
-    @classmethod
-    def of(cls, table: CharTable, series: tuple[tuple[int, ...], ...]) -> _Packed:
-        # |w_c| <= |c| * peak_c^2, with peak_c >= 1 the largest |value| on
-        # class c: for the class sizes, and for any pair of rows with one
-        # value per class (`_pair_weights` refuses other rows)
-        k = len(table.classes)
-        peaks = [1] * k
-        for irr in table.irreducibles:
-            if len(irr.values) == k:
-                peaks = list(map(max, peaks, map(abs, irr.values)))
-        weight_bounds = [abs(c.size) * peak * peak for c, peak in zip(table.classes, peaks)]
-        bound = max((sum(map(mul, weight_bounds, map(abs, column)))
-                     for column in zip_longest(*series, fillvalue=0)), default=0)
-        width = _digit_width(bound)
-        return cls(tuple(_pack(s, width) for s in series), width,
-                   max(map(len, series), default=0))
 
-    def average(self, table: CharTable, weights: Iterable[int]) -> tuple[int, ...]:
-        """`_average(table, weights, series)` for the packed series: the
-        same quotients, and the same NonExactDivision at the same q^k."""
-        return _divide_by_order(table, _unpack(
-            sum(map(mul, weights, self.packs)), self.width, self.n_terms))
+def _packed_average(table: CharTable, weights: Iterable[int],
+                    packing: _Packing) -> tuple[int, ...]:
+    """`_average(table, weights, series)` for the packed series: the same
+    quotients, and the same NonExactDivision at the same q^k."""
+    packs, width, n_terms = packing
+    return _divide_by_order(table, _unpack(sum(map(mul, weights, packs)), width, n_terms))
 
 
 def _pair_weights(table: CharTable, chi: str, psi: str) -> list[int]:
@@ -516,7 +511,7 @@ def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tup
     return _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, n_terms)[0])
 
 
-def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, _Packed]:
+def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, _Packing]:
     """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class,
     packed; read through `table._coinvariant_memo`, so each table builds it
     once.
@@ -535,14 +530,14 @@ def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, _Packed]:
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
     p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)
     product = HalfLaurent({2 * k: v for k, v in enumerate(p)})
-    packed = _Packed.of(table, tuple(_q_coefficients(exact_div(product, c.molien_det))
-                                     for c in table.classes))
-    certificate = packed.average(table, [c.size for c in table.classes])
+    packing = _packing(table, tuple(_q_coefficients(exact_div(product, c.molien_det))
+                                    for c in table.classes))
+    certificate = _packed_average(table, [c.size for c in table.classes], packing)
     if certificate[0] != 1 or any(certificate[1:]):
         raise NonExactDivision(
             "the inverted Molien series is not a polynomial of degree N + r: "
             "the table is not reflection data")
-    return product, packed
+    return product, packing
 
 
 def degrees_product(table: CharTable) -> HalfLaurent:
@@ -564,6 +559,5 @@ def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
     evaluates at q=1 to deg(chi)*deg(psi).  Raises NonExactDivision when the
     table data is not internally consistent.
     """
-    packed = table._coinvariant_memo[1]
-    return HalfLaurent({2 * k: v for k, v in enumerate(
-        packed.average(table, _pair_weights(table, chi, psi)))})
+    return HalfLaurent({2 * k: v for k, v in enumerate(_packed_average(
+        table, _pair_weights(table, chi, psi), table._coinvariant_memo[1]))})

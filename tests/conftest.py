@@ -11,7 +11,15 @@ import pytest
 
 from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel
 from lsalgo.exthom import graded_hom_dims
-from lsalgo.laurent import ONE, ZERO, HalfLaurent, NonExactDivision, exact_div, t_half_power, t_power
+from lsalgo.laurent import (
+    ONE,
+    ZERO,
+    HalfLaurent,
+    NonExactDivision,
+    exact_div,
+    t_half_power,
+    t_power,
+)
 from lsalgo.solver import solve
 from lsalgo.weyl import CharTable, Partition, coinvariant_pairing, degrees_product
 

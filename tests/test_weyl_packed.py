@@ -23,7 +23,8 @@ from lsalgo.weyl import (
     _average,
     _digit_width,
     _pack,
-    _Packed,
+    _packed_average,
+    _packing,
     _unpack,
     char_table_sn,
     class_pair_series,
@@ -60,7 +61,8 @@ def all_pairs(table: CharTable) -> list[tuple[str, str]]:
 ])
 def test_pairing_matches_column_sums(table):
     for chi, psi in all_pairs(table):
-        assert coinvariant_pairing(table, chi, psi) == coinvariant_pairing_by_columns(table, chi, psi)
+        expected = coinvariant_pairing_by_columns(table, chi, psi)
+        assert coinvariant_pairing(table, chi, psi) == expected
 
 
 def test_changed_value_raises_the_column_sum_message():
@@ -141,13 +143,14 @@ def tables_and_series(draw):
 @given(tables_and_series(), st.data())
 def test_packed_average_matches_column_sums(table_and_series, data):
     table, series = table_and_series
-    packed = _Packed.of(table, series)
+    packing = _packing(table, series)
     ids = table.char_ids()
     chi, psi = data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))
     xv, yv = table.character(chi).values, table.character(psi).values
     for weights in ([c.size for c in table.classes],
                     [c.size * x * y for c, x, y in zip(table.classes, xv, yv)]):
-        assert outcome(packed.average, table, weights) == outcome(_average, table, weights, series)
+        assert (outcome(_packed_average, table, weights, packing)
+                == outcome(_average, table, weights, series))
 
 
 class TestInverseMemo:
