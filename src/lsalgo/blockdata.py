@@ -211,16 +211,11 @@ def closure_below(block: BlockData) -> dict[str, frozenset[str]]:
 
 def validate_block(block: BlockData) -> list[Violation]:
     """Check every block invariant; the list is empty iff the block is sound.
+    Dims must fall along each cover, so by transitivity along the closure
+    order; they are not checked when the covers have a cycle.
 
     Violations are data, not exceptions: callers decide how to react.
     """
-    return _check_block(block)[0]
-
-
-def _check_block(block: BlockData) -> tuple[list[Violation], dict[str, frozenset[str]] | None]:
-    """`validate_block`'s violations, and the `closure_below` it built on the
-    way (None if the cover relation has a cycle), so that a solver reuses
-    the closure instead of walking the poset again."""
     out: list[Violation] = []
     orbit_ids = [o.id for o in block.orbits]
     if len(set(orbit_ids)) != len(orbit_ids):
@@ -230,6 +225,7 @@ def _check_block(block: BlockData) -> tuple[list[Violation], dict[str, frozenset
         out.append(Violation("DuplicateId", f"duplicate label ids in block {block.name!r}"))
     orbit_by_id = {o.id: o for o in block.orbits}
 
+    rising: list[Violation] = []
     for orb in block.orbits:
         if orb.dim < 0:
             out.append(Violation("NegativeDimension",
@@ -238,28 +234,16 @@ def _check_block(block: BlockData) -> tuple[list[Violation], dict[str, frozenset
             if child not in orbit_by_id:
                 out.append(Violation("UnknownOrbit",
                                      f"orbit {orb.id!r} covers unknown {child!r}"))
-
+            elif orbit_by_id[child].dim >= orb.dim:
+                rising.append(Violation(
+                    "DimMonotonicityViolation",
+                    f"orbit {child!r} (dim {orbit_by_id[child].dim}) lies below "
+                    f"{orb.id!r} (dim {orb.dim})"))
     try:
-        below = closure_below(block)
+        linear_extension(block)
+        out += rising
     except DataFormatError as exc:
         out.append(Violation("PosetCycle", str(exc)))
-        below = None
-
-    # if dims fall strictly along every cover, read as closure_below reads
-    # them (the last orbit of a repeated id wins), they fall along every
-    # closure pair by transitivity, and the walk below could find nothing
-    covers = {o.id: o.covers for o in block.orbits}
-    if below is not None and not all(
-            orbit_by_id[c].dim < orb.dim
-            for orb in block.orbits for c in covers[orb.id] if c in orbit_by_id):
-        for orb in block.orbits:
-            for child_id in sorted(below[orb.id]):
-                child = orbit_by_id.get(child_id)
-                if child is not None and child.dim >= orb.dim:
-                    out.append(Violation(
-                        "DimMonotonicityViolation",
-                        f"orbit {child_id!r} (dim {child.dim}) lies below "
-                        f"{orb.id!r} (dim {orb.dim})"))
 
     label_set = set(label_ids)
     for lb in block.labels:
@@ -285,7 +269,7 @@ def _check_block(block: BlockData) -> tuple[list[Violation], dict[str, frozenset
     if len(block.omega) != k or any(len(row) != k for row in block.omega):
         out.append(Violation("ShapeMismatch",
                              f"omega of block {block.name!r} is not {k}x{k}"))
-        return out, below
+        return out
 
     for i in range(k):
         for j in range(i + 1, k):
@@ -305,7 +289,7 @@ def _check_block(block: BlockData) -> tuple[list[Violation], dict[str, frozenset
                     out.append(Violation(
                         "DualityViolation",
                         f"omega[{a.id}][{b.id}] changes under dualization"))
-    return out, below
+    return out
 
 
 # -- datasets ----------------------------------------------------------------

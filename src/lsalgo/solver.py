@@ -54,13 +54,13 @@ own label order.
 `linear_extension`, imported from `blockdata`, produces every extension:
 ascending (dimension, id) by default, or drawn at random from a seed.
 
-`solve` validates the block with `_check_block`, which also builds the
-closure order, eliminates with `_factor` and checks the result with
-`_check_invariants`, so a block is validated before solving, always, and a
-result is checked before it is returned, always: p must be invariant under
-duality, Lambda symmetric, and P * Lambda * P^T must equal omega exactly.
-The check compares only the upper triangle j >= i of that product with
-omega's: validation rejects an asymmetric omega, and with Lambda symmetric,
+`solve` validates the block with `validate_block`, builds the closure order
+once with `closure_below`, eliminates with `_factor` and checks the result
+with `_check_invariants`, so a block is validated before solving, always,
+and a result is checked before it is returned, always: p must be invariant
+under duality, Lambda symmetric, and P * Lambda * P^T must equal omega
+exactly.  The check compares only the upper triangle j >= i of that product
+with omega's: validation rejects an asymmetric omega, and with Lambda symmetric,
 (P Lambda P^T)^T = P Lambda^T P^T = P Lambda P^T, so two symmetric matrices
 that agree on j >= i are equal.  It forms no polynomial product: both sides
 are evaluated exactly under the ring homomorphism t^(1/2) -> x = 2^B, each
@@ -96,7 +96,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .blockdata import (
-    BlockData, Violation, _check_block, _decode_ids, _decode_matrix, linear_extension)
+    BlockData, Violation, _decode_ids, _decode_matrix, closure_below, linear_extension,
+    validate_block)
 from .laurent import (
     ONE, ZERO, DataFormatError, HalfLaurent, NonExactDivision, decode_str, dot, exact_div,
     t_half_power)
@@ -208,9 +209,10 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
     With `order_seed` the linear extension is drawn at random from the given
     seed; the result is identical either way.
     """
-    violations, below = _check_block(block)
+    violations = validate_block(block)
     if violations:
         raise InvalidBlock(violations)
+    below = closure_below(block)
     result = _factor(block, below, order_seed)
     _check_invariants(result, block, below)
     return result

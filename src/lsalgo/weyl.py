@@ -31,6 +31,7 @@ from math import factorial
 from operator import mul
 
 from .laurent import (
+    MAX_EXPONENT,
     ONE,
     T,
     DataFormatError,
@@ -528,6 +529,8 @@ def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, _Packing]:
     (r,) = degrees
     reflection = (ONE - T) ** max(r - 1, 0) * (ONE + T)
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
+    if 2 * top > MAX_EXPONENT:  # a pairing of this degree could not be decoded again
+        raise ValueError(f"coinvariant degree top = {top} is beyond {MAX_EXPONENT // 2}")
     p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)
     product = HalfLaurent({2 * k: v for k, v in enumerate(p)})
     packing = _packing(table, tuple(_q_coefficients(exact_div(product, c.molien_det))
@@ -557,7 +560,8 @@ def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
 
     Symmetric in chi and psi, has nonnegative integer coefficients, and
     evaluates at q=1 to deg(chi)*deg(psi).  Raises NonExactDivision when the
-    table data is not internally consistent.
+    table data is not internally consistent, ValueError when N + r is beyond
+    MAX_EXPONENT / 2.
     """
     return HalfLaurent({2 * k: v for k, v in enumerate(_packed_average(
         table, _pair_weights(table, chi, psi), table._coinvariant_memo[1]))})

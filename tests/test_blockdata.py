@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lsalgo import blockdata
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_power
 from lsalgo.blockdata import (
     BlockData,
@@ -137,22 +138,33 @@ class TestValidation:
         kinds = {v.kind for v in validate_block(broken)}
         assert "DimMonotonicityViolation" in kinds
 
-    def test_non_monotone_dims_lists_every_closure_pair(self):
-        # one cover breaks the dims; the pair (a, c) is reported through b
+    def test_non_monotone_dims_lists_each_bad_cover(self):
+        # one cover breaks the dims; the closure pair (a, c) through b is not
+        # reported again
         orbits = (OrbitInfo("a", 5, ("b",)), OrbitInfo("b", 1, ("c",)), OrbitInfo("c", 7))
         block = BlockData("zigzag", orbits, (SimpleLabel("x", "c"),), ((ONE,),))
         assert [str(v) for v in validate_block(block)] == [
-            "DimMonotonicityViolation: orbit 'c' (dim 7) lies below 'a' (dim 5)",
             "DimMonotonicityViolation: orbit 'c' (dim 7) lies below 'b' (dim 1)"]
 
+    @pytest.mark.parametrize("orbits, expected", [
+        ((OrbitInfo("y", 1, ("m",)), OrbitInfo("x", 2, ("m",)), OrbitInfo("m", 5)),
+         ["'m' (dim 5) lies below 'y' (dim 1)", "'m' (dim 5) lies below 'x' (dim 2)"]),
+        ((OrbitInfo("top", 1, ("z", "a")), OrbitInfo("z", 4), OrbitInfo("a", 3)),
+         ["'z' (dim 4) lies below 'top' (dim 1)", "'a' (dim 3) lies below 'top' (dim 1)"]),
+    ], ids=["orbit-order", "cover-order"])
+    def test_two_bad_covers_in_orbit_then_cover_order(self, orbits, expected):
+        block = BlockData("two-bad", orbits, (SimpleLabel("x", orbits[-1].id),), ((ONE,),))
+        assert [str(v) for v in validate_block(block)] == [
+            f"DimMonotonicityViolation: orbit {pair}" for pair in expected]
+
     def test_repeated_orbit_id_takes_the_covers_of_the_last(self):
-        # the closure reads the covers of the last 'A', so 'B' lies below the
-        # first 'A' too, although that orbit lists no covers of its own
+        # the cycle search reads the covers of the last 'A'; the dims check
+        # reads each orbit's own covers, so the first 'A', which lists none,
+        # is not compared with 'B'
         orbits = (OrbitInfo("A", 1, ()), OrbitInfo("A", 9, ("B",)), OrbitInfo("B", 3, ()))
         block = BlockData("repeated", orbits, (SimpleLabel("x", "B"),), ((ONE,),))
         assert [str(v) for v in validate_block(block)] == [
-            "DuplicateId: duplicate orbit ids in block 'repeated'",
-            "DimMonotonicityViolation: orbit 'B' (dim 3) lies below 'A' (dim 1)"]
+            "DuplicateId: duplicate orbit ids in block 'repeated'"]
 
     def test_unknown_orbit(self):
         labels = (SimpleLabel("a", "nowhere"),)
@@ -340,6 +352,22 @@ class TestClosure:
         assert below["o700"] == {f"o{i}" for i in range(700)}
         assert len(below["o1499"]) == 1499
         assert validate_block(block) == []
+
+    def test_long_chain_with_its_bottom_above_every_other(self):
+        # every closure pair (o_i, o0) breaks the dims, but only the cover does
+        chain = top_first_chain(1500)
+        orbits = chain.orbits[:-1] + (OrbitInfo("o0", 10**6),)
+        block = BlockData(chain.name, orbits, chain.labels, chain.omega)
+        assert [str(v) for v in validate_block(block)] == [
+            "DimMonotonicityViolation: orbit 'o0' (dim 1000000) lies below 'o1' (dim 2)"]
+
+    def test_validation_builds_no_closure(self, monkeypatch):
+        def refuse(block):
+            raise AssertionError("validate_block built the closure")
+
+        monkeypatch.setattr(blockdata, "closure_below", refuse)
+        assert validate_block(build_springer_block_a(6)) == []
+        assert validate_block(top_first_chain(1500)) == []
 
     def test_cycle_is_named_without_the_orbits_above_it(self):
         orbits = (OrbitInfo("a", 6, ("b",)), OrbitInfo("b", 4, ("c",)),

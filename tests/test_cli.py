@@ -334,12 +334,12 @@ class TestVerify:
             return real_validate(block)
 
         real_factor, real_check = solver._factor, solver._check_invariants
-        real_validate = blockdata._check_block
+        real_validate = blockdata.validate_block
         monkeypatch.setattr(cli, "_factor", counting_factor)
         monkeypatch.setattr(solver, "_factor", counting_factor)
         monkeypatch.setattr(solver, "_check_invariants", counting_check)
-        monkeypatch.setattr(solver, "_check_block", counting_validate)
-        monkeypatch.setattr(blockdata, "_check_block", counting_validate)
+        monkeypatch.setattr(solver, "validate_block", counting_validate)
+        monkeypatch.setattr(blockdata, "validate_block", counting_validate)
         assert run(capsys, "verify", "--n-max", "3")[0] == 0
         names = [f"springer-a-{n}" for n in (1, 2, 3)]
         assert factored == {name: 6 for name in names}

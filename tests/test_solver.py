@@ -553,9 +553,7 @@ class TestErrors:
     def test_dual_symmetry_violation(self, monkeypatch):
         block = dual_symmetry_breaking_block()
         assert any(v.kind == "DualityViolation" for v in validate_block(block))
-        # skip the precondition check to reach the solver's own self-check;
-        # solve takes the validated closure along with the violations
-        monkeypatch.setattr("lsalgo.solver._check_block",
-                            lambda block: ([], closure_below(block)))
+        # skip the precondition check to reach the solver's own self-check
+        monkeypatch.setattr("lsalgo.solver.validate_block", lambda block: [])
         with pytest.raises(DualSymmetryViolation):
             solve(block)

@@ -8,6 +8,7 @@ file also runs under `python -O`."""
 
 import gc
 import json
+import time
 import weakref
 from dataclasses import replace
 
@@ -107,6 +108,26 @@ def test_values_beyond_a_machine_word(obj, edit):
         base = CharTable.from_json(obj)
         a, b = base.char_ids()[1:3]
         assert coinvariant_pairing(table, a, b) == coinvariant_pairing(base, a, b) * 2**128
+
+
+def scale_class_sizes(obj):
+    # every average, hence every pairing, is unchanged, but the Molien
+    # inversion would be sized by the reflection classes, now beyond 3^41
+    obj["group_order"] *= 3**41
+    for c in obj["classes"]:
+        c["size"] *= 3**41
+
+
+@pytest.mark.parametrize("obj", [char_table_sn(6).to_json(), B2_TABLE_JSON], ids=["S6", "B2"])
+def test_top_degree_beyond_the_exponent_bound_is_refused(obj):
+    # the unscaled tables, and S_1..S_9, pair: test_pairing_matches_column_sums
+    table = edited(obj, scale_class_sizes)
+    assert table.validate() == []
+    chi = table.char_ids()[0]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"top = \d+ is beyond 50000$"):
+        coinvariant_pairing(table, chi, chi)
+    assert time.perf_counter() - start < 1
 
 
 signed = st.integers(-(2**80), 2**80)
