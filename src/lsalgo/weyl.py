@@ -31,7 +31,6 @@ from math import factorial
 from operator import mul
 
 from .laurent import (
-    MAX_EXPONENT,
     ONE,
     T,
     DataFormatError,
@@ -194,7 +193,9 @@ class CharTable:
 
     `classes[i].molien_det` is det(1 - q*w) for a class representative w in
     the chosen graded representation; `irreducibles[j].values[i]` is the
-    j-th character on the i-th class.
+    j-th character on the i-th class.  Construction raises DataFormatError
+    unless there is a class, |W| >= 1, each row has one value per class and
+    the determinants are polynomials in q with constant term 1 and one degree.
     """
 
     group_order: int
@@ -204,6 +205,24 @@ class CharTable:
     # with the table; a field, not a `cached_property`, because every
     # `exthom` operation reads it once, cold
     _inverse_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        k = len(self.classes)
+        if not k:
+            raise DataFormatError("a character table needs at least one class")
+        if self.group_order < 1:
+            raise DataFormatError(f"group_order must be positive, got {self.group_order}")
+        for irr in self.irreducibles:
+            if len(irr.values) != k:
+                raise DataFormatError(
+                    f"character {irr.id!r} has {len(irr.values)} values for {k} classes")
+        for c in self.classes:
+            f = c.molien_det
+            if f.coefficient(0) != 1 or any(e % 2 or e < 0 for e, _ in f.items()):
+                raise DataFormatError(f"Molien determinant {f} of class {c.id!r} is not "
+                                      f"a polynomial in q with constant term 1")
+        if len({c.molien_det.degree() for c in self.classes}) != 1:
+            raise DataFormatError("Molien determinants of inconsistent degree")
 
     def char_ids(self) -> tuple[str, ...]:
         return tuple(irr.id for irr in self.irreducibles)
@@ -221,24 +240,15 @@ class CharTable:
 
     def rank(self) -> int:
         """Degree of the Molien determinants, i.e. the dimension of the
-        graded representation (all classes must agree)."""
-        degrees = {c.molien_det.degree() // 2 for c in self.classes}
-        if len(degrees) != 1:
-            raise ValueError("Molien determinants of inconsistent degree")
-        return degrees.pop()
+        graded representation; construction made every class agree."""
+        return self.classes[0].molien_det.degree() // 2
 
     def validate(self) -> list[str]:
-        """Human-readable invariant failures; empty when the table is sound."""
+        """Human-readable failures of the rules construction leaves: class sizes
+        that sum to |W|, one character per class, distinct ids, orthogonality."""
         problems: list[str] = []
         if sum(c.size for c in self.classes) != self.group_order:
             problems.append("class sizes do not sum to the group order")
-        for c in self.classes:
-            if c.molien_det.coefficient(0) != 1:
-                problems.append(f"Molien determinant of class {c.id} has constant term != 1")
-        try:
-            self.rank()
-        except ValueError:
-            problems.append("Molien determinants have inconsistent degrees")
         k = len(self.classes)
         if len(self.irreducibles) != k:
             problems.append(f"{len(self.irreducibles)} characters for {k} classes")
@@ -246,9 +256,6 @@ class CharTable:
             problems += [f"{kind} id {i} appears {ids.count(i)} times"
                          for i in dict.fromkeys(ids) if ids.count(i) > 1]
         for i, chi in enumerate(self.irreducibles):
-            if len(chi.values) != k:
-                problems.append(f"character {chi.id} has {len(chi.values)} values for {k} classes")
-                continue
             weighted = [c.size * x for c, x in zip(self.classes, chi.values)]
             for j, psi in enumerate(self.irreducibles[i:], i):
                 dot = sum(map(mul, weighted, psi.values))
@@ -273,10 +280,10 @@ class CharTable:
     def from_json(cls, obj: Mapping) -> CharTable:
         """Decode a table; every number must be a JSON integer and every id a
         JSON string, anything else (bool and float included) raises
-        DataFormatError, as do a table without classes and a group order
-        below 1."""
+        DataFormatError, as does a table that fails the constructor's
+        shape rules."""
         try:
-            table = cls(
+            return cls(
                 group_order=decode_int(obj["group_order"], "group_order"),
                 classes=tuple(
                     ClassData(decode_str(c["id"], "a class id"),
@@ -288,15 +295,6 @@ class CharTable:
             )
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"malformed character table: {exc!r}") from exc
-        if not table.classes:
-            raise DataFormatError("a character table needs at least one class")
-        if table.group_order < 1:
-            raise DataFormatError(f"group_order must be positive, got {table.group_order}")
-        for irr in table.irreducibles:
-            if len(irr.values) != len(table.classes):
-                raise DataFormatError(f"character {irr.id!r} has {len(irr.values)} "
-                                      f"values for {len(table.classes)} classes")
-        return table
 
 
 def _decode_row(obj: Mapping) -> IrrData:
@@ -355,6 +353,10 @@ def char_table_sn(n: int) -> CharTable:
 # the inverse determinants of `class_pair_series`, are summed column by
 # column: packing them would cost more than it saves.
 
+# Largest coinvariant degree N + r, the length of a quadratic Molien inversion;
+# S_12, the largest `exthom --sn` group, needs 78 and W(E_8) 128
+MAX_COINVARIANT_DEGREE = 256
+
 
 def _q_coefficients(f: HalfLaurent) -> tuple[int, ...]:
     """Dense coefficients of a nonzero polynomial in q = t, index k for q^k."""
@@ -362,17 +364,6 @@ def _q_coefficients(f: HalfLaurent) -> tuple[int, ...]:
     for e, v in f.items():
         out[e // 2] = v
     return tuple(out)
-
-
-def _molien_det_q(c: ClassData) -> tuple[int, ...]:
-    """det(1 - q*w) of one class as dense coefficients in q."""
-    f = c.molien_det
-    if (not f or f.coefficient(0) != 1
-            or any(e % 2 or e < 0 for e in f.support())):
-        raise NonExactDivision(
-            f"Molien determinant {f} of class {c.id} is not a polynomial in q "
-            f"with constant term 1, so 1/det(1 - q*w) is not an integer series")
-    return _q_coefficients(f)
 
 
 def _divide_by_order(table: CharTable, acc: Iterable[int]) -> tuple[int, ...]:
@@ -437,13 +428,11 @@ def _packing(table: CharTable, series: tuple[tuple[int, ...], ...]) -> _Packing:
     for w_c the class sizes or the weights of any pair of the table's
     characters."""
     # |w_c| <= |c| * peak_c^2, with peak_c >= 1 the largest |value| on
-    # class c: for the class sizes, and for any pair of rows with one
-    # value per class (`_pair_weights` refuses other rows)
-    k = len(table.classes)
-    peaks = [1] * k
+    # class c: for the class sizes, and for any pair of rows, each of which
+    # has one value per class by construction
+    peaks = [1] * len(table.classes)
     for irr in table.irreducibles:
-        if len(irr.values) == k:
-            peaks = list(map(max, peaks, map(abs, irr.values)))
+        peaks = list(map(max, peaks, map(abs, irr.values)))
     weight_bounds = [abs(c.size) * peak * peak for c, peak in zip(table.classes, peaks)]
     bound = max((sum(map(mul, weight_bounds, map(abs, column)))
                  for column in zip_longest(*series, fillvalue=0)), default=0)
@@ -488,7 +477,7 @@ def _inverse_dets(table: CharTable, n_terms: int):
     memo = table._inverse_memo
     entry = memo[0] if memo else None
     if entry is None or len(entry[1]) < n_terms:
-        out = tuple(_inverse_series(_molien_det_q(c), n_terms) for c in table.classes)
+        out = tuple(_inverse_series(_q_coefficients(c.molien_det), n_terms) for c in table.classes)
         molien = _average(table, [c.size for c in table.classes], out)
         if molien[0] != 1:
             raise NonExactDivision(
@@ -522,15 +511,11 @@ def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, _Packing]:
     series to that degree recovers it.  Each c_w must divide exactly, and
     sum |c| * c_w == |W| certifies P * Molien == 1 as a power series.
     """
-    degrees = {len(_molien_det_q(c)) - 1 for c in table.classes}
-    if len(degrees) != 1:
-        raise NonExactDivision(
-            "Molien determinants of inconsistent degree: the table is not reflection data")
-    (r,) = degrees
+    r = table.rank()
     reflection = (ONE - T) ** max(r - 1, 0) * (ONE + T)
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
-    if 2 * top > MAX_EXPONENT:  # a pairing of this degree could not be decoded again
-        raise ValueError(f"coinvariant degree top = {top} is beyond {MAX_EXPONENT // 2}")
+    if top > MAX_COINVARIANT_DEGREE:  # inverting the Molien series is quadratic in top
+        raise ValueError(f"coinvariant degree top = {top} is beyond {MAX_COINVARIANT_DEGREE}")
     p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)
     product = HalfLaurent({2 * k: v for k, v in enumerate(p)})
     packing = _packing(table, tuple(_q_coefficients(exact_div(product, c.molien_det))
@@ -561,7 +546,7 @@ def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:
     Symmetric in chi and psi, has nonnegative integer coefficients, and
     evaluates at q=1 to deg(chi)*deg(psi).  Raises NonExactDivision when the
     table data is not internally consistent, ValueError when N + r is beyond
-    MAX_EXPONENT / 2.
+    MAX_COINVARIANT_DEGREE.
     """
     return HalfLaurent({2 * k: v for k, v in enumerate(_packed_average(
         table, _pair_weights(table, chi, psi), table._coinvariant_memo[1]))})

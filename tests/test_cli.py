@@ -502,11 +502,9 @@ class TestExthom:
 
     @pytest.mark.parametrize("edit,problem", [
         (lambda t: t["classes"][1].update(size=4), "not divisible by |W| = 6"),
-        (lambda t: t["classes"][0].update(molien_det={"0": 2, "6": -1}),
-         "is not an integer series"),
         # the Molien certificate: 1 + 3 + 2 class elements against |W| = 3
         (lambda t: t.update(group_order=3), "class sizes sum to 2 * |W|"),
-    ], ids=["class-size", "molien-constant-term-2", "group-order-3"])
+    ], ids=["class-size", "group-order-3"])
     def test_inconsistent_table_is_a_violation(self, tmp_path, capsys, edit, problem):
         path = self.s3_table_file(tmp_path, edit)
         code, out = run(capsys, "exthom", "--table", str(path),
@@ -517,6 +515,24 @@ class TestExthom:
         (diag,) = report["diagnostics"]
         assert diag["kind"] == "NonExactDivision"
         assert str(path) in diag["message"] and "(2.1, 2.1)" in diag["message"]
+        assert problem in diag["message"]
+
+    # an odd exponent and a wrong degree: tests/corrupt/table_odd_exponent.json
+    # and table_wrong_degree.json
+    @pytest.mark.parametrize("edit,problem", [
+        (lambda t: t["classes"][0].update(molien_det={"0": 2, "6": -1}),
+         "is not a polynomial in q with constant term 1"),
+    ], ids=["molien-constant-term-2"])
+    def test_malformed_determinant_is_a_format_error(self, tmp_path, capsys, edit, problem):
+        # refused when the table is decoded, before any series is summed
+        path = self.s3_table_file(tmp_path, edit)
+        code, out = run(capsys, "exthom", "--table", str(path),
+                        "--chi", "2.1", "--psi", "2.1", "--max-k", "6")
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        (diag,) = report["diagnostics"]
+        assert diag["kind"] == "DataFormatError"
         assert problem in diag["message"]
 
     @pytest.mark.parametrize("edit,problem", [

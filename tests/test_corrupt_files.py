@@ -23,6 +23,11 @@ CASES = {
     "table_float_value.json": (("exthom", "--table", "{file}", *PAIR), "DataFormatError"),
     "table_bool_group_order.json": (("exthom", "--table", "{file}", *PAIR), "DataFormatError"),
     "table_missing_classes.json": (("exthom", "--table", "{file}", *PAIR), "DataFormatError"),
+    # the 3-cycle's determinant 1 - q^3 given a term q^(3/2), doubled exponent
+    # 3: of the right degree but not a polynomial in q
+    "table_odd_exponent.json": (("exthom", "--table", "{file}", *PAIR), "DataFormatError"),
+    # the 3-cycle's determinant cut to 1 - q^2, degree 2 against 3
+    "table_wrong_degree.json": (("exthom", "--table", "{file}", *PAIR), "DataFormatError"),
     # the sign row replaced by the trivial row: every certified division
     # passes, only validate() sees it
     "table_repeated_row.json": (("exthom", "--table", "{file}", *PAIR), "InvalidTable"),

@@ -2,12 +2,14 @@ import gc
 import json
 import weakref
 from dataclasses import replace
+from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lsalgo.exthom import graded_hom_dims
-from lsalgo.laurent import ONE, DataFormatError, NonExactDivision, t_power
+from lsalgo.laurent import ONE, DataFormatError, HalfLaurent, NonExactDivision, t_power
 from lsalgo.weyl import (
     CharTable,
     ClassData,
@@ -239,6 +241,54 @@ class TestCharTable:
         assert problems == ["class id 3 appears 2 times"]
 
 
+def with_det(classes, det: dict[int, int]):
+    """classes with the first determinant replaced by HalfLaurent(det)."""
+    return (replace(classes[0], molien_det=HalfLaurent(det)), *classes[1:])
+
+
+S3 = char_table_sn(3)
+
+
+@st.composite
+def one_class_det(draw):
+    # doubled exponents of either parity and sign; half the draws have the
+    # constant term 1, so that both outcomes are common
+    det = draw(st.dictionaries(st.integers(-3, 12), st.integers(-2, 2), max_size=5))
+    if draw(st.booleans()):
+        det[0] = 1
+    return HalfLaurent(det)
+
+
+class TestConstruction:
+    """The shape rules `CharTable` checks itself, whatever builds it."""
+
+    @pytest.mark.parametrize("args,problem", [
+        ((6, S3.classes, (*S3.irreducibles[:2], IrrData("1.1.1", (1, -1)))),
+         "has 2 values for 3 classes"),
+        ((6, (), ()), "at least one class"),
+        ((0, S3.classes, S3.irreducibles), "must be positive, got 0"),
+        ((6, with_det(S3.classes, {0: 2, 6: -1}), S3.irreducibles), "constant term 1"),
+        ((6, with_det(S3.classes, {0: 1, 3: 1, 6: -1}), S3.irreducibles), "constant term 1"),
+        ((6, with_det(S3.classes, {-2: 1, 0: 1, 6: -1}), S3.irreducibles), "constant term 1"),
+        ((6, with_det(S3.classes, {0: 1, 4: -1}), S3.irreducibles), "inconsistent degree"),
+    ], ids=["ragged-row", "no-classes", "order-0", "constant-term-2", "odd-exponent",
+            "negative-exponent", "mixed-degrees"])
+    def test_malformed_table_raises(self, args, problem):
+        with pytest.raises(DataFormatError, match=problem):
+            CharTable(*args)
+
+    @given(one_class_det())
+    def test_one_class_table_takes_exactly_the_polynomials_in_q(self, det):
+        sound = det.coefficient(0) == 1 and all(e % 2 == 0 and e >= 0 for e in det.support())
+        try:
+            table = CharTable(1, (ClassData("e", 1, det),), ())
+        except DataFormatError:
+            assert not sound
+        else:
+            assert sound
+            assert table.rank() == det.degree() // 2
+
+
 def sn_pairs(n_max: int):
     return [(n, chi, psi) for n in range(1, n_max + 1)
             for chi in char_table_sn(n).char_ids() for psi in char_table_sn(n).char_ids()]
@@ -264,6 +314,15 @@ class TestRestrictedTable:
         full = char_table_sn(n)
         assert char_table_sn_rows(n, full.char_ids()) == full
         assert char_table_sn_rows(n, reversed(full.char_ids())) == full
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_one_or_two_rows_construct(self, n):
+        # a proper restriction has fewer rows than classes, each row full
+        keys = char_table_sn(n).char_ids()
+        for ids in [*combinations(keys, 1), *combinations(keys, 2)]:
+            table = char_table_sn_rows(n, ids)
+            assert table.char_ids() == ids
+            assert table.rank() == n
 
     def test_unknown_keys_select_nothing(self):
         table = char_table_sn_rows(3, ["9", "2.1", "2.1.1", "02.1"])
@@ -351,11 +410,8 @@ class TestCoinvariantPairing:
         # the S_2 classes with the identity's determinant cut to degree 1
         obj = char_table_sn(2).to_json()
         obj["classes"][1]["molien_det"] = {"0": 1, "2": -1}
-        table = CharTable.from_json(obj)
-        with pytest.raises(NonExactDivision, match="not reflection data"):
-            coinvariant_pairing(table, "2", "2")
-        with pytest.raises(NonExactDivision, match="not reflection data"):
-            degrees_product(table)
+        with pytest.raises(DataFormatError, match="inconsistent degree"):
+            CharTable.from_json(obj)
 
     def test_setup_cache_is_bounded(self):
         # the setup is memoized on its own table, so nothing global holds a
@@ -437,11 +493,8 @@ class TestB2Table:
     def test_invalid_molien_determinant_raises(self, det):
         obj = json.loads(json.dumps(B2_TABLE_JSON))
         obj["classes"][4]["molien_det"] = det
-        broken = CharTable.from_json(obj)
-        with pytest.raises(NonExactDivision):
-            coinvariant_pairing(broken, "triv", "triv")
-        with pytest.raises(NonExactDivision):
-            graded_hom_dims(broken, "triv", "triv", 8)
+        with pytest.raises(DataFormatError, match="not a polynomial in q with constant term 1"):
+            CharTable.from_json(obj)
 
     @pytest.mark.parametrize("path,value", [
         (("group_order",), 8.0),

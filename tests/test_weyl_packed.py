@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsalgo.exthom import graded_hom_dims
-from lsalgo.laurent import ONE, NonExactDivision
+from lsalgo.laurent import ONE, NonExactDivision, t_power
 from lsalgo.weyl import (
+    MAX_COINVARIANT_DEGREE,
     CharTable,
     ClassData,
     IrrData,
@@ -110,24 +111,53 @@ def test_values_beyond_a_machine_word(obj, edit):
         assert coinvariant_pairing(table, a, b) == coinvariant_pairing(base, a, b) * 2**128
 
 
-def scale_class_sizes(obj):
+def scale_class_sizes_by(factor):
     # every average, hence every pairing, is unchanged, but the Molien
-    # inversion would be sized by the reflection classes, now beyond 3^41
-    obj["group_order"] *= 3**41
-    for c in obj["classes"]:
-        c["size"] *= 3**41
+    # inversion is sized by the reflection classes, now factor times larger
+    def edit(obj):
+        obj["group_order"] *= factor
+        for c in obj["classes"]:
+            c["size"] *= factor
+    return edit
 
 
 @pytest.mark.parametrize("obj", [char_table_sn(6).to_json(), B2_TABLE_JSON], ids=["S6", "B2"])
 def test_top_degree_beyond_the_exponent_bound_is_refused(obj):
     # the unscaled tables, and S_1..S_9, pair: test_pairing_matches_column_sums
-    table = edited(obj, scale_class_sizes)
+    table = edited(obj, scale_class_sizes_by(3**41))
     assert table.validate() == []
     chi = table.char_ids()[0]
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"top = \d+ is beyond 50000$"):
+    with pytest.raises(ValueError, match=rf"top = \d+ is beyond {MAX_COINVARIANT_DEGREE}$"):
         coinvariant_pairing(table, chi, chi)
     assert time.perf_counter() - start < 1
+
+
+def test_top_degree_beyond_the_cap_is_refused_at_once():
+    # S_6 with every size times 1000: top = 6 + 15 * 1000 = 15006, far below
+    # the decode bound, but its Molien inversion took seconds
+    table = edited(char_table_sn(6).to_json(), scale_class_sizes_by(1000))
+    assert table.validate() == []
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="top = 15006 is beyond"):
+        coinvariant_pairing(table, "6", "6")
+    assert time.perf_counter() - start < 1
+
+
+def test_top_degree_below_the_cap_pairs():
+    # S_6 with every size times 3: top = 6 + 15 * 3 = 51, every pairing as before
+    base = char_table_sn(6)
+    table = edited(base.to_json(), scale_class_sizes_by(3))
+    for chi, psi in all_pairs(table):
+        assert coinvariant_pairing(table, chi, psi) == coinvariant_pairing(base, chi, psi)
+
+
+def test_largest_exthom_sn_table_pairs():
+    # S_12: top = 12 + 66 = 78; the trivial and sign characters meet in the
+    # top degree N = 66 only
+    table = char_table_sn(12)
+    assert coinvariant_pairing(table, "12", "1" + ".1" * 11) == t_power(66)
+    assert coinvariant_pairing(table, "12", "12") == ONE
 
 
 signed = st.integers(-(2**80), 2**80)
