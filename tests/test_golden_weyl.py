@@ -8,12 +8,16 @@ single coefficient fails here.
 """
 
 import hashlib
+import io
 import json
 
 import pytest
 
+from lsalgo.blockdata import write_json
 from lsalgo.exthom import graded_hom_dims
 from lsalgo.weyl import CharTable, char_table_sn, coinvariant_pairing, degrees_product
+
+from test_weyl import B2_TABLE_JSON
 
 EXT_MAX_K = 20
 
@@ -88,3 +92,34 @@ def test_graded_hom_dims_pinned(n):
 def test_graded_hom_dims_pinned_on_decoded_table(n):
     table = CharTable.from_json(json.loads(json.dumps(char_table_sn(n).to_json())))
     assert digest(ext_doc(table)) == EXT_DIGESTS[n]
+
+
+# SHA-256 of the bytes `write_json` gives a table's `to_json()`: the encoding
+# that `--table` files are written in, and that comparing `exthom --sn` with
+# `exthom --table` output rests on
+TABLE_BYTES_DIGESTS = {
+    "S1": "c55d395d163843ba000c7d6134f17844a71b9750b6a345f5cd7f8f3650605b8d",
+    "S2": "b093fb2d3fbee1a924873e966b224e04ee3f650f632f4e8286e2d8ae09f4bb39",
+    "S3": "5eb0cd3f579179d3b8a22fb2c0dbd05622dd7e1b57d44f6b725bfdbdc5fbe40e",
+    "S4": "ed440cc162d9711b4b4875cba26431d10d8f9531936d2892b885e702b20550d1",
+    "S5": "51dd12183198302d87ee89bd87b5e61c9b5f0424fab30b70e1fde7fb3290e706",
+    "S6": "17df371025ca32b46dbb54b9f711e80f48863007519a89f934857a026c50223b",
+    "S7": "b7b513069c7a0c9db94b84b5af2aba173cb1ad0dd56d00bad82681df8bff3b84",
+    "S8": "0e5c1e41deedb35f87871e311b4f2a8abcef77b9c4fd08a098bea30d58c33825",
+    "S9": "5a8aa2e668ac8accbb41b41d2d80dd56dd5b504964c32b0af51ec8496d458cc6",
+    "B2": "7582221e602f1ce404ab07c9e8946962ca1eeb9512c7b819297d10feb3d39b9d",
+}
+
+
+def pinned_table(name: str) -> CharTable:
+    return CharTable.from_json(B2_TABLE_JSON) if name == "B2" else char_table_sn(int(name[1:]))
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_BYTES_DIGESTS))
+def test_table_bytes_pinned(name):
+    table = pinned_table(name)
+    buffer = io.StringIO()
+    write_json(table.to_json(), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest() == \
+        TABLE_BYTES_DIGESTS[name]
+    assert CharTable.from_json(table.to_json()) == table
