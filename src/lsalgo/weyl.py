@@ -24,22 +24,13 @@ proves the table invalid and raises NonExactDivision.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat, zip_longest
 from math import factorial
-from operator import mul
+from operator import mul, sub
 
-from .laurent import (
-    ONE,
-    T,
-    DataFormatError,
-    HalfLaurent,
-    NonExactDivision,
-    decode_int,
-    decode_str,
-    exact_div,
-)
+from .laurent import DataFormatError, HalfLaurent, NonExactDivision, decode_int, decode_str
 
 
 class SizeMismatch(ValueError):
@@ -164,21 +155,23 @@ def _beta_set(lam: Partition) -> int:
     return sum(1 << (p + n - 1 - i) for i, p in enumerate(parts))
 
 
-def perm_molien_det(rho: Partition) -> HalfLaurent:
+def perm_molien_det(rho: Partition) -> tuple[int, ...]:
     """det(1 - q*w) for a permutation w of cycle type rho acting on its
-    natural rank-n space: the product of (1 - q^length) over cycles."""
+    natural rank-n space: the product of (1 - q^length) over cycles, in q."""
     c = [1] + [0] * rho.n
     for length in rho:
         for k in range(rho.n, length - 1, -1):
             c[k] -= c[k - length]
-    return HalfLaurent({2 * k: v for k, v in enumerate(c)})
+    return tuple(c)
 
 
 @dataclass(frozen=True)
 class ClassData:
+    """A class: id, size and det(1 - q*w), dense in q, index k for q^k."""
+
     id: str
     size: int
-    molien_det: HalfLaurent
+    molien_det: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -191,20 +184,16 @@ class IrrData:
 class CharTable:
     """Conjugacy-class and irreducible-character data for one finite group.
 
-    `classes[i].molien_det` is det(1 - q*w) for a class representative w in
-    the chosen graded representation; `irreducibles[j].values[i]` is the
+    `classes[i].molien_det` is det(1 - q*w) in q for a class representative w
+    in the chosen graded representation; `irreducibles[j].values[i]` is the
     j-th character on the i-th class.  Construction raises DataFormatError
     unless there is a class, |W| >= 1, each row has one value per class and
-    the determinants are polynomials in q with constant term 1 and one degree.
+    the determinants have constant term 1 and one length, the rank plus one.
     """
 
     group_order: int
     classes: tuple[ClassData, ...]
     irreducibles: tuple[IrrData, ...]
-    # at most one `_inverse_dets` entry, the longest computed so far, freed
-    # with the table; a field, not a `cached_property`, because every
-    # `exthom` operation reads it once, cold
-    _inverse_memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k = len(self.classes)
@@ -217,18 +206,17 @@ class CharTable:
                 raise DataFormatError(
                     f"character {irr.id!r} has {len(irr.values)} values for {k} classes")
         for c in self.classes:
-            f = c.molien_det
-            if f.coefficient(0) != 1 or any(e % 2 or e < 0 for e, _ in f.items()):
-                raise DataFormatError(f"Molien determinant {f} of class {c.id!r} is not "
-                                      f"a polynomial in q with constant term 1")
-        if len({c.molien_det.degree() for c in self.classes}) != 1:
+            if c.molien_det[:1] != (1,):
+                raise DataFormatError(f"Molien determinant {c.molien_det} of class {c.id!r} "
+                                      f"is not a polynomial in q with constant term 1")
+        if len({len(c.molien_det) for c in self.classes}) != 1:
             raise DataFormatError("Molien determinants of inconsistent degree")
 
     def char_ids(self) -> tuple[str, ...]:
         return tuple(irr.id for irr in self.irreducibles)
 
     @cached_property
-    def _coinvariant_memo(self) -> tuple[HalfLaurent, _Packing]:
+    def _coinvariant_memo(self) -> tuple[tuple[int, ...], _Packing]:
         """`_coinvariant_setup(self)`, built on first use and dropped with the table."""
         return _coinvariant_setup(self)
 
@@ -241,7 +229,7 @@ class CharTable:
     def rank(self) -> int:
         """Degree of the Molien determinants, i.e. the dimension of the
         graded representation; construction made every class agree."""
-        return self.classes[0].molien_det.degree() // 2
+        return len(self.classes[0].molien_det) - 1
 
     def validate(self) -> list[str]:
         """Human-readable failures of the rules construction leaves: class sizes
@@ -268,7 +256,8 @@ class CharTable:
         return {
             "group_order": self.group_order,
             "classes": [
-                {"id": c.id, "size": c.size, "molien_det": c.molien_det.to_json()}
+                {"id": c.id, "size": c.size,
+                 "molien_det": {str(2 * k): v for k, v in enumerate(c.molien_det) if v}}
                 for c in self.classes
             ],
             "irreducibles": [
@@ -281,20 +270,34 @@ class CharTable:
         """Decode a table; every number must be a JSON integer and every id a
         JSON string, anything else (bool and float included) raises
         DataFormatError, as does a table that fails the constructor's
-        shape rules."""
+        shape rules or a determinant that `_decode_det` refuses."""
         try:
             return cls(
                 group_order=decode_int(obj["group_order"], "group_order"),
                 classes=tuple(
                     ClassData(decode_str(c["id"], "a class id"),
                               decode_int(c["size"], f"size of class {c['id']!r}"),
-                              HalfLaurent.from_json(c["molien_det"]))
+                              _decode_det(c["molien_det"], c["id"]))
                     for c in obj["classes"]
                 ),
                 irreducibles=tuple(map(_decode_row, obj["irreducibles"])),
             )
         except (KeyError, TypeError) as exc:
             raise DataFormatError(f"malformed character table: {exc!r}") from exc
+
+
+def _decode_det(obj: Mapping, class_id: str) -> tuple[int, ...]:
+    """A Molien determinant, JSON keyed by doubled exponents, as dense
+    coefficients in q, laid out no further than MAX_COINVARIANT_DEGREE, which
+    no table that pairs can exceed.  A term that this leaves out, at an odd,
+    negative or larger exponent, raises DataFormatError."""
+    f = HalfLaurent.from_json(obj)
+    top = min(max(f.support(), default=0), 2 * MAX_COINVARIANT_DEGREE)
+    out = tuple(map(f.coefficient, range(0, top + 1, 2)))
+    if len(out) - out.count(0) != len(f.items()):
+        raise DataFormatError(f"Molien determinant {f} of class {class_id!r} is not a polynomial "
+                              f"in q with constant term 1 and degree <= {MAX_COINVARIANT_DEGREE}")
+    return out
 
 
 def _decode_row(obj: Mapping) -> IrrData:
@@ -342,8 +345,10 @@ def char_table_sn(n: int) -> CharTable:
 # -- Molien and coinvariant series ----------------------------------------------
 #
 # Every series below is in q = t and held as a dense tuple of integer
-# coefficients, index k for q^k.  A sum over classes is formed in the integers
-# and divided by |W| once at the end; a remainder proves the table invalid.
+# coefficients, index k for q^k, as the Molien determinants are once decoded;
+# every division by a series is `_quotient_series`.  A sum over classes is
+# formed in the integers and divided by |W| once at the end; a remainder
+# proves the table invalid.
 # The coinvariant characters c_w, which every pairing of a table reuses, are
 # also held packed: each class's series as the one integer sum_k c_w[k] *
 # 2^(width * k), so a pairing sums one product per class and reads its
@@ -353,17 +358,9 @@ def char_table_sn(n: int) -> CharTable:
 # the inverse determinants of `class_pair_series`, are summed column by
 # column: packing them would cost more than it saves.
 
-# Largest coinvariant degree N + r, the length of a quadratic Molien inversion;
-# S_12, the largest `exthom --sn` group, needs 78 and W(E_8) 128
+# Largest coinvariant degree N + r, the length of a quadratic Molien inversion,
+# hence the largest rank decoded; S_12 (`exthom --sn`) needs 78, W(E_8) 128
 MAX_COINVARIANT_DEGREE = 256
-
-
-def _q_coefficients(f: HalfLaurent) -> tuple[int, ...]:
-    """Dense coefficients of a nonzero polynomial in q = t, index k for q^k."""
-    out = [0] * (f.degree() // 2 + 1)
-    for e, v in f.items():
-        out[e // 2] = v
-    return tuple(out)
 
 
 def _divide_by_order(table: CharTable, acc: Iterable[int]) -> tuple[int, ...]:
@@ -454,13 +451,13 @@ def _pair_weights(table: CharTable, chi: str, psi: str) -> list[int]:
     return [c.size * x * y for c, x, y in zip(table.classes, xv, yv, strict=True)]
 
 
-def _inverse_series(f: tuple[int, ...], n_terms: int) -> tuple[int, ...]:
-    """First n_terms coefficients of 1/f for an integer series f with f[0] = 1."""
+def _quotient_series(g: tuple[int, ...], f: tuple[int, ...], n_terms: int) -> tuple[int, ...]:
+    """First n_terms coefficients of g/f for integer series g and f with f[0] = 1."""
     tail = f[1:]
-    inv = [1]
-    for _ in range(1, n_terms):
-        inv.append(-sum(map(mul, tail, reversed(inv))))
-    return tuple(inv)
+    out: list[int] = []
+    for gk in g[:n_terms] + (0,) * (n_terms - len(g)):
+        out.append(gk - sum(map(mul, tail, reversed(out))))
+    return tuple(out)
 
 
 def _inverse_dets(table: CharTable, n_terms: int):
@@ -469,25 +466,14 @@ def _inverse_dets(table: CharTable, n_terms: int):
 
     The constant term of each determinant is 1, so the inverse is an integer
     power series.  The Molien series must itself be an integer series with
-    constant term 1; that certifies the class sizes before any pair is
-    summed.  The longest result so far is kept in `table._inverse_memo`,
-    and a shorter request reads its prefix: both series are power series,
-    so their first terms do not depend on how many are taken.
+    constant term 1; that certifies the class sizes before any pair is summed.
     """
-    memo = table._inverse_memo
-    entry = memo[0] if memo else None
-    if entry is None or len(entry[1]) < n_terms:
-        out = tuple(_inverse_series(_q_coefficients(c.molien_det), n_terms) for c in table.classes)
-        molien = _average(table, [c.size for c in table.classes], out)
-        if molien[0] != 1:
-            raise NonExactDivision(
-                f"class sizes sum to {molien[0]} * |W|: the character table is inconsistent")
-        entry = out, molien
-        memo[:] = [entry]
-    out, molien = entry
-    if len(molien) == n_terms:
-        return entry
-    return tuple(s[:n_terms] for s in out), molien[:n_terms]
+    out = tuple(_quotient_series((1,), c.molien_det, n_terms) for c in table.classes)
+    molien = _average(table, [c.size for c in table.classes], out)
+    if molien[0] != 1:
+        raise NonExactDivision(
+            f"class sizes sum to {molien[0]} * |W|: the character table is inconsistent")
+    return out, molien
 
 
 def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tuple[int, ...]:
@@ -501,31 +487,36 @@ def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tup
     return _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, n_terms)[0])
 
 
-def _coinvariant_setup(table: CharTable) -> tuple[HalfLaurent, _Packing]:
+def _coinvariant_setup(table: CharTable) -> tuple[tuple[int, ...], _Packing]:
     """P(q) and the coinvariant characters c_w = P / det(1 - q*w) per class,
     packed; read through `table._coinvariant_memo`, so each table builds it
     once.
 
-    P has degree N + r, where r is the rank and N the number of reflections
-    (the classes with det = (1-q)^(r-1) * (1+q)), so inverting the Molien
-    series to that degree recovers it.  Each c_w must divide exactly, and
-    sum |c| * c_w == |W| certifies P * Molien == 1 as a power series.
+    P has degree top = N + r, where r is the rank and N the number of
+    reflections (the classes with det = (1-q)^(r-1) * (1+q)), so inverting
+    the Molien series to top + 1 terms recovers it.  c_w is P / det to
+    top + 1 terms, exact iff its last r terms vanish: c_w * det and P then
+    agree below q^(top+1) and both have degree <= top, so they are equal.
+    Then sum |c| * c_w == |W| certifies P * Molien == 1 as a power series.
     """
     r = table.rank()
-    reflection = (ONE - T) ** max(r - 1, 0) * (ONE + T)
+    reflection = (1, 1, *[0] * (r - 1))  # (1 + q) * (1 - q)^(r - 1), a factor at a time
+    for _ in range(r - 1):
+        reflection = tuple(map(sub, reflection, (0, *reflection)))
     top = r + sum(c.size for c in table.classes if c.molien_det == reflection)
     if top > MAX_COINVARIANT_DEGREE:  # inverting the Molien series is quadratic in top
         raise ValueError(f"coinvariant degree top = {top} is beyond {MAX_COINVARIANT_DEGREE}")
-    p = _inverse_series(_inverse_dets(table, top + 1)[1], top + 1)
-    product = HalfLaurent({2 * k: v for k, v in enumerate(p)})
-    packing = _packing(table, tuple(_q_coefficients(exact_div(product, c.molien_det))
-                                    for c in table.classes))
+    p = _quotient_series((1,), _inverse_dets(table, top + 1)[1], top + 1)
+    series = tuple(_quotient_series(p, c.molien_det, top + 1) for c in table.classes)
+    if any(any(c_w[top + 1 - r:]) for c_w in series):
+        raise NonExactDivision("P(q) is not divisible by every Molien determinant")
+    packing = _packing(table, tuple(c_w[:top + 1 - r] for c_w in series))
     certificate = _packed_average(table, [c.size for c in table.classes], packing)
     if certificate[0] != 1 or any(certificate[1:]):
         raise NonExactDivision(
             "the inverted Molien series is not a polynomial of degree N + r: "
             "the table is not reflection data")
-    return product, packing
+    return p, packing
 
 
 def degrees_product(table: CharTable) -> HalfLaurent:
@@ -535,7 +526,7 @@ def degrees_product(table: CharTable) -> HalfLaurent:
     (1/|W|) sum |c| / det(1 - q*w), truncated at its degree N + r and
     certified exactly.  For S_n this returns (1-q)(1-q^2)...(1-q^n).
     """
-    return table._coinvariant_memo[0]
+    return HalfLaurent({2 * k: v for k, v in enumerate(table._coinvariant_memo[0])})
 
 
 def coinvariant_pairing(table: CharTable, chi: str, psi: str) -> HalfLaurent:

@@ -61,14 +61,20 @@ def series_consistency(table: CharTable, chi: str, psi: str, max_k: int) -> bool
                for k in range(max_k + 1))
 
 
+def in_q(coefficients) -> HalfLaurent:
+    """The polynomial sum_k coefficients[k] * q^k, q = t, as a HalfLaurent."""
+    return HalfLaurent({2 * k: v for k, v in enumerate(coefficients)})
+
+
 def coinvariant_pairing_by_columns(table: CharTable, chi: str, psi: str) -> HalfLaurent:
-    """The coinvariant pairing with each coefficient of sum_c |c| * chi *
+    """The coinvariant pairing with each c_w = P / det(1 - q*w) taken by
+    `exact_div` on HalfLaurent forms, each coefficient of sum_c |c| * chi *
     psi * c_w summed over the classes on its own, then divided by |W| in
     ascending k; the first remainder raises NonExactDivision."""
     product = degrees_product(table)
     graded = []
     for c in table.classes:
-        c_w = exact_div(product, c.molien_det)
+        c_w = exact_div(product, in_q(c.molien_det))
         graded.append([c_w.coefficient(2 * k) for k in range(c_w.degree() // 2 + 1)])
     weights = [c.size * x * y for c, x, y in zip(
         table.classes, table.character(chi).values, table.character(psi).values, strict=True)]

@@ -1,7 +1,7 @@
 """Corrupted input files under tests/corrupt/, run through the command line.
 
-Each file is one defect in an otherwise valid S_3 character table, solve
-result or dataset.  The installed command must answer each with exactly one
+Each file is one defect in an otherwise valid S_3 character table (one
+table has a single class), solve result or dataset.  The installed command must answer each with exactly one
 JSON document on stdout, exit code 1 and a diagnostic of the expected kind,
 and with no traceback.
 """
@@ -28,6 +28,10 @@ CASES = {
     "table_odd_exponent.json": (("exthom", "--table", "{file}", *PAIR), "DataFormatError"),
     # the 3-cycle's determinant cut to 1 - q^2, degree 2 against 3
     "table_wrong_degree.json": (("exthom", "--table", "{file}", *PAIR), "DataFormatError"),
+    # one class with determinant 1 + q^257, doubled exponent 514: beyond
+    # MAX_COINVARIANT_DEGREE, refused before its coefficients are laid out
+    "table_high_degree.json": (("exthom", "--table", "{file}", "--chi", "triv", "--psi", "triv",
+                                "--max-k", "4"), "DataFormatError"),
     # the sign row replaced by the trivial row: every certified division
     # passes, only validate() sees it
     "table_repeated_row.json": (("exthom", "--table", "{file}", *PAIR), "InvalidTable"),

@@ -1,5 +1,6 @@
 import gc
 import json
+import time
 import weakref
 from dataclasses import replace
 from itertools import combinations
@@ -8,9 +9,11 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from lsalgo import cli
 from lsalgo.exthom import graded_hom_dims
 from lsalgo.laurent import ONE, DataFormatError, HalfLaurent, NonExactDivision, t_power
 from lsalgo.weyl import (
+    MAX_COINVARIANT_DEGREE,
     CharTable,
     ClassData,
     IrrData,
@@ -26,7 +29,7 @@ from lsalgo.weyl import (
     perm_molien_det,
 )
 
-from conftest import leibniz_det, series_consistency, value_at_one
+from conftest import in_q, leibniz_det, series_consistency, value_at_one
 
 P = lambda *parts: Partition(tuple(parts))
 
@@ -139,9 +142,9 @@ class TestMurnaghanNakayama:
 class TestMolien:
     def test_examples(self):
         q = t_power(1)
-        assert perm_molien_det(P(1, 1)) == (ONE - q) * (ONE - q)
-        assert perm_molien_det(P(2)) == ONE - q**2
-        assert perm_molien_det(P(3, 1)) == (ONE - q**3) * (ONE - q)
+        assert in_q(perm_molien_det(P(1, 1))) == (ONE - q) * (ONE - q)
+        assert in_q(perm_molien_det(P(2))) == ONE - q**2
+        assert in_q(perm_molien_det(P(3, 1))) == (ONE - q**3) * (ONE - q)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_against_matrix_determinant(self, n):
@@ -164,7 +167,7 @@ class TestMolien:
                 ]
                 for i in range(n)
             ]
-            assert leibniz_det(matrix) == perm_molien_det(rho)
+            assert leibniz_det(matrix) == in_q(perm_molien_det(rho))
 
 
 class TestCharTable:
@@ -241,12 +244,20 @@ class TestCharTable:
         assert problems == ["class id 3 appears 2 times"]
 
 
-def with_det(classes, det: dict[int, int]):
-    """classes with the first determinant replaced by HalfLaurent(det)."""
-    return (replace(classes[0], molien_det=HalfLaurent(det)), *classes[1:])
+def with_det(classes, det: tuple[int, ...]):
+    """classes with the first determinant replaced by det."""
+    return (replace(classes[0], molien_det=det), *classes[1:])
 
 
 S3 = char_table_sn(3)
+
+
+def s3_json_with_det(det: dict[int, int]) -> dict:
+    """The S_3 table's JSON form with the first determinant replaced by
+    det, keyed by doubled exponents."""
+    obj = S3.to_json()
+    obj["classes"][0]["molien_det"] = {str(e): v for e, v in det.items()}
+    return obj
 
 
 @st.composite
@@ -259,34 +270,92 @@ def one_class_det(draw):
     return HalfLaurent(det)
 
 
+def one_class_table_json(det: HalfLaurent) -> dict:
+    return {"group_order": 1, "irreducibles": [],
+            "classes": [{"id": "e", "size": 1, "molien_det": det.to_json()}]}
+
+
 class TestConstruction:
-    """The shape rules `CharTable` checks itself, whatever builds it."""
+    """The shape rules `CharTable` checks itself, whatever builds it, and
+    the determinants that only a JSON form can hold, which decoding refuses."""
 
     @pytest.mark.parametrize("args,problem", [
         ((6, S3.classes, (*S3.irreducibles[:2], IrrData("1.1.1", (1, -1)))),
          "has 2 values for 3 classes"),
         ((6, (), ()), "at least one class"),
         ((0, S3.classes, S3.irreducibles), "must be positive, got 0"),
-        ((6, with_det(S3.classes, {0: 2, 6: -1}), S3.irreducibles), "constant term 1"),
-        ((6, with_det(S3.classes, {0: 1, 3: 1, 6: -1}), S3.irreducibles), "constant term 1"),
-        ((6, with_det(S3.classes, {-2: 1, 0: 1, 6: -1}), S3.irreducibles), "constant term 1"),
-        ((6, with_det(S3.classes, {0: 1, 4: -1}), S3.irreducibles), "inconsistent degree"),
+        ((6, with_det(S3.classes, (2, 0, 0, -1)), S3.irreducibles), "constant term 1"),
+        (s3_json_with_det({0: 1, 3: 1, 6: -1}), "constant term 1"),
+        (s3_json_with_det({-2: 1, 0: 1, 6: -1}), "constant term 1"),
+        ((6, with_det(S3.classes, (1, 0, -1)), S3.irreducibles), "inconsistent degree"),
     ], ids=["ragged-row", "no-classes", "order-0", "constant-term-2", "odd-exponent",
             "negative-exponent", "mixed-degrees"])
     def test_malformed_table_raises(self, args, problem):
+        # a tuple is constructor arguments, a dict a table's JSON form
         with pytest.raises(DataFormatError, match=problem):
-            CharTable(*args)
+            CharTable.from_json(args) if isinstance(args, dict) else CharTable(*args)
 
     @given(one_class_det())
     def test_one_class_table_takes_exactly_the_polynomials_in_q(self, det):
         sound = det.coefficient(0) == 1 and all(e % 2 == 0 and e >= 0 for e in det.support())
         try:
-            table = CharTable(1, (ClassData("e", 1, det),), ())
+            table = CharTable.from_json(one_class_table_json(det))
         except DataFormatError:
             assert not sound
         else:
             assert sound
             assert table.rank() == det.degree() // 2
+
+
+def high_degree_table_json(degree: int, n_classes: int = 1) -> dict:
+    """n_classes classes, each with determinant 1 + q^degree, and the
+    trivial row: sound data for any degree, since only one class has to
+    divide P."""
+    det = {"0": 1, str(2 * degree): 1}
+    return {"group_order": n_classes, "irreducibles": [{"id": "triv", "values": [1] * n_classes}],
+            "classes": [{"id": str(i), "size": 1, "molien_det": det} for i in range(n_classes)]}
+
+
+class TestDegreeBound:
+    """A determinant of degree above MAX_COINVARIANT_DEGREE is refused when
+    decoded, before its coefficients are laid out: no such table can pair."""
+
+    def test_largest_degree_decodes_and_exthom_answers(self, tmp_path, capsys):
+        obj = high_degree_table_json(MAX_COINVARIANT_DEGREE)
+        assert CharTable.from_json(obj).rank() == MAX_COINVARIANT_DEGREE
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(obj))
+        argv = ["exthom", "--table", str(path), "--chi", "triv", "--psi", "triv", "--max-k", "4"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [1, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize("degree", [MAX_COINVARIANT_DEGREE + 1, 50_000])
+    def test_higher_degree_is_refused_at_once(self, degree):
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError, match=f"degree <= {MAX_COINVARIANT_DEGREE}"):
+            CharTable.from_json(high_degree_table_json(degree))
+        assert time.perf_counter() - start < 1
+
+    def test_many_classes_of_high_degree_are_refused_at_once(self, tmp_path, capsys):
+        # a file of about 13 KiB that would lay out 10^7 coefficients
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(high_degree_table_json(50_000, 200)))
+        argv = ["exthom", "--table", str(path), "--chi", "triv", "--psi", "triv", "--max-k", "4"]
+        start = time.perf_counter()
+        assert cli.main(argv) == 1
+        assert time.perf_counter() - start < 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["kind"] for d in report["diagnostics"]] == ["DataFormatError"]
+
+    def test_determinant_that_does_not_divide_p_raises(self):
+        # the 3-cycle's 1 - q^3 replaced by 1 + 2q^3: of the right degree,
+        # it decodes, but P / det has a nonzero tail
+        obj = S3.to_json()
+        obj["classes"][0]["molien_det"] = {"0": 1, "6": 2}
+        table = CharTable.from_json(obj)
+        assert table.classes[0].id == "3"
+        with pytest.raises(NonExactDivision, match="not divisible by every Molien determinant"):
+            coinvariant_pairing(table, "3", "3")
 
 
 def sn_pairs(n_max: int):
