@@ -308,9 +308,9 @@ class TestConstruction:
 
 
 def high_degree_table_json(degree: int, n_classes: int = 1) -> dict:
-    """n_classes classes, each with determinant 1 + q^degree, and the
-    trivial row: sound data for any degree, since only one class has to
-    divide P."""
+    """n_classes classes of size 1, each with determinant 1 + q^degree,
+    and the trivial row: not reflection data, but every class sum divides
+    by |W| = n_classes, so `exthom` answers on it whatever the degree."""
     det = {"0": 1, str(2 * degree): 1}
     return {"group_order": n_classes, "irreducibles": [{"id": "triv", "values": [1] * n_classes}],
             "classes": [{"id": str(i), "size": 1, "molien_det": det} for i in range(n_classes)]}
