@@ -1,7 +1,7 @@
 """Brute-force Kostka-Foulkes polynomials via the charge statistic.
 
 This module is deliberately independent of the solver: semistandard tableaux
-are enumerated by backtracking, charge is computed on reading words by
+are enumerated by backtracking as reading words, their charge is found by
 standard-subword extraction, and K_{lambda,mu}(q) is the plain generating
 function sum q^charge.  It serves as external ground truth for the type-A
 Springer block and shares no code path with the factorization algorithm.
@@ -17,41 +17,13 @@ indices over all extracted subwords.  With this convention the row word
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .laurent import HalfLaurent
 from .weyl import Partition, SizeMismatch
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """A semistandard filling: rows weakly increase, columns strictly increase."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for row in self.rows:
-            if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
-                raise ValueError(f"row not weakly increasing: {row}")
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            if len(lower) > len(upper):
-                raise ValueError("row lengths must weakly decrease")
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
-                raise ValueError("columns must strictly increase")
-
-    def reading_word(self) -> tuple[int, ...]:
-        """Rows bottom to top, each left to right."""
-        word: list[int] = []
-        for row in reversed(self.rows):
-            word.extend(row)
-        return tuple(word)
-
-    def __repr__(self) -> str:
-        return "Tableau(" + ", ".join(str(list(r)) for r in self.rows) + ")"
-
-
-def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
-    """All semistandard tableaux of the given shape and content.
+def ssyt_enumerate(shape: Partition, content: Partition) -> list[tuple[int, ...]]:
+    """Reading words of all semistandard tableaux of the given shape and
+    content: rows weakly increase, columns strictly increase.
 
     Cells are filled in row-major order with the smallest feasible letter
     first, so the output order is deterministic (lexicographic in the row
@@ -66,11 +38,11 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[Tableau]:
     counts = list(content.parts)
     m = len(counts)
     grid = [[0] * r for r in rows]
-    out: list[Tableau] = []
+    out: list[tuple[int, ...]] = []
 
     def fill(cell: int):
         if cell == n:
-            out.append(Tableau(tuple(tuple(r) for r in grid)))
+            out.append(tuple(sum(reversed(grid), [])))  # rows bottom to top
             return
         i, j = positions[cell]
         lo = 1
@@ -97,37 +69,40 @@ def _rfind(word: list[int], letter: int, start: int) -> int | None:
     return None
 
 
-def charge(t: Tableau) -> int:
-    """Lascoux-Schutzenberger charge of the tableau's reading word.
+def charge(word: tuple[int, ...]) -> int:
+    """Lascoux-Schutzenberger charge of a reading word.
 
     The content must be a partition (weakly decreasing letter multiplicities);
     otherwise a pass finds no 1 in what is left of the word, and ValueError
-    is raised.  Each pass extracts one standard subword and adds its indices.
+    is raised, as it is for a letter below 1.  Each pass extracts one
+    standard subword and adds its indices.
     """
-    word = list(t.reading_word())
+    if min(word, default=1) < 1:
+        raise ValueError(f"word {word} has a letter below 1")
+    rest = list(word)
     total = 0
-    while word:
-        pos = _rfind(word, 1, len(word) - 1)
+    while rest:
+        pos = _rfind(rest, 1, len(rest) - 1)
         if pos is None:
-            raise ValueError(f"content of {t!r} is not a partition")
+            raise ValueError(f"content of {word} is not a partition")
         letter, index = 1, 0
         while pos is not None:
-            word[pos] = 0  # picked; no later search looks for 0
+            rest[pos] = 0  # picked; no later search looks for 0
             total += index
             letter += 1
-            nxt = _rfind(word, letter, pos - 1)
+            nxt = _rfind(rest, letter, pos - 1)
             if nxt is None:
                 index += 1
-                nxt = _rfind(word, letter, len(word) - 1)
+                nxt = _rfind(rest, letter, len(rest) - 1)
             pos = nxt
-        word = [x for x in word if x]
+        rest = [x for x in rest if x]
     return total
 
 
 def kostka_foulkes(shape: Partition, content: Partition) -> HalfLaurent:
     """K_{shape,content}(q): sum of q^charge over all semistandard tableaux."""
     coeffs: dict[int, int] = {}
-    for t in ssyt_enumerate(shape, content):
-        e = 2 * charge(t)
+    for word in ssyt_enumerate(shape, content):
+        e = 2 * charge(word)
         coeffs[e] = coeffs.get(e, 0) + 1
     return HalfLaurent(coeffs)

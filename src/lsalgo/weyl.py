@@ -188,7 +188,8 @@ class CharTable:
     in the chosen graded representation; `irreducibles[j].values[i]` is the
     j-th character on the i-th class.  Construction raises DataFormatError
     unless there is a class, |W| >= 1, each row has one value per class and
-    the determinants have constant term 1 and one length, the rank plus one.
+    the determinants have constant term 1, a nonzero last coefficient and one
+    length, the rank plus one, with the rank at most MAX_COINVARIANT_DEGREE.
     """
 
     group_order: int
@@ -209,8 +210,13 @@ class CharTable:
             if c.molien_det[:1] != (1,):
                 raise DataFormatError(f"Molien determinant {c.molien_det} of class {c.id!r} "
                                       f"is not a polynomial in q with constant term 1")
+            if not c.molien_det[-1]:  # det(1 - q*w) has degree r, leading coefficient +-det w
+                raise DataFormatError(f"Molien determinant {c.molien_det} of class {c.id!r} "
+                                      f"ends in a zero coefficient")
         if len({len(c.molien_det) for c in self.classes}) != 1:
             raise DataFormatError("Molien determinants of inconsistent degree")
+        if self.rank() > MAX_COINVARIANT_DEGREE:
+            raise DataFormatError(f"rank {self.rank()} is beyond MAX_COINVARIANT_DEGREE")
 
     def char_ids(self) -> tuple[str, ...]:
         return tuple(irr.id for irr in self.irreducibles)
@@ -359,7 +365,7 @@ def char_table_sn(n: int) -> CharTable:
 # column: packing them would cost more than it saves.
 
 # Largest coinvariant degree N + r, the length of a quadratic Molien inversion,
-# hence the largest rank decoded; S_12 (`exthom --sn`) needs 78, W(E_8) 128
+# hence the largest rank a table may have; S_12 (`exthom --sn`) needs 78, W(E_8) 128
 MAX_COINVARIANT_DEGREE = 256
 
 

@@ -185,10 +185,10 @@ def _extract_standard_subword(word: list[int]) -> list[int]:
     return subword
 
 
-def charge_by_subwords(t) -> int:
+def charge_by_subwords(reading_word: tuple[int, ...]) -> int:
     """Charge by extracting each standard subword, then reading its index
     sum off the positions of its letters.  The content must be a partition."""
-    word = list(t.reading_word())
+    word = list(reading_word)
     total = 0
     while word:
         total += _standard_charge(_extract_standard_subword(word))

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from lsalgo.laurent import ONE, ZERO, t_power
-from lsalgo.oracle import Tableau, charge, kostka_foulkes, ssyt_enumerate
+from lsalgo.oracle import charge, kostka_foulkes, ssyt_enumerate
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 from lsalgo.blockdata import dominates
 
@@ -61,30 +61,39 @@ def q_kostant_kostka(lam: tuple, mu: tuple, n: int) -> dict[int, int]:
     return {e: c for e, c in sorted(total.items()) if c}
 
 
-class TestTableau:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            Tableau(((2, 1),))  # row decreases
-        with pytest.raises(ValueError):
-            Tableau(((1, 1), (1,)))  # column not strict
-        with pytest.raises(ValueError):
-            Tableau(((1,), (2, 2)))  # ragged upward
-
-    def test_reading_word_bottom_up(self):
-        t = Tableau(((1, 2), (3,)))
-        assert t.reading_word() == (3, 1, 2)
+def rows_of(word: tuple[int, ...], shape: Partition) -> list[tuple[int, ...]]:
+    """The rows, top to bottom, of the tableau of this shape whose reading
+    word (rows bottom to top, each left to right) is word."""
+    rows, end = [], len(word)
+    for length in shape.parts:
+        rows.append(word[end - length:end])
+        end -= length
+    return rows
 
 
 class TestEnumeration:
     def test_single_tableau(self):
         out = ssyt_enumerate(P(2), P(1, 1))
-        assert out == [Tableau(((1, 2),))]
+        assert out == [(1, 2)]
 
     def test_two_tableaux(self):
+        # rows (1, 2) over (3,), then (1, 3) over (2,): each read bottom up
         out = ssyt_enumerate(P(2, 1), P(1, 1, 1))
-        assert len(out) == 2
-        assert Tableau(((1, 2), (3,))) in out
-        assert Tableau(((1, 3), (2,))) in out
+        assert out == [(3, 1, 2), (2, 1, 3)]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_words_are_semistandard_of_the_given_shape_and_content(self, n):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for word in ssyt_enumerate(lam, mu):
+                    assert len(word) == lam.n, (lam, mu, word)
+                    rows = rows_of(word, lam)
+                    for row in rows:
+                        assert all(a <= b for a, b in zip(row, row[1:])), (lam, mu, word)
+                    for upper, lower in zip(rows, rows[1:]):
+                        assert all(a < b for a, b in zip(upper, lower)), (lam, mu, word)
+                    content = [word.count(v) for v in range(1, max(word) + 1)]
+                    assert tuple(content) == mu.parts, (lam, mu, word)
 
     def test_superstandard_unique(self):
         for n in range(1, 7):
@@ -104,10 +113,10 @@ class TestEnumeration:
 
 class TestCharge:
     def test_row_word_12(self):
-        assert charge(Tableau(((1, 2),))) == 1
+        assert charge((1, 2)) == 1
 
     def test_single_letter(self):
-        assert charge(Tableau(((1, 1, 1),))) == 0
+        assert charge((1, 1, 1)) == 0
 
     def test_charges_of_standard_pair(self):
         charges = {charge(t) for t in ssyt_enumerate(P(2, 1), P(1, 1, 1))}
@@ -121,16 +130,21 @@ class TestCharge:
 
     def test_increasing_row(self):
         for n in range(1, 7):
-            t = Tableau((tuple(range(1, n + 1)),))
-            assert charge(t) == n * (n - 1) // 2
+            assert charge(tuple(range(1, n + 1))) == n * (n - 1) // 2
 
-    @pytest.mark.parametrize("rows", [((2,),), ((1, 2, 2),)], ids=["no-1", "two-2s-one-1"])
-    def test_content_not_a_partition(self, rows):
-        # semistandard fillings that Tableau accepts, but charge needs
-        # weakly decreasing letter multiplicities
-        t = Tableau(rows)
+    @pytest.mark.parametrize("word", [(2,), (1, 2, 2)], ids=["no-1", "two-2s-one-1"])
+    def test_content_not_a_partition(self, word):
+        # reading words of semistandard fillings, but charge needs weakly
+        # decreasing letter multiplicities
         with pytest.raises(ValueError, match="not a partition"):
-            charge(t)
+            charge(word)
+
+    @pytest.mark.parametrize("word", [(0,), (1, 0), (2, 1, 0, 1), (1, -1)],
+                             ids=["only-0", "trailing-0", "inner-0", "negative"])
+    def test_letter_below_1(self, word):
+        # a 0 would read as a picked letter and be dropped unseen
+        with pytest.raises(ValueError, match="letter below 1"):
+            charge(word)
 
 
 class TestKostkaFoulkes:

@@ -288,8 +288,15 @@ class TestConstruction:
         (s3_json_with_det({0: 1, 3: 1, 6: -1}), "constant term 1"),
         (s3_json_with_det({-2: 1, 0: 1, 6: -1}), "constant term 1"),
         ((6, with_det(S3.classes, (1, 0, -1)), S3.irreducibles), "inconsistent degree"),
+        # det(1 - q*w) has degree r exactly: padded, S_3 would read as rank 4
+        ((6, tuple(replace(c, molien_det=(*c.molien_det, 0)) for c in S3.classes),
+          S3.irreducibles), "ends in a zero coefficient"),
+        # refused before any series is built: the reflection determinant
+        # alone is quadratic in the rank
+        ((1, (ClassData("e", 1, (1, *[0] * 3999, 1)),), (IrrData("triv", (1,)),)),
+         "rank 4000 is beyond MAX_COINVARIANT_DEGREE"),
     ], ids=["ragged-row", "no-classes", "order-0", "constant-term-2", "odd-exponent",
-            "negative-exponent", "mixed-degrees"])
+            "negative-exponent", "mixed-degrees", "trailing-zero", "rank-4000"])
     def test_malformed_table_raises(self, args, problem):
         # a tuple is constructor arguments, a dict a table's JSON form
         with pytest.raises(DataFormatError, match=problem):
