@@ -30,7 +30,9 @@ from itertools import repeat, zip_longest
 from math import factorial
 from operator import mul, sub
 
-from .laurent import DataFormatError, HalfLaurent, NonExactDivision, decode_int, decode_str
+from .laurent import (
+    DataFormatError, HalfLaurent, NonExactDivision, _digit_width, _pack, _unpack, decode_int,
+    decode_str)
 
 
 class SizeMismatch(ValueError):
@@ -358,11 +360,13 @@ def char_table_sn(n: int) -> CharTable:
 # The coinvariant characters c_w, which every pairing of a table reuses, are
 # also held packed: each class's series as the one integer sum_k c_w[k] *
 # 2^(width * k), so a pairing sums one product per class and reads its
-# coefficients back as signed width-bit digits.  The width comes from a bound
-# on every digit, taken from the table's own class sizes and values, so it
-# holds whether or not the table is consistent.  Series used once, such as
-# the inverse determinants of `class_pair_series`, are summed column by
-# column: packing them would cost more than it saves.
+# coefficients back as signed width-bit digits.  Packing, reading back and
+# the width are laurent's `_pack`, `_unpack` and `_digit_width`, the kernels
+# of the packed branch of `dot`.  The width comes from a bound on every
+# digit, taken from the table's own class sizes and values, so it holds
+# whether or not the table is consistent.  Series used once, such as the
+# inverse determinants of `class_pair_series`, are summed column by column:
+# packing them would cost more than it saves.
 
 # Largest coinvariant degree N + r, the length of a quadratic Molien inversion,
 # hence the largest rank a table may have; S_12 (`exthom --sn`) needs 78, W(E_8) 128
@@ -388,37 +392,6 @@ def _average(table: CharTable, weights, series) -> tuple[int, ...]:
     with every division certified exact."""
     return _divide_by_order(table, [sum(map(mul, weights, column))
                                     for column in zip_longest(*series, fillvalue=0)])
-
-
-def _digit_width(bound: int) -> int:
-    """Bits per packed coefficient for signed digits of absolute value at
-    most bound: one more than bound needs, for the sign."""
-    return bound.bit_length() + 1
-
-
-def _pack(series: Iterable[int], width: int) -> int:
-    """sum_k series[k] * 2^(width * k); each |series[k]| < 2^(width - 1)."""
-    return sum(v << width * k for k, v in enumerate(series))
-
-
-def _unpack(value: int, width: int, n_terms: int) -> list[int]:
-    """The n_terms signed width-bit digits of value, ascending: the inverse
-    of `_pack` for digits of absolute value below 2^(width - 1).  Anything
-    left over means a digit was out of range, and raises ArithmeticError."""
-    mask = (1 << width) - 1
-    half = 1 << width - 1
-    out = []
-    for _ in range(n_terms):
-        digit = value & mask
-        value >>= width
-        if digit >= half:
-            digit -= mask + 1
-            value += 1
-        out.append(digit)
-    if value:
-        raise ArithmeticError(
-            f"a packed series does not fit {n_terms} digits of {width} bits")
-    return out
 
 
 # packs, width, digits per pack: see `_packing`

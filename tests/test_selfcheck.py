@@ -130,6 +130,14 @@ def test_tampering_that_vanishes_at_a_power_of_two_fails_the_check(block, s):
             assert_rejected_at_first_difference(bump_p(result, dual, i, j, f), block, (e, i, j))
 
 
+def test_bound_squares_the_row_norm_of_p():
+    # P * Lambda * P^T = 2^20 against omega = 2^8 * t^(1/2): the two agree
+    # at t^(1/2) = 2^12, the point a bound linear in the row norm 2^10 of p
+    # would give, and differ at the 2^22 that its square gives
+    p, lam, omega = ((2**10 * ONE,),), ((ONE,),), ((HalfLaurent({1: 2**8}),),)
+    assert solver._first_mismatch(p, lam, omega) == (0, 0)
+
+
 PROPERTY_BLOCKS = ([build_springer_block_a(n) for n in range(1, 7)] + [synthetic_dual_pair()]
                    + [random_factorized_block(seed)[0] for seed in ROUNDTRIP_SEEDS]
                    + [planted_block(seed, 8)[0] for seed in range(3)])

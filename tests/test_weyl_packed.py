@@ -16,18 +16,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsalgo.exthom import graded_hom_dims
-from lsalgo.laurent import ONE, NonExactDivision, t_power
+from lsalgo.laurent import ONE, NonExactDivision, _digit_width, _pack, _unpack, t_power
 from lsalgo.weyl import (
     MAX_COINVARIANT_DEGREE,
     CharTable,
     ClassData,
     IrrData,
     _average,
-    _digit_width,
-    _pack,
     _packed_average,
     _packing,
-    _unpack,
     char_table_sn,
     class_pair_series,
     coinvariant_pairing,
