@@ -21,8 +21,10 @@ import json
 import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from graphlib import CycleError, TopologicalSorter
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from operator import ge
 
 from .laurent import ZERO, DataFormatError, HalfLaurent, decode_int, decode_str
 from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, partitions_of
@@ -94,34 +96,23 @@ def orbit_dim_type_a(lam: Partition) -> int:
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:
-    """Dominance order: every prefix sum of lam is >= the one of mu."""
+    """Dominance order: every prefix sum of lam is >= the one of mu.  Past the
+    shorter partition's end its prefix sums stay at n, so the shared prefixes decide."""
     if lam.n != mu.n:
         raise SizeMismatch(f"|{lam.parts}| != |{mu.parts}|")
-    total_l = total_m = 0
-    for i in range(max(len(lam), len(mu))):
-        total_l += lam.parts[i] if i < len(lam) else 0
-        total_m += mu.parts[i] if i < len(mu) else 0
-        if total_l < total_m:
-            return False
-    return True
+    return all(map(ge, accumulate(lam.parts), accumulate(mu.parts)))
 
 
 def dominance_covers(n: int) -> dict[Partition, tuple[Partition, ...]]:
     """Hasse diagram of dominance order: each partition mapped to the
-    partitions it covers (immediately below)."""
+    partitions it covers (immediately below), in `partitions_of` order: the
+    transitive reduction, each strict-below set less those of its members."""
     parts = partitions_of(n)
-    below: dict[Partition, list[Partition]] = {}
-    for lam in parts:
-        strictly_below = [mu for mu in parts if mu != lam and dominates(lam, mu)]
-        covers = [
-            mu for mu in strictly_below
-            if not any(nu != mu and dominates(nu, mu) for nu in strictly_below)
-        ]
-        below[lam] = covers
-    return {lam: tuple(v) for lam, v in below.items()}
+    below = {lam: {mu for mu in parts if mu != lam and dominates(lam, mu)} for lam in parts}
+    direct = {lam: strict.difference(*map(below.get, strict)) for lam, strict in below.items()}
+    return {lam: tuple(mu for mu in parts if mu in direct[lam]) for lam in parts}
 
 
-@lru_cache(maxsize=None)
 def build_springer_block_a(n: int) -> BlockData:
     """The Springer block for GL_n: one label per partition of n.
 
@@ -163,38 +154,25 @@ def build_springer_block_a(n: int) -> BlockData:
 
 def linear_extension(block: BlockData, order_seed: int | None = None) -> list[str]:
     """A linear extension of the closure order, lowest orbits first: each step
-    lists, of the orbits whose covers are all listed, the least by (dim, id),
-    or with a seed a random one of them sorted by id.  Covers naming no orbit
-    of the block are ignored.  If the cover relation has a cycle, no orbit
-    on it is ever ready: DataFormatError names the cycle.
-
-    Each orbit counts its covers not yet listed, so the ready set is updated
-    per listed orbit instead of rescanning every remaining orbit per step."""
+    lists, of the orbits whose covers are all listed, the least by (dim, id), or
+    with a seed a random one of them sorted by id.  Unknown covers are ignored; a
+    repeated orbit id has its last record's covers.  A cycle in the covers is a
+    DataFormatError naming the cycle `graphlib` finds, set by orbit and cover order."""
     dim_of = {o.id: o.dim for o in block.orbits}
-    covers = {o.id: frozenset(o.covers) for o in block.orbits}
-    covered_by: dict[str, list[str]] = {oid: [] for oid in dim_of}
-    for oid, below_oid in covers.items():
-        for child in below_oid & dim_of.keys():
-            covered_by[child].append(oid)
-    waiting = {oid: len(below_oid & dim_of.keys()) for oid, below_oid in covers.items()}
-    ready = {oid for oid, count in waiting.items() if not count}
+    sorter = TopologicalSorter({o.id: [c for c in o.covers if c in dim_of] for o in block.orbits})
+    try:
+        sorter.prepare()
+    except CycleError as exc:  # each node of exc.args[1] is covered by the next
+        raise DataFormatError("cover relation has a cycle: " + " covers ".join(
+            map(repr, reversed(exc.args[1])))) from None
     rng = None if order_seed is None else random.Random(order_seed)
-    out: list[str] = []
-    while ready:
+    ready, out = set(), []
+    while sorter.is_active():
+        ready.update(sorter.get_ready())
         out.append(min(ready, key=lambda o: (dim_of[o], o)) if rng is None
                    else rng.choice(sorted(ready)))
         ready.remove(out[-1])
-        for parent in covered_by[out[-1]]:
-            waiting[parent] -= 1
-            if not waiting[parent]:
-                ready.add(parent)
-    if len(out) < len(dim_of):  # each remaining orbit covers another: follow covers onto a cycle
-        remaining = dim_of.keys() - set(out)
-        path = [min(remaining)]
-        while path.count(path[-1]) < 2:
-            path.append(min(covers[path[-1]] & remaining))
-        raise DataFormatError("cover relation has a cycle: " + " covers ".join(
-            map(repr, path[path.index(path[-1]):])))
+        sorter.done(out[-1])
     return out
 
 
@@ -279,7 +257,8 @@ def validate_block(block: BlockData) -> list[Violation]:
                     f"omega[{label_ids[i]}][{label_ids[j]}] != transpose"))
 
     index = {lb.id: i for i, lb in enumerate(block.labels)}
-    if all(lb.dual in index for lb in block.labels):
+    # with a repeated label id the duality map is ambiguous: DuplicateId says so
+    if len(index) == k and all(lb.dual in index for lb in block.labels):
         for i, a in enumerate(block.labels):
             for j, b in enumerate(block.labels):
                 di, dj = index[a.dual], index[b.dual]
@@ -318,14 +297,12 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
     out: list[Violation] = []
     owner: dict[str, int] = {}
     for pos, block in enumerate(ds.blocks):
-        for lb in block.labels:
-            if lb.id in owner:
+        for lb in block.labels:  # a label repeated within one block is validate_block's
+            if owner.setdefault(lb.id, pos) != pos:
                 out.append(Violation(
                     "DuplicateId",
                     f"label {lb.id!r} appears in blocks "
                     f"{ds.blocks[owner[lb.id]].name!r} and {block.name!r}"))
-            else:
-                owner[lb.id] = pos
         out.extend(validate_block(block))
     for entry in ds.cross_entries:
         unknown = [x for x in (entry.row, entry.col) if x not in owner]

@@ -41,7 +41,7 @@ from .blockdata import (
     MAX_SPRINGER_N,
 )
 from .exthom import graded_hom_dims
-from .laurent import NonExactDivision
+from .laurent import NonExactDivision, max_abs_coefficient
 from .oracle import kostka_foulkes
 from .solver import SolveResult, SolverError, _factor, solve
 from .weyl import CharTable, char_table_sn_rows, partitions_of
@@ -113,6 +113,14 @@ def cmd_solve(args) -> tuple[int, dict]:
                      if hasattr(exc, key)}
             raise Failure(ERROR, type(exc).__name__, f"block {block.name!r}: {exc}",
                           block=block.name, **where) from exc
+
+    # a coefficient past the int-to-string limit (0: none, as before Python
+    # 3.10.7) can be neither written nor read back: refused before --out is opened
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for r in results:
+        if limit and max_abs_coefficient(r.p + r.lam) >= 10**limit:
+            raise Failure(ERROR, "ResourceLimit", f"block {r.block!r}: a coefficient has over "
+                          f"{limit} digits (sys.get_int_max_str_digits())", block=r.block)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.format == "json":

@@ -43,8 +43,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, ItemsView, Mapping, Sequence
 from functools import lru_cache
-from itertools import repeat
-from operator import lshift
+from itertools import chain, repeat
+from operator import attrgetter, lshift
 
 # Largest doubled exponent, in absolute value, that decoding accepts; the
 # omega of springer-a n <= 8 reaches 56 and the shipped datasets 6.
@@ -312,6 +312,12 @@ def t_power(k: int) -> HalfLaurent:
 def t_half_power(double_exp: int) -> HalfLaurent:
     """The monomial t^(double_exp/2)."""
     return HalfLaurent({double_exp: 1})
+
+
+def max_abs_coefficient(rows: Iterable[Iterable[HalfLaurent]]) -> int:
+    """The largest absolute value of a coefficient in `rows`, 0 if all are zero."""
+    return max(map(abs, chain.from_iterable(map(dict.values, filter(None, map(
+        attrgetter("_c"), chain.from_iterable(rows)))))), default=0)
 
 
 def dot(xs: Iterable[HalfLaurent], ys: Iterable[HalfLaurent]) -> HalfLaurent:

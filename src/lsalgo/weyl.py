@@ -344,7 +344,6 @@ def char_table_sn_rows(n: int, char_ids: Iterable[str]) -> CharTable:
     return CharTable(factorial(n), classes, irreducibles)
 
 
-@lru_cache(maxsize=None)
 def char_table_sn(n: int) -> CharTable:
     """The full character table of S_n: `char_table_sn_rows` on every key."""
     return char_table_sn_rows(n, (lam.key() for lam in partitions_of(n)))

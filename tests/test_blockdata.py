@@ -200,6 +200,33 @@ class TestValidation:
         kinds = {v.kind for v in validate_block(broken)}
         assert "ShapeMismatch" in kinds
 
+    def test_negative_dimension(self):
+        block = BlockData("negative", (OrbitInfo("o", -2),), (SimpleLabel("x", "o"),), ((ONE,),))
+        assert [str(v) for v in validate_block(block)] == [
+            "NegativeDimension: orbit 'o' has dim -2"]
+
+    def test_unknown_cover(self):
+        block = BlockData("stray", (OrbitInfo("o", 0, ("nowhere",)),), (SimpleLabel("x", "o"),),
+                          ((ONE,),))
+        assert [str(v) for v in validate_block(block)] == [
+            "UnknownOrbit: orbit 'o' covers unknown 'nowhere'"]
+
+    def test_duals_on_different_orbits(self):
+        orbits = (OrbitInfo("lo", 0), OrbitInfo("hi", 2, ("lo",)))
+        labels = (SimpleLabel("a", "lo", "triv", "b"), SimpleLabel("b", "hi", "triv", "a"))
+        block = BlockData("split", orbits, labels, ((ONE, ZERO), (ZERO, ONE)))
+        assert [str(v) for v in validate_block(block)] == [
+            "DualityViolation: dual of 'a' sits on a different orbit",
+            "DualityViolation: dual of 'b' sits on a different orbit"]
+
+    def test_repeated_label_id_is_one_duplicate(self):
+        # which row a repeated id names is ambiguous, so omega's duality is not compared
+        labels = (SimpleLabel("x", "o"), SimpleLabel("x", "o"))
+        block = BlockData("twice", (OrbitInfo("o", 0),), labels, ((ONE, ZERO), (ZERO, ONE)))
+        assert [str(v) for v in validate_block(block)] == [
+            "DuplicateId: duplicate label ids in block 'twice'"]
+        assert validate_dataset(Dataset((block,))) == validate_block(block)
+
 
 class TestSingletonBlock:
     def test_construction(self):
@@ -376,6 +403,23 @@ class TestClosure:
         (violation,) = validate_block(block)
         assert violation.kind == "PosetCycle"
         assert violation.message == "cover relation has a cycle: 'b' covers 'c' covers 'b'"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_cycle_named_is_a_real_cycle(self, data):
+        # a random relation on up to 8 orbits, with one planted cycle of any length
+        ids = [f"o{i}" for i in range(data.draw(st.integers(1, 8)))]
+        covers = {oid: data.draw(st.lists(st.sampled_from(ids), max_size=4)) for oid in ids}
+        cycle = data.draw(st.permutations(ids))[:data.draw(st.integers(1, len(ids)))]
+        for upper, lower in zip(cycle, cycle[1:] + cycle[:1]):
+            covers[upper].append(lower)
+        orbits = tuple(OrbitInfo(oid, 0, tuple(covers[oid])) for oid in ids)
+        (violation,) = validate_block(BlockData("cyclic", orbits, (), ()))
+        prefix = "cover relation has a cycle: "
+        assert violation.kind == "PosetCycle" and violation.message.startswith(prefix)
+        named = [part.strip("'") for part in violation.message[len(prefix):].split(" covers ")]
+        assert len(named) >= 2 and named[0] == named[-1]
+        assert all(lower in covers[upper] for upper, lower in zip(named, named[1:]))
 
     def test_self_cover_is_a_cycle(self):
         block = BlockData("loop", (OrbitInfo("a", 0, ("a",)),), (SimpleLabel("x", "a"),),

@@ -292,6 +292,48 @@ class TestSolve:
         (result,) = json.loads((tmp_path / "r.json").read_text())
         assert result["lambda"] == [[{"0": 1}, {}, {}], [{}, {"0": 1}, {}], [{}, {}, {"0": 1}]]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_coefficient_past_the_digit_limit_is_a_resource_limit(self, tmp_path, capsys, fmt):
+        # omega's 4,001-digit entry decodes, but lambda[b][b] = 1 - a^2 has
+        # 8,001 digits, past the limit of int-to-string conversion
+        a = 10**4000 + 7
+        block = {"name": "big", "orbits": [{"id": "lo", "dim": 0}, {"id": "hi", "dim": 2,
+                                                                   "covers": ["lo"]}],
+                 "labels": [{"id": "a", "orbit": "lo"}, {"id": "b", "orbit": "hi"}],
+                 "omega": {"order": ["a", "b"],
+                           "entries": [[{"0": 1}, {"0": a}], [{"0": a}, {"0": 1}]]}}
+        path, out_path = tmp_path / "big.json", tmp_path / f"r.{fmt}"
+        path.write_text(json.dumps([block]))
+        out_path.write_bytes(b"earlier bytes")
+        code, out = run(capsys, "solve", str(path), "--out", str(out_path), "--format", fmt)
+        assert code == 2
+        (diag,) = read_report(out)["diagnostics"]
+        limit = sys.get_int_max_str_digits()
+        assert (diag["kind"], diag["block"]) == ("ResourceLimit", "big")
+        assert diag["message"] == (f"block 'big': a coefficient has over {limit} digits "
+                                   f"(sys.get_int_max_str_digits())")
+        assert capsys.readouterr().err == ""
+        assert out_path.read_bytes() == b"earlier bytes"
+
+    def test_negative_dim_is_a_violation(self, tmp_path, capsys):
+        # decoding bounds a dim only from above; validation refuses one below 0
+        path = tmp_path / "negative.json"
+        save_dataset(Dataset((singleton_cuspidal_block("negative", -2, ONE),)), path)
+        code, out = run(capsys, "solve", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert [d["kind"] for d in read_report(out)["diagnostics"]] == ["NegativeDimension"]
+
+    def test_label_repeated_in_one_block_is_one_duplicate(self, tmp_path, capsys):
+        block = {"name": "twice", "orbits": [{"id": "o", "dim": 0}],
+                 "labels": [{"id": "x", "orbit": "o"}, {"id": "x", "orbit": "o"}],
+                 "omega": {"order": ["x"], "entries": [[{"0": 1}]]}}
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps([block]))
+        code, out = run(capsys, "solve", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        assert [(d["kind"], d["message"]) for d in read_report(out)["diagnostics"]] == [
+            ("DuplicateId", "duplicate label ids in block 'twice'")]
+
     def test_csv_export(self, tmp_path, capsys):
         out_path = tmp_path / "result.csv"
         code, _ = run(capsys, "solve", str(DATASETS / "springer_a2.json"),

@@ -17,6 +17,7 @@ from lsalgo.laurent import (
     decode_str,
     dot,
     exact_div,
+    max_abs_coefficient,
     t_half_power,
     t_power,
 )
@@ -369,6 +370,16 @@ class TestBar:
     def test_ring_homomorphism(self, f, g):
         assert (f * g).bar() == f.bar() * g.bar()
         assert (f + g).bar() == f.bar() + g.bar()
+
+
+class TestMaxAbsCoefficient:
+    def test_zero_rows(self):
+        assert max_abs_coefficient([]) == max_abs_coefficient([[ZERO], []]) == 0
+
+    @given(st.lists(st.lists(polys, max_size=4), max_size=4))
+    def test_matches_the_items(self, rows):
+        assert max_abs_coefficient(rows) == max(
+            (abs(c) for row in rows for f in row for _, c in f.items()), default=0)
 
 
 class TestExactDiv:

@@ -4,8 +4,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lsalgo.blockdata import (
+    BlockData,
+    OrbitInfo,
     build_springer_block_a,
     closure_below,
     dataset_from_json,
@@ -449,6 +452,27 @@ class TestLinearExtension:
     def test_seeded_draws_among_ready_orbits_sorted_by_id(self):
         block = build_springer_block_a(6)
         for seed in range(20):
+            assert linear_extension(block, seed) == rescanned_extension(block, seed)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_acyclic_covers_match_a_rescan(self, data):
+        # each orbit covers only orbits drawn before it, an unknown 'ghost'
+        # and repeats allowed; the orbits are then listed in a drawn order
+        ids = [f"o{i}" for i in range(data.draw(st.integers(1, 12)))]
+        orbits = [OrbitInfo(oid, data.draw(st.integers(0, 5)), tuple(data.draw(
+            st.lists(st.sampled_from(ids[:pos] + ["ghost"]), max_size=4))))
+            for pos, oid in enumerate(ids)]
+        block = BlockData("drawn", tuple(data.draw(st.permutations(orbits))), (), ())
+        below = closure_below(block)
+        remaining, default = set(ids), []
+        while remaining:
+            default.append(min((o for o in block.orbits if o.id in remaining
+                                and not below[o.id] & remaining), key=lambda o: (o.dim, o.id)).id)
+            remaining.remove(default[-1])
+        assert linear_extension(block) == default
+        for seed in range(10):
             assert linear_extension(block, seed) == rescanned_extension(block, seed)
 
 
