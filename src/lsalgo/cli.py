@@ -44,7 +44,7 @@ from .exthom import graded_hom_dims
 from .laurent import NonExactDivision, max_abs_coefficient
 from .oracle import kostka_foulkes
 from .solver import SolveResult, SolverError, _factor, solve
-from .weyl import CharTable, char_table_sn_rows, partitions_of
+from .weyl import CharTable, char_table_sn, partitions_of
 
 # exthom size bounds: the truncation degree and the built-in S_n table both
 # stay well under a second at these values
@@ -183,7 +183,7 @@ def cmd_exthom(args) -> tuple[int, dict]:
         source, table = args.table, CharTable.from_json(read_json(args.table))
     else:
         # the series reads every class but only the rows of chi and psi
-        source, table = f"S_{args.sn}", char_table_sn_rows(args.sn, (args.chi, args.psi))
+        source, table = f"S_{args.sn}", char_table_sn(args.sn, (args.chi, args.psi))
     try:
         dims = graded_hom_dims(table, args.chi, args.psi, args.max_k)
     except KeyError as exc:

@@ -1,8 +1,9 @@
 """Brute-force Kostka-Foulkes polynomials via the charge statistic.
 
-This module is deliberately independent of the solver: semistandard tableaux
-are enumerated by backtracking as reading words, their charge is found by
-standard-subword extraction, and K_{lambda,mu}(q) is the plain generating
+This module is deliberately independent of the solver: each semistandard
+tableau is built as a chain of horizontal strips, one strip per letter
+(Macdonald, ch. I, §5), and taken as its reading word; its charge is found
+by standard-subword extraction, and K_{lambda,mu}(q) is the plain generating
 function sum q^charge.  It serves as external ground truth for the type-A
 Springer block and shares no code path with the factorization algorithm.
 
@@ -17,6 +18,10 @@ indices over all extracted subwords.  With this convention the row word
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
+from itertools import chain, product
+
 from .laurent import HalfLaurent
 from .weyl import Partition, SizeMismatch
 
@@ -25,48 +30,25 @@ def ssyt_enumerate(shape: Partition, content: Partition) -> list[tuple[int, ...]
     """Reading words of all semistandard tableaux of the given shape and
     content: rows weakly increase, columns strictly increase.
 
-    Cells are filled in row-major order with the smallest feasible letter
-    first, so the output order is deterministic (lexicographic in the row
-    reading).  Empty when no filling exists, e.g. when shape does not
-    dominate content.
+    Each tableau is a chain of horizontal strips: letter i adds content_i
+    cells, row 0 growing to at most shape_0 and row r > 0 to at most shape_r
+    and the length row r-1 had before letter i.  Strips that put more cells
+    in higher rows come first.  Empty when no filling exists, e.g. when
+    shape does not dominate content.
     """
     if shape.n != content.n:
         raise SizeMismatch(f"|{shape.parts}| != |{content.parts}|")
-    rows = shape.parts
-    n = shape.n
-    positions = [(i, j) for i, r in enumerate(rows) for j in range(r)]
-    counts = list(content.parts)
-    m = len(counts)
-    grid = [[0] * r for r in rows]
-    out: list[tuple[int, ...]] = []
-
-    def fill(cell: int):
-        if cell == n:
-            out.append(tuple(sum(reversed(grid), [])))  # rows bottom to top
-            return
-        i, j = positions[cell]
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, m + 1):
-            if counts[v - 1] == 0:
-                continue
-            counts[v - 1] -= 1
-            grid[i][j] = v
-            fill(cell + 1)
-            counts[v - 1] += 1
-
-    fill(0)
-    return out
-
-
-def _rfind(word: list[int], letter: int, start: int) -> int | None:
-    for p in range(start, -1, -1):
-        if word[p] == letter:
-            return p
-    return None
+    tableaux: list[list[list[int]]] = [[[] for _ in shape.parts]]
+    for letter, count in enumerate(content.parts, 1):
+        grown = []
+        for rows in tableaux:
+            caps = [shape.parts[0], *map(min, shape.parts[1:], map(len, rows))]
+            for adds in product(*(range(cap - len(row), -1, -1) for cap, row in zip(caps, rows))):
+                if sum(adds) == count:
+                    grown.append([row + [letter] * k if k else row for row, k in zip(rows, adds)])
+        tableaux = grown
+    # rows are capped by the shape and hold n letters in all, so each is full
+    return [tuple(chain.from_iterable(reversed(rows))) for rows in tableaux]
 
 
 def charge(word: tuple[int, ...]) -> int:
@@ -79,30 +61,28 @@ def charge(word: tuple[int, ...]) -> int:
     """
     if min(word, default=1) < 1:
         raise ValueError(f"word {word} has a letter below 1")
-    rest = list(word)
+    unpicked: dict[int, list[int]] = {}  # letter -> its unpicked positions, ascending
+    for pos, letter in enumerate(word):
+        unpicked.setdefault(letter, []).append(pos)
     total = 0
-    while rest:
-        pos = _rfind(rest, 1, len(rest) - 1)
-        if pos is None:
+    while unpicked:
+        if 1 not in unpicked:
             raise ValueError(f"content of {word} is not a partition")
-        letter, index = 1, 0
-        while pos is not None:
-            rest[pos] = 0  # picked; no later search looks for 0
+        pos, letter, index = len(word), 1, 0
+        while letter in unpicked:
+            places = unpicked[letter]
+            i = bisect_left(places, pos)
+            if not i:  # nothing left of pos: wrap to the rightmost
+                index += 1
+                i = len(places)
+            pos = places.pop(i - 1)
+            if not places:
+                del unpicked[letter]
             total += index
             letter += 1
-            nxt = _rfind(rest, letter, pos - 1)
-            if nxt is None:
-                index += 1
-                nxt = _rfind(rest, letter, len(rest) - 1)
-            pos = nxt
-        rest = [x for x in rest if x]
     return total
 
 
 def kostka_foulkes(shape: Partition, content: Partition) -> HalfLaurent:
     """K_{shape,content}(q): sum of q^charge over all semistandard tableaux."""
-    coeffs: dict[int, int] = {}
-    for word in ssyt_enumerate(shape, content):
-        e = 2 * charge(word)
-        coeffs[e] = coeffs.get(e, 0) + 1
-    return HalfLaurent(coeffs)
+    return HalfLaurent(Counter(2 * charge(w) for w in ssyt_enumerate(shape, content)))

@@ -319,9 +319,9 @@ def _decode_row(obj: Mapping) -> IrrData:
     return IrrData(char_id, values)
 
 
-def char_table_sn_rows(n: int, char_ids: Iterable[str]) -> CharTable:
-    """The character table of S_n with rank-n permutation Molien data,
-    restricted to the characters whose keys are in `char_ids`.
+def char_table_sn(n: int, char_ids: Iterable[str] | None = None) -> CharTable:
+    """The character table of S_n with rank-n permutation Molien data; given
+    `char_ids`, restricted to the characters whose keys are listed there.
 
     Every class is kept with its size and Molien determinant; only the
     listed rows are evaluated.  Classes and characters are both indexed by
@@ -334,19 +334,14 @@ def char_table_sn_rows(n: int, char_ids: Iterable[str]) -> CharTable:
         ClassData(rho.key(), size, perm_molien_det(rho))
         for rho, size in conjugacy_classes(n)
     )
-    wanted = set(char_ids)
     rhos = partitions_of(n)
+    wanted = {lam.key() for lam in rhos} if char_ids is None else set(char_ids)
     cycle_types = [rho.parts for rho in rhos]
     irreducibles = tuple(
         IrrData(lam.key(), tuple(map(_mn, repeat(_beta_set(lam)), cycle_types)))
         for lam in rhos if lam.key() in wanted
     )
     return CharTable(factorial(n), classes, irreducibles)
-
-
-def char_table_sn(n: int) -> CharTable:
-    """The full character table of S_n: `char_table_sn_rows` on every key."""
-    return char_table_sn_rows(n, (lam.key() for lam in partitions_of(n)))
 
 
 # -- Molien and coinvariant series ----------------------------------------------

@@ -21,7 +21,7 @@ from lsalgo.laurent import (
     t_power,
 )
 from lsalgo.solver import solve
-from lsalgo.weyl import CharTable, Partition, coinvariant_pairing, degrees_product
+from lsalgo.weyl import CharTable, Partition, SizeMismatch, coinvariant_pairing, degrees_product
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASETS = REPO_ROOT / "datasets"
@@ -141,6 +141,47 @@ def mn_by_partitions(lam: tuple[int, ...], rho: tuple[int, ...]) -> int:
         new_lam = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta))
         total += (-1) ** leg * mn_by_partitions(tuple(p for p in new_lam if p > 0), rest)
     return total
+
+
+def ssyt_by_cells(shape: Partition, content: Partition) -> list[tuple[int, ...]]:
+    """Reading words of all semistandard tableaux of the given shape and
+    content: rows weakly increase, columns strictly increase.
+
+    Cells are filled in row-major order with the smallest feasible letter
+    first, so the output order is deterministic (lexicographic in the row
+    reading).  Empty when no filling exists, e.g. when shape does not
+    dominate content.
+    """
+    if shape.n != content.n:
+        raise SizeMismatch(f"|{shape.parts}| != |{content.parts}|")
+    rows = shape.parts
+    n = shape.n
+    positions = [(i, j) for i, r in enumerate(rows) for j in range(r)]
+    counts = list(content.parts)
+    m = len(counts)
+    grid = [[0] * r for r in rows]
+    out: list[tuple[int, ...]] = []
+
+    def fill(cell: int):
+        if cell == n:
+            out.append(tuple(sum(reversed(grid), [])))  # rows bottom to top
+            return
+        i, j = positions[cell]
+        lo = 1
+        if j > 0:
+            lo = max(lo, grid[i][j - 1])
+        if i > 0:
+            lo = max(lo, grid[i - 1][j] + 1)
+        for v in range(lo, m + 1):
+            if counts[v - 1] == 0:
+                continue
+            counts[v - 1] -= 1
+            grid[i][j] = v
+            fill(cell + 1)
+            counts[v - 1] += 1
+
+    fill(0)
+    return out
 
 
 def _rfind(word: list[int], letter: int, start: int) -> int | None:

@@ -2,13 +2,14 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lsalgo.laurent import ONE, ZERO, t_power
 from lsalgo.oracle import charge, kostka_foulkes, ssyt_enumerate
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 from lsalgo.blockdata import dominates
 
-from conftest import value_at_one
+from conftest import charge_by_subwords, ssyt_by_cells, value_at_one
 
 P = lambda *parts: Partition(tuple(parts))
 
@@ -110,6 +111,18 @@ class TestEnumeration:
     def test_deterministic_order(self):
         assert ssyt_enumerate(P(2, 1), P(1, 1, 1)) == ssyt_enumerate(P(2, 1), P(1, 1, 1))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_words_as_the_cell_by_cell_reference(self, n):
+        # the strip order differs from the reference's from n = 6 on
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                words = ssyt_enumerate(lam, mu)
+                reference = ssyt_by_cells(lam, mu)
+                assert len(set(words)) == len(words), (lam, mu)
+                assert set(words) == set(reference), (lam, mu)
+                if n <= 5:
+                    assert words == reference, (lam, mu)
+
 
 class TestCharge:
     def test_row_word_12(self):
@@ -145,6 +158,18 @@ class TestCharge:
         # a 0 would read as a picked letter and be dropped unseen
         with pytest.raises(ValueError, match="letter below 1"):
             charge(word)
+
+
+def shuffled_words(mu: Partition):
+    return st.permutations([letter for letter, m in enumerate(mu.parts, 1) for _ in range(m)])
+
+
+CONTENTS = [mu for n in range(1, 11) for mu in partitions_of(n)]
+
+
+@given(st.sampled_from(CONTENTS).flatmap(shuffled_words))
+def test_charge_matches_subword_oracle_on_shuffled_words(word):
+    assert charge(tuple(word)) == charge_by_subwords(tuple(word))
 
 
 class TestKostkaFoulkes:

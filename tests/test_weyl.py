@@ -20,7 +20,6 @@ from lsalgo.weyl import (
     Partition,
     SizeMismatch,
     char_table_sn,
-    char_table_sn_rows,
     coinvariant_pairing,
     conjugacy_classes,
     degrees_product,
@@ -371,12 +370,12 @@ def sn_pairs(n_max: int):
 
 
 class TestRestrictedTable:
-    """`char_table_sn_rows`, the table `exthom --sn` builds for one pair."""
+    """`char_table_sn` with `char_ids`, the table `exthom --sn` builds for one pair."""
 
     @pytest.mark.parametrize("n,chi,psi", sn_pairs(6))
     def test_rows_and_classes_match_the_full_table(self, n, chi, psi):
         full = char_table_sn(n)
-        table = char_table_sn_rows(n, (chi, psi))
+        table = char_table_sn(n, (chi, psi))
         assert table.group_order == full.group_order
         assert table.classes == full.classes
         assert table.irreducibles == tuple(irr for irr in full.irreducibles
@@ -388,20 +387,20 @@ class TestRestrictedTable:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_full_table_is_the_restriction_to_every_key(self, n):
         full = char_table_sn(n)
-        assert char_table_sn_rows(n, full.char_ids()) == full
-        assert char_table_sn_rows(n, reversed(full.char_ids())) == full
+        assert char_table_sn(n, full.char_ids()) == full
+        assert char_table_sn(n, reversed(full.char_ids())) == full
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_one_or_two_rows_construct(self, n):
         # a proper restriction has fewer rows than classes, each row full
         keys = char_table_sn(n).char_ids()
         for ids in [*combinations(keys, 1), *combinations(keys, 2)]:
-            table = char_table_sn_rows(n, ids)
+            table = char_table_sn(n, ids)
             assert table.char_ids() == ids
             assert table.rank() == n
 
     def test_unknown_keys_select_nothing(self):
-        table = char_table_sn_rows(3, ["9", "2.1", "2.1.1", "02.1"])
+        table = char_table_sn(3, ["9", "2.1", "2.1.1", "02.1"])
         assert table.char_ids() == ("2.1",)
         for key in ("9", "2.1.1", "02.1"):
             with pytest.raises(KeyError) as restricted:
@@ -409,10 +408,10 @@ class TestRestrictedTable:
             with pytest.raises(KeyError) as full:
                 char_table_sn(3).character(key)
             assert str(restricted.value) == str(full.value)
-        assert char_table_sn_rows(3, []).irreducibles == ()
+        assert char_table_sn(3, []).irreducibles == ()
 
     def test_a_proper_restriction_fails_validate(self):
-        assert "1 characters for 3 classes" in char_table_sn_rows(3, ["3"]).validate()
+        assert "1 characters for 3 classes" in char_table_sn(3, ["3"]).validate()
 
 
 class TestDegreesProduct:
