@@ -9,26 +9,10 @@ integer key k and exponent arithmetic never leaves the integers.  The only
 division is `exact_div`, which either returns a ring element or raises.
 
 Products have one kernel, `dot(xs, ys)`: the sum of x*y over paired
-polynomials.  A sum of products, such as one entry of a matrix product,
-thus builds one polynomial instead of one per term; a single product
-`f * g` is `dot((f,), (g,))`.  `dot` has two branches, chosen per pair from
-its two term counts alone:
-
-  * a short pair, of fewer than PACK_MIN_PRODUCTS coefficient products, is
-    multiplied term by term into one coefficient map;
-  * a long pair is evaluated at t = 2^PACK_WIDTH (Kronecker substitution;
-    Harvey, arXiv:0712.4046): each operand is packed into one integer, once
-    per value, and the pair is one integer multiply.  The packed products
-    of one call are summed as one integer per exponent parity and read back
-    once, as signed PACK_WIDTH-bit digits, into the same map.
-
-A coefficient of x*y is a sum of at most min(len x, len y) products, so no
-digit of that sum exceeds the sum over packed pairs of max|x| * max|y| *
-min(len x, len y).  A long pair that would take this bound beyond a signed
-digit takes the short branch, as does one with an operand whose exponents
-do not share one parity or whose span holds more than two digits per term;
-so every coefficient stays exact, however large.  The map's zero entries
-are dropped once, at the end.
+polynomials, multiplied term by term into one coefficient map whose zero
+entries are dropped once, at the end.  A sum of products, such as one entry
+of a matrix product, thus builds one polynomial instead of one per term; a
+single product `f * g` is `dot((f,), (g,))`.
 
 Values are immutable after construction and all operations are pure, so they
 may be shared freely between workers.  Coefficients are plain Python ints,
@@ -43,21 +27,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, ItemsView, Mapping, Sequence
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter, lshift
 
 # Largest doubled exponent, in absolute value, that decoding accepts; the
 # omega of springer-a n <= 8 reaches 56 and the shipped datasets 6.
 MAX_EXPONENT = 100_000
 
-# The gate of `dot`'s packed branch: a pair with at least this many
-# coefficient products, len x * len y, is packed.  Below it, packing an
-# operand on its first use costs more than the products it saves; springer-a
-# `_factor` at n = 6 is slower with a gate of 50 and n = 7 no faster with 90.
-PACK_MIN_PRODUCTS = 60
-# Bits per packed coefficient, and the bound every signed digit must keep.
+# Bits per digit of the solver's packed integers: a polynomial is held as
+# its value at x = 2^PACK_WIDTH.
 PACK_WIDTH = 64
-_PACK_BOUND = (1 << PACK_WIDTH - 1) - 1
 
 
 class NonExactDivision(ArithmeticError):
@@ -124,8 +103,7 @@ class HalfLaurent:
     ONE + True raises TypeError and ONE == True is False.
     """
 
-    # _packed, the form `dot` packs the value into, is set on first use only
-    __slots__ = ("_c", "_packed")
+    __slots__ = ("_c",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         c: dict[int, int] = {}
@@ -321,80 +299,25 @@ def max_abs_coefficient(rows: Iterable[Iterable[HalfLaurent]]) -> int:
 
 
 def dot(xs: Iterable[HalfLaurent], ys: Iterable[HalfLaurent]) -> HalfLaurent:
-    """sum(x * y for x, y in zip(xs, ys)), each pair by one of the two
-    branches that the module docstring sets out: packed, while the digit
-    bound holds, from PACK_MIN_PRODUCTS coefficient products up, else term
-    by term.  Both branches add into one coefficient map.
+    """sum(x * y for x, y in zip(xs, ys)), term by term into one coefficient map.
 
     Zero coefficients are dropped once, after the last product; sequences of
     different lengths raise ValueError.  The empty sum is ZERO.
     """
     c: dict[int, int] = {}
     get = c.get
-    gate = PACK_MIN_PRODUCTS
-    packed = []
-    bound = 0
     for x, y in zip(xs, ys, strict=True):
         # the shorter operand drives the outer loop, so the inner loops are long
         xc, yc = (x._c, y._c) if len(x._c) <= len(y._c) else (y._c, x._c)
-        if len(xc) * len(yc) >= gate:
-            px = getattr(x, "_packed", None)
-            if px is None:
-                px = _packed_form(x)
-            py = getattr(y, "_packed", None)
-            if py is None:
-                py = _packed_form(y)
-            if px and py:
-                pair_bound = px[2] * py[2] * len(xc)
-                if bound + pair_bound <= _PACK_BOUND:
-                    bound += pair_bound
-                    packed.append((px[0] + py[0], px[1] + py[1], px[3] * py[3]))
-                    continue
         yc = yc.items()
         for e1, v1 in xc.items():
             for e2, v2 in yc:
                 e = e1 + e2
                 c[e] = get(e, 0) + v1 * v2
-    # each packed product as (least doubled exponent, digits - 1, value);
-    # products whose exponents differ in parity go to different sums, and a
-    # call that packed nothing, as most do, builds no set
-    for parity in {offset & 1 for offset, _, _ in packed} if packed else ():
-        same = [(offset >> 1, span, value) for offset, span, value in packed
-                if offset & 1 == parity]
-        low = min(same)[0]
-        n_terms = max(start + span for start, span, _ in same) - low + 1
-        terms = zip(range(2 * low + parity, 2 * (low + n_terms), 2), _unpack(
-            sum(value << PACK_WIDTH * (start - low) for start, _, value in same),
-            PACK_WIDTH, n_terms))
-        if c:
-            for e, v in terms:
-                c[e] = get(e, 0) + v
-        else:
-            c.update(terms)
     return _raw({e: v for e, v in c.items() if v})
 
 
-def _packed_form(x: HalfLaurent) -> tuple[int, int, int, int] | bool:
-    """x packed for `dot`, memoized in x._packed: (lo, span, peak, value),
-    value = sum_k c_k * 2^(PACK_WIDTH * k) over k <= span for c_k the
-    coefficient at doubled exponent lo + 2k, lo the least one, and peak the
-    largest |coefficient|.  False, the pairs of x then being multiplied term
-    by term, if the exponents of x differ in parity, span at least twice its
-    term count, or peak alone breaks the digit bound."""
-    c = x._c
-    lo = min(c)
-    hi = max(c)
-    out = False
-    if hi - lo < 4 * len(c):
-        dense = list(map(c.get, range(lo, hi + 1, 2), repeat(0)))
-        peak = max(max(dense), -min(dense))
-        if len(dense) - dense.count(0) == len(c) and peak <= _PACK_BOUND:
-            out = (lo, len(dense) - 1, peak, _pack(dense, PACK_WIDTH))
-    x._packed = out
-    return out
-
-
-# The one signed-digit packing, for `dot` and for weyl's coinvariant pairing.
+# The one signed-digit packing, for the solver and for weyl's coinvariant pairing.
 
 
 def _digit_width(bound: int) -> int:

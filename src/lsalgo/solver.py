@@ -40,10 +40,8 @@ Q, and from then on r[j][i] also subtracts rhs_j * p[i]^T over the columns
 of Q, where p[i] holds only its diagonal entry t^(-dim(Q)/2), which takes
 away t^(dim(Q)/2) * r[j][i] * t^(-dim(Q)/2) and leaves zero.  So no skipped
 check could fail, and as rows are scanned in label order, the first error
-is raised at the same row and orbit as if every row were visited.
-
-Every sum of products in these stages, and in the elimination, is one `dot`
-call, so an entry builds one polynomial however many terms it sums.
+is raised at the same row and orbit as if every row were visited.  Every
+sum of products in these stages, and in the elimination, is one `dot`.
 
 All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; the elimination is
 fraction-free (Bareiss).  A zero determinant means omega is not a block.
@@ -75,10 +73,10 @@ than the bit length of C, so x > C + 1.  By Cauchy's bound a nonzero integer
 polynomial whose coefficients are that small has no root of absolute value
 C + 1 or more, so an entry of the difference that vanishes at x is the zero
 Laurent polynomial: equal values prove equal entries, and the check is a
-certificate, not a probabilistic test.  It shares no arithmetic with `dot`
-or `exact_div`, so a fault there cannot cancel between the elimination and
-the check.  The evaluation reads the entries the result actually holds, not
-the support the closure order allows, so a stray entry anywhere in p or
+certificate, not a probabilistic test.  It shares no code with either
+arithmetic of the elimination, so a fault there cannot cancel in the check.
+The evaluation reads the entries the result actually holds, not the
+support the closure order allows, so a stray entry anywhere in p or
 Lambda still enters it and fails the check.  The check then requires the
 constraints above of every entry: p zero off the closure order with
 diagonal t^(-dim/2), Lambda zero off the orbit blocks.  A result that
@@ -89,18 +87,37 @@ answer as well: `verify` validates once, calls `_factor` alone for its
 seeded re-solves and compares each with a checked result.
 `reconstruct` forms the full product as polynomials, two plain matrix
 products of one `dot` per entry.
+
+The stages are written once, over two arithmetics.  `_factor` runs them
+first on packed integers: an entry f is (lo, N), f = x^lo * N at
+x = 2^PACK_WIDTH, x standing for t if every orbit dim and omega exponent is
+even, else for t^(1/2).  A product adds the offsets and multiplies the ints;
+a sum shifts to the lesser lo and moves N's zero low digits into lo, so lo
+stays the least exponent, as a divisor's must; a monomial shift changes lo
+only; a division is `divmod`, a remainder meaning it is not exact.  As
+evaluation at x is a ring homomorphism, each N is the exact value of its
+entry however large the coefficients grow.  Only the final unpacking into
+signed digits, which takes a spare digit and so never raises, assumes every
+|coefficient| < 2^63: a packed result is trusted once certified, in `solve`
+by the check above, in `verify` by equality with a checked result.  A
+packed run that cannot finish (a zero pivot, a remainder, a nonzero
+residual in stage (iii)), a result the check rejects and a seeded result
+unequal to the checked one are each decided by the run over HalfLaurent,
+which raises the located error.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import count
 
 from .blockdata import (
     BlockData, Violation, _decode_ids, _decode_matrix, closure_below, linear_extension,
     validate_block)
 from .laurent import (
-    ONE, ZERO, DataFormatError, HalfLaurent, NonExactDivision, decode_str, dot, exact_div,
-    t_half_power)
+    ONE, PACK_WIDTH, ZERO, DataFormatError, HalfLaurent, NonExactDivision, _unpack,
+    decode_str, dot, exact_div, t_half_power)
 
 Matrix = tuple[tuple[HalfLaurent, ...], ...]
 
@@ -177,30 +194,72 @@ class SolveResult:
         return cls(block, labels, p, lam, p_dual)
 
 
-def _eliminate(matrix: list[list[HalfLaurent]]):
+_Arithmetic = namedtuple("_Arithmetic", "zero one of out dot sub div shift")
+_EXACT = _Arithmetic(ZERO, ONE, lambda f: f, lambda f: f, dot, HalfLaurent.__sub__, exact_div,
+                     HalfLaurent.shift)
+
+
+def _eliminate(matrix: list[list], ar: _Arithmetic = _EXACT):
     """One fraction-free Gauss-Jordan elimination of [A | I] for a square A:
     (d, E) with d = +-det(A), the sign that of the row swaps, and
-    E * A = d * I, or (ZERO, None) if A is singular.  Each entry is a
+    E * A = d * I, or (zero, None) if A is singular.  Each entry is a
     minor of [A | I], so every division by the previous pivot is exact
     (Sylvester's identity).  Columns left of the pivot are never read again,
     so they are not updated."""
     n = len(matrix)
-    rows = [list(row) + [ONE if j == i else ZERO for j in range(n)]
+    dot, div, zero = ar.dot, ar.div, ar.zero
+    rows = [list(row) + [ar.one if j == i else zero for j in range(n)]
             for i, row in enumerate(matrix)]
-    prev = ONE
+    prev = ar.one
     for k in range(n):
         pivot = next((i for i in range(k, n) if rows[i][k]), None)
         if pivot is None:
-            return ZERO, None
+            return zero, None
         rows[k], rows[pivot] = rows[pivot], rows[k]
         pivot_row = rows[k]
         for i, row in enumerate(rows):
             if i != k:
-                pair = (pivot_row[k], -row[k])
+                pair = (pivot_row[k], ar.sub(zero, row[k]))
                 for j in range(k + 1, 2 * n):
-                    row[j] = exact_div(dot(pair, (row[j], pivot_row[j])), prev)
+                    row[j] = div(dot(pair, (row[j], pivot_row[j])), prev)
         prev = pivot_row[k]
     return prev, [row[n:] for row in rows]
+
+
+def _packed_dot(xs, ys):
+    terms = [(x[0] + y[0], x[1] * y[1]) for x, y in zip(xs, ys) if x and y]
+    lo = min((lo for lo, _ in terms), default=0)
+    n = sum(n << PACK_WIDTH * (e - lo) for e, n in terms)
+    k = ((n & -n).bit_length() - 1) // PACK_WIDTH  # zero low digits move into lo
+    return (lo + k, n >> PACK_WIDTH * k) if n else None
+
+
+def _packed_div(f, g):
+    if not f:
+        return None
+    q, r = divmod(f[1], g[1])
+    if r:
+        raise NonExactDivision("a packed quotient leaves a remainder")
+    return f[0] - g[0], q
+
+
+def _packed(block: BlockData) -> _Arithmetic:
+    """The packed arithmetic of `block`, as the module docstring sets out."""
+    step = 1 if any(o.dim % 2 for o in block.orbits) or any(
+        e % 2 for row in block.omega for f in row for e, _ in f.items()) else 2
+    bits = PACK_WIDTH // step  # per doubled exponent
+
+    def of(f: HalfLaurent):
+        lo = min((e for e, _ in f.items()), default=0)
+        return (lo // step, sum(c << (e - lo) * bits for e, c in f.items())) if f else None
+
+    def out(v) -> HalfLaurent:
+        return HalfLaurent(dict(zip(count(step * v[0], step), _unpack(
+            v[1], PACK_WIDTH, v[1].bit_length() // PACK_WIDTH + 2)))) if v else ZERO
+
+    return _Arithmetic(None, (0, 1), of, out, _packed_dot,
+                       lambda a, b: _packed_dot((a, b), ((0, 1), (0, -1))), _packed_div,
+                       lambda v, k: v and (v[0] + k // step, v[1]))
 
 
 def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
@@ -214,14 +273,32 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
         raise InvalidBlock(violations)
     below = closure_below(block)
     result = _factor(block, below, order_seed)
-    _check_invariants(result, block, below)
+    try:
+        _check_invariants(result, block, below)
+    except SolverError:
+        result = _factor(block, below, order_seed, exact=True)
+        _check_invariants(result, block, below)
     return result
 
 
 def _factor(block: BlockData, below: dict[str, frozenset[str]],
-            order_seed: int | None) -> SolveResult:
+            order_seed: int | None, exact: bool = False) -> SolveResult:
     """Eliminate a validated `block`, whose closure order is `below`, along
-    the extension drawn from `order_seed`; the result is not yet checked."""
+    the extension drawn from `order_seed`; the result is not yet checked.
+    The entries are packed integers unless `exact`; a packed run that cannot
+    finish is rerun exact, which raises the located error."""
+    if exact:
+        return _stages(block, below, order_seed, _EXACT)
+    try:
+        return _stages(block, below, order_seed, _packed(block))
+    except (SolverError, NonExactDivision):
+        return _factor(block, below, order_seed, exact=True)
+
+
+def _stages(block: BlockData, below: dict[str, frozenset[str]],
+            order_seed: int | None, ar: _Arithmetic) -> SolveResult:
+    # the stages (i)-(iii) of the module docstring over `ar`, whose zero alone is falsy
+    of, dot, sub, div, shift = ar.of, ar.dot, ar.sub, ar.div, ar.shift
     labels = block.label_ids()
     k = len(labels)
     dim_of = {o.id: o.dim for o in block.orbits}
@@ -232,19 +309,20 @@ def _factor(block: BlockData, below: dict[str, frozenset[str]],
     rank = {orbit_id: pos for pos, orbit_id in enumerate(extension)}
     row_orbit = [lb.orbit for lb in block.labels]
 
-    p = [[ZERO] * k for _ in range(k)]
-    lam = [[ZERO] * k for _ in range(k)]
+    p = [[ar.zero] * k for _ in range(k)]
+    lam = [[ar.zero] * k for _ in range(k)]
     # per row, the right-hand sides p[i] * Lambda of the orbits it was
     # solved over, flattened, and the columns they sit in
-    rhs_of: list[list[HalfLaurent]] = [[] for _ in range(k)]
+    rhs_of: list[list] = [[] for _ in range(k)]
     cols_of: list[list[int]] = [[] for _ in range(k)]
 
-    def residual(i: int, j: int) -> HalfLaurent:
+    def residual(i: int, j: int):
         # omega minus the contributions of the processed orbits, at (i, j),
-        # over the columns where p[j] is nonzero
+        # over the columns where p[j] is nonzero; each (i, j) is read once
         pj = p[j]
         pairs = [(r, pj[c]) for r, c in zip(rhs_of[i], cols_of[i]) if pj[c]]
-        return block.omega[i][j] - dot(*zip(*pairs)) if pairs else block.omega[i][j]
+        omega_ij = of(block.omega[i][j])
+        return sub(omega_ij, dot(*zip(*pairs))) if pairs else omega_ij
 
     live = range(k)
 
@@ -256,10 +334,10 @@ def _factor(block: BlockData, below: dict[str, frozenset[str]],
         # (i) the Lambda block of this orbit is forced; one elimination of
         #     [Lambda_O | I] gives d and E with E * Lambda_O = d * I
         for a, i in enumerate(members):
-            p[i][i] = t_half_power(-dim)
+            p[i][i] = shift(ar.one, -dim)
             for j in members[a:]:
-                lam[i][j] = lam[j][i] = residual(i, j).shift(2 * dim)
-        d, e = _eliminate([[lam[i][j] for j in members] for i in members])
+                lam[i][j] = lam[j][i] = shift(residual(i, j), 2 * dim)
+        d, e = _eliminate([[lam[i][j] for j in members] for i in members], ar)
         if not d:
             raise _located(SingularLambdaBlock(
                 f"stage (i): the Lambda block of orbit {orbit_id!r} has determinant zero"),
@@ -270,10 +348,10 @@ def _factor(block: BlockData, below: dict[str, frozenset[str]],
         # (iii) later rows not above: the same right-hand side must vanish
         for i in live:
             if orbit_id in below[row_orbit[i]]:
-                rhs = [residual(i, j).shift(dim) for j in members]
+                rhs = [shift(residual(i, j), dim) for j in members]
                 try:
                     for col, e_column in zip(members, e_columns):
-                        p[i][col] = exact_div(dot(rhs, e_column), d)
+                        p[i][col] = div(dot(rhs, e_column), d)
                 except NonExactDivision as exc:
                     raise _located(NonExactDivision(
                         f"stage (ii), row {labels[i]!r} over orbit {orbit_id!r}: {exc}"),
@@ -285,8 +363,8 @@ def _factor(block: BlockData, below: dict[str, frozenset[str]],
                     f"omega[{labels[i]}][...] is nonzero on orbit {orbit_id!r}, "
                     f"which the closure order forbids"), "iii", orbit_id, labels[i])
 
-    p_matrix: Matrix = tuple(tuple(row) for row in p)
-    return SolveResult(block.name, labels, p_matrix, tuple(tuple(row) for row in lam),
+    p_matrix: Matrix = tuple(tuple(map(ar.out, row)) for row in p)
+    return SolveResult(block.name, labels, p_matrix, tuple(tuple(map(ar.out, row)) for row in lam),
                        _dual_stalks(p_matrix, *_duals(block)))
 
 
@@ -359,10 +437,8 @@ def reconstruct(result: SolveResult, block: BlockData) -> Matrix:
 def _first_mismatch(p: Matrix, lam: Matrix, omega: Matrix) -> tuple[int, int] | None:
     """The first (i, j) with j >= i, in label order, at which P * Lambda * P^T
     differs from omega, or None if the upper triangles agree, decided at
-    t^(1/2) = x = 2^bits as the module docstring sets out.  A nonzero entry f
-    is the pair (lo, n) with f(x) = x^lo * n, lo its least doubled exponent;
-    a product adds the offsets and multiplies the ints, a sum shifts its
-    terms to their least offset."""
+    t^(1/2) = x = 2^bits as the module docstring sets out, a nonzero entry
+    f as (lo, n) with f(x) = x^lo * n, lo its least doubled exponent."""
     k = len(p)
     # each nonzero entry read as its pairs (doubled exponent, coefficient),
     # of omega only the upper triangle

@@ -360,12 +360,15 @@ class TestVerify:
     def test_six_solves_per_n(self, capsys, monkeypatch):
         # one validated and checked default solve whose result the five
         # seeded factorizations are compared with; they are not validated
-        # or checked again
+        # or checked again, and none of the six takes an exact rerun
         factored, checked, validated = Counter(), Counter(), Counter()
+        exact_runs = []
 
-        def counting_factor(block, below, order_seed):
+        def counting_factor(block, below, order_seed, exact=False):
             factored[block.name] += 1
-            return real_factor(block, below, order_seed)
+            if exact:
+                exact_runs.append((block.name, order_seed))
+            return real_factor(block, below, order_seed, exact)
 
         def counting_check(result, block, below):
             checked[block.name] += 1
@@ -385,15 +388,20 @@ class TestVerify:
         assert run(capsys, "verify", "--n-max", "3")[0] == 0
         names = [f"springer-a-{n}" for n in (1, 2, 3)]
         assert factored == {name: 6 for name in names}
+        assert exact_runs == []
         assert checked == {name: 1 for name in names}
         assert validated == {name: 1 for name in names}
 
     def test_differing_seeded_factorization_is_order_dependence(self, capsys, monkeypatch):
-        # a seeded factorization that differs from the checked default result
-        # is reported as such, with exit 1, instead of failing a self-check
-        def tampered_factor(block, below, order_seed):
-            result = real_factor(block, below, order_seed)
+        # a seeded factorization that differs from the checked default result,
+        # packed and then exact, is reported as such, with exit 1, instead of
+        # failing a self-check
+        tampered = []
+
+        def tampered_factor(block, below, order_seed, exact=False):
+            result = real_factor(block, below, order_seed, exact)
             if block.name == "springer-a-2" and order_seed == 3:
+                tampered.append(exact)
                 lam = (tuple(v + ONE if j == 0 else v for j, v in enumerate(result.lam[0])),
                        *result.lam[1:])
                 result = dataclasses.replace(result, lam=lam)
@@ -409,6 +417,7 @@ class TestVerify:
         errors = [d for d in report["diagnostics"] if d["severity"] == "error"]
         assert [d["kind"] for d in errors] == ["OrderDependence"]
         assert errors[0]["message"].startswith("n=2:")
+        assert tampered == [False, True]
 
     def test_oracle_mismatch_is_one_diagnostic_per_pair(self, capsys, monkeypatch):
         # the oracle polynomial gains a term t at one pair, so its coefficient

@@ -1,5 +1,4 @@
 import re
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
@@ -200,9 +199,8 @@ class TestDot:
 
 @st.composite
 def long_polys(draw, coefficients=nonzero_coeffs, min_size=10, max_size=80):
-    """Operands that cross dot's gate: 10 to 80 terms at one parity of
-    doubled exponent, from -71 up, densely or with gaps of up to one term,
-    so that `_packed_form` accepts them."""
+    """Long operands: 10 to 80 terms at one parity of doubled exponent, from
+    -71 up, densely or with gaps of up to one term."""
     values = draw(st.lists(coefficients, min_size=min_size, max_size=max_size))
     gaps = draw(st.randoms(use_true_random=False))
     exponents = [draw(st.integers(-71, 40))]
@@ -212,39 +210,23 @@ def long_polys(draw, coefficients=nonzero_coeffs, min_size=10, max_size=80):
 
 
 long_pairs = st.lists(st.tuples(long_polys(), long_polys()), min_size=1, max_size=4)
-# from 2^62 up, of either sign: with ten terms a side, no pair holding one
-# fits the digit bound
+# from 2^62 up, of either sign: coefficients and products near and past a
+# signed 64-bit digit
 huge_coeffs = st.one_of(
     st.integers(2**62, 2**64), st.integers(-(2**64), -(2**62)), nonzero_coeffs)
-
-
-@contextmanager
-def unpack_calls():
-    """The packed sums that `laurent._unpack` reads inside the block: one
-    per exponent parity of a call of dot that packed a pair."""
-    values = []
-    original = laurent._unpack
-
-    def recorded(value, *args):
-        values.append(value)
-        return original(value, *args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(laurent, "_unpack", recorded)
-        yield values
+# the largest signed 64-bit digit
+DIGIT_MAX = (1 << 63) - 1
 
 
 class TestPackedDot:
-    """dot's packed branch: pairs of at least PACK_MIN_PRODUCTS coefficient
-    products, evaluated at t = 2^PACK_WIDTH while the digit bound holds,
-    against `schoolbook` and `fold`."""
+    """dot on long operands, on coefficients near and past 2^63, and on mixed
+    parities and sparse operands, the cases an evaluation at t = 2^64 would
+    have to guard: the dict loop against `schoolbook` and `fold`."""
 
     @given(long_pairs)
     def test_long_pairs_are_packed_and_exact(self, terms):
         xs, ys = [x for x, _ in terms], [y for _, y in terms]
-        with unpack_calls() as calls:
-            result = dot(xs, ys)
-        assert len(calls) >= 1
+        result = dot(xs, ys)
         assert result == fold(xs, ys, schoolbook) == fold(xs, ys)
         assert all(c for _, c in result.items())
 
@@ -258,49 +240,39 @@ class TestPackedDot:
         ones = HalfLaurent({2 * k: 1 for k in range(10)})
         for peak in (2**63, 2**63 - 1, 2**62):
             big = HalfLaurent({2 * k - 5: -peak for k in range(10)})
-            with unpack_calls() as calls:
-                result = dot([big], [ones])
-            assert len(calls) == 0
+            result = dot([big], [ones])
             assert result == schoolbook(big, ones)
             assert result.coefficient(13) == -10 * peak
 
     def test_digits_at_the_edge_of_the_bound(self):
-        # peak * 1 * 10 is the largest bound below 2^63: the middle digit
-        # of the product is -10 * peak, 8 above -2^63
-        peak = laurent._PACK_BOUND // 10
+        # the middle coefficient of one product is -10 * peak, 8 above -2^63,
+        # and that of the sum of two past it
+        peak = DIGIT_MAX // 10
         big = HalfLaurent({2 * k - 5: -peak for k in range(10)})
         ones = HalfLaurent({2 * k: 1 for k in range(10)})
-        with unpack_calls() as calls:
-            result = dot([big, -big], [ones, -ones])
-        # the first pair is packed; the second would break the bound
-        assert len(calls) == 1
+        assert dot([big], [ones]).coefficient(13) == -10 * peak
+        result = dot([big, -big], [ones, -ones])
         assert result == 2 * schoolbook(big, ones)
         assert result.coefficient(13) == -20 * peak
 
     @given(long_polys(), long_polys())
     def test_cancellation_across_branches_is_zero(self, x, y):
-        # x*y and x*(-y), both packed, then with x scaled so that one pair's
-        # bound takes more than half the digit range: the first pair packed,
-        # the second multiplied term by term
+        # x*y and x*(-y), then with x scaled so that a product's coefficients
+        # near or pass 2^63: the sum is the zero polynomial either way
         peak = max(abs(c) for _, c in x.items()) * max(abs(c) for _, c in y.items())
-        share = laurent._PACK_BOUND // (peak * min(len(x.items()), len(y.items())))
-        for f, packed_sum_is_zero in ((x, True), (x * share, False)):
-            with unpack_calls() as calls:
-                result = dot([f, f], [y, -y])
+        share = DIGIT_MAX // (peak * min(len(x.items()), len(y.items())))
+        for f in (x, x * share, x * (share + 1)):
+            result = dot([f, f], [y, -y])
             assert result == ZERO
             assert result.support() == () and not result.items()
-            assert len(calls) == 1
-            assert (calls[0] == 0) == packed_sum_is_zero
 
     @given(long_pairs, pairs, st.integers(2**62, 2**64), st.sampled_from((1, -1)))
     def test_one_call_mixes_both_branches(self, long, short, big, sign):
-        # packed pairs, short ones and one past the digit bound, interleaved
+        # long pairs, short ones and one far past 2^63, interleaved
         past = (long[0][0] * (sign * big * big), long[0][1])
         terms = [t for pair in zip(long, short) for t in pair] + long[len(short):] + [past]
         xs, ys = [x for x, _ in terms], [y for _, y in terms]
-        with unpack_calls() as calls:
-            result = dot(xs, ys)
-        assert len(calls) >= 1
+        result = dot(xs, ys)
         assert result == fold(xs, ys, schoolbook)
         assert all(c for _, c in result.items())
 
@@ -311,41 +283,23 @@ class TestPackedDot:
         assert dot(*zip(pair, (f, f))) == schoolbook(f, f)
         assert dot(*zip(pair, (f, f))).support() == schoolbook(f, f).support()
 
-    @pytest.mark.parametrize("short", [1, 2, 3, 6])
-    def test_operands_exactly_at_the_gate(self, short):
-        long = -(-laurent.PACK_MIN_PRODUCTS // short)
-        for length, packed in ((long, True), (long - 1, False)):
-            x = HalfLaurent({2 * k + 1: k + 1 for k in range(short)})
-            y = HalfLaurent({2 * k - 9: (-1) ** k * (k + 2) for k in range(length)})
-            with unpack_calls() as calls:
-                result = dot([x], [y])
-            assert result == schoolbook(x, y)
-            assert len(calls) == packed
-            assert (getattr(x, "_packed", None) is not None) == packed
-
     def test_mixed_parity_operand_is_multiplied_term_by_term(self):
         mixed = HalfLaurent({k: 1 for k in range(-20, 20)})
         f = HalfLaurent({2 * k: k - 7 for k in range(20)})
-        with unpack_calls() as calls:
-            assert dot([mixed, f], [f, mixed]) == 2 * schoolbook(mixed, f)
-        assert len(calls) == 0
-        assert mixed._packed is False
+        assert dot([mixed, f], [f, mixed]) == 2 * schoolbook(mixed, f)
 
     def test_sparse_operand_is_multiplied_term_by_term(self):
-        # 10 terms over 201 exponents of one parity: packing would hold
-        # about 10 digits per term
+        # 10 terms over 201 exponents of one parity
         sparse = HalfLaurent({20 * k: k + 1 for k in range(10)})
         f = HalfLaurent({2 * k: 1 for k in range(10)})
-        with unpack_calls() as calls:
-            assert dot([sparse], [f]) == schoolbook(sparse, f)
-        assert len(calls) == 0
+        assert dot([sparse], [f]) == schoolbook(sparse, f)
 
     @given(long_polys(), long_polys())
     def test_packed_form_changes_nothing_observable(self, x, y):
+        # a product leaves its operands as they were
         fresh = HalfLaurent(dict(x.items()))
         before = (hash(x), x.to_json(), x.pretty())
         first = dot([x], [y])
-        assert x._packed
         assert (hash(x), x.to_json(), x.pretty()) == before
         assert x == fresh and hash(x) == hash(fresh)
         assert fresh == x
