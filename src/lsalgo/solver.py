@@ -46,11 +46,10 @@ sum of products in these stages, and in the elimination, is one `dot`.
 All divisions are certified exact in Z[t^(1/2), t^(-1/2)]; the elimination is
 fraction-free (Bareiss).  A zero determinant means omega is not a block.
 Any failure names the inconsistency instead of producing wrong numbers.
-Because the solution is unique, the result does not depend on which linear
-extension was used; the returned matrices are always indexed by the block's
-own label order.
-`linear_extension`, imported from `blockdata`, produces every extension:
-ascending (dimension, id) by default, or drawn at random from a seed.
+As the solution is unique, it does not depend on the linear extension,
+which `linear_extension` from `blockdata` makes: ascending (dimension, id)
+by default, or drawn at random from a seed.  The returned matrices are
+always indexed by the block's own label order.
 
 `solve` validates the block with `validate_block`, builds the closure order
 once with `closure_below`, eliminates with `_factor` and checks the result
@@ -84,26 +83,27 @@ passes is a constrained factorization of omega, so by uniqueness it is the
 answer, whatever the elimination did (Lusztig, Character sheaves V, 1986,
 section 24; Shoji 1987).  So a result equal to one that passed is the
 answer as well: `verify` validates once, calls `_factor` alone for its
-seeded re-solves and compares each with a checked result.
-`reconstruct` forms the full product as polynomials, two plain matrix
-products of one `dot` per entry.
+seeded re-solves and compares each with a checked result.  `reconstruct`
+forms the full product as polynomials, one `dot` per entry.
 
 The stages are written once, over two arithmetics.  `_factor` runs them
 first on packed integers: an entry f is (lo, N), f = x^lo * N at
 x = 2^PACK_WIDTH, x standing for t if every orbit dim and omega exponent is
 even, else for t^(1/2).  A product adds the offsets and multiplies the ints;
-a sum shifts to the lesser lo and moves N's zero low digits into lo, so lo
-stays the least exponent, as a divisor's must; a monomial shift changes lo
-only; a division is `divmod`, a remainder meaning it is not exact.  As
-evaluation at x is a ring homomorphism, each N is the exact value of its
-entry however large the coefficients grow.  Only the final unpacking into
-signed digits, which takes a spare digit and so never raises, assumes every
-|coefficient| < 2^63: a packed result is trusted once certified, in `solve`
-by the check above, in `verify` by equality with a checked result.  A
-packed run that cannot finish (a zero pivot, a remainder, a nonzero
-residual in stage (iii)), a result the check rejects and a seeded result
-unequal to the checked one are each decided by the run over HalfLaurent,
-which raises the located error.
+a sum shifts to the lesser lo and moves N's zero low digits into lo, a zero
+sum being None; a monomial shift changes lo only; a division is `divmod`, a
+remainder meaning it is not exact.  As evaluation at x is a ring
+homomorphism, each N is the exact value of its entry however large the
+coefficients grow, and an entry that vanishes at x is zero there: omega's
+t - 2^64 is read as (0, 0), and a division by it stops the run.  Only the
+final unpacking, which takes a spare digit and never raises, assumes every
+|coefficient| < 2^63, so a packed result is trusted once certified: in
+`solve` by the check above, in `verify` by equality with a checked result.
+The run over HalfLaurent, which raises the located error, decides a packed
+run that stops (a zero pivot or divisor, a remainder, a nonzero residual
+in stage (iii)), a result the check rejects, a seeded result unequal to the
+checked one, and a block whose omega spans eight packed digits a term or
+more: a digit takes a word, a term of a HalfLaurent about eight.
 """
 
 from __future__ import annotations
@@ -235,18 +235,18 @@ def _packed_dot(xs, ys):
 
 
 def _packed_div(f, g):
-    if not f:
-        return None
-    q, r = divmod(f[1], g[1])
+    q, r = divmod(f[1], g[1]) if f else (None, 0)
     if r:
         raise NonExactDivision("a packed quotient leaves a remainder")
-    return f[0] - g[0], q
+    return f and (f[0] - g[0], q)
 
 
-def _packed(block: BlockData) -> _Arithmetic:
-    """The packed arithmetic of `block`, as the module docstring sets out."""
-    step = 1 if any(o.dim % 2 for o in block.orbits) or any(
-        e % 2 for row in block.omega for f in row for e, _ in f.items()) else 2
+def _packed(block: BlockData) -> _Arithmetic | None:
+    """The packed arithmetic of `block`, or None if omega is sparse."""
+    sup = [f.support() for row in block.omega for f in row if f]
+    step = 1 if any(o.dim % 2 for o in block.orbits) or any(e % 2 for s in sup for e in s) else 2
+    if sup and max(s[-1] for s in sup) - min(s[0] for s in sup) >= 8 * step * sum(map(len, sup)):
+        return None
     bits = PACK_WIDTH // step  # per doubled exponent
 
     def of(f: HalfLaurent):
@@ -284,14 +284,14 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
 def _factor(block: BlockData, below: dict[str, frozenset[str]],
             order_seed: int | None, exact: bool = False) -> SolveResult:
     """Eliminate a validated `block`, whose closure order is `below`, along
-    the extension drawn from `order_seed`; the result is not yet checked.
-    The entries are packed integers unless `exact`; a packed run that cannot
-    finish is rerun exact, which raises the located error."""
-    if exact:
+    the extension drawn from `order_seed`, unchecked, on packed integers
+    unless `exact` or omega is sparse; a packed run that stops is rerun exact."""
+    packed = None if exact else _packed(block)
+    if packed is None:
         return _stages(block, below, order_seed, _EXACT)
     try:
-        return _stages(block, below, order_seed, _packed(block))
-    except (SolverError, NonExactDivision):
+        return _stages(block, below, order_seed, packed)
+    except (SolverError, ArithmeticError):
         return _factor(block, below, order_seed, exact=True)
 
 

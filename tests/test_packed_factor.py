@@ -6,7 +6,8 @@ arithmetics must give equal results on every block that solves, with no exact
 rerun.  Where the packed run cannot finish, or its result fails the
 certificate, the exact run decides: every error keeps the kind, message,
 stage, orbit and row that the exact stages give it, and a packed result that
-breaks the final unpacking is caught, not returned.
+breaks the final unpacking is caught, not returned.  A block whose omega
+spans eight or more packed digits per term is solved exact alone.
 """
 
 import dataclasses
@@ -54,6 +55,7 @@ def agreement_cases():
 @pytest.mark.parametrize("block, seed", agreement_cases(),
                          ids=lambda case: getattr(case, "name", str(case)))
 def test_packed_and_exact_results_are_equal(block, seed, reruns):
+    assert solver._packed(block) is not None
     below = closure_below(block)
     packed = solver._factor(block, below, seed)
     assert reruns == []
@@ -75,6 +77,9 @@ def failure_blocks():
         "singular_and_support_fault_block", "non_ring_solution_block",
         "non_ring_dual_pair_block", "dual_symmetry_breaking_block"))
     blocks["incomparable_orbits_block(ONE)"] = conftest.incomparable_orbits_block(ONE)
+    # t - 2^64 is nonzero but vanishes at x = 2^64: the packed run divides by it
+    blocks["vanishing_at_x_block"] = two_orbit_block(
+        "vanishing", ((HalfLaurent({2: 1, 0: -2**64}), ONE), (ONE, ONE)))
     return blocks
 
 
@@ -106,6 +111,10 @@ FAILURES = {
         "SupportViolation",
         "omega[y][...] is nonzero on orbit 'o1', which the closure order forbids",
         "iii", "o1", "y"),
+    "vanishing_at_x_block": (
+        "NonExactDivision",
+        "stage (ii), row 'y' over orbit 'lo': (1) is not divisible by (-18446744073709551616 + t)",
+        "ii", "lo", "y"),
 }
 
 
@@ -132,12 +141,36 @@ def test_a_failed_packed_run_is_rerun_exact(name, monkeypatch, reruns):
     assert reruns and all(seed is None for _, seed in reruns)
 
 
-def wide_block(a: int) -> BlockData:
-    """Two orbits, one label on each, omega = [[1, a], [a, 1]]: lambda on the
-    upper orbit is t^2 * (1 - a^2)."""
+def two_orbit_block(name: str, omega) -> BlockData:
+    """Orbits lo (dim 0) < hi (dim 2), label x on lo and y on hi."""
     orbits = (OrbitInfo("lo", 0), OrbitInfo("hi", 2, ("lo",)))
     labels = (SimpleLabel("x", "lo"), SimpleLabel("y", "hi"))
-    return BlockData("wide", orbits, labels, ((ONE, a * ONE), (a * ONE, ONE)))
+    return BlockData(name, orbits, labels, omega)
+
+
+def wide_block(a: int) -> BlockData:
+    """omega = [[1, a], [a, 1]]: lambda on the upper orbit is t^2 * (1 - a^2)."""
+    return two_orbit_block("wide", ((ONE, a * ONE), (a * ONE, ONE)))
+
+
+def test_a_sparse_omega_is_solved_exact_alone(monkeypatch):
+    # t^-50000 + t^50000 packs into 50,001 digits for two terms; as a dict it
+    # is two entries, so the block is never packed
+    w = HalfLaurent({-100_000: 1, 100_000: 1})
+    block = two_orbit_block("sparse", ((w, w), (w, w + ONE)))
+    assert solver._packed(block) is None
+    arithmetics = []
+    stages = solver._stages
+
+    def spy(block, below, order_seed, ar):
+        arithmetics.append(ar)
+        return stages(block, below, order_seed, ar)
+
+    monkeypatch.setattr(solver, "_stages", spy)
+    result = solve(block)
+    assert arithmetics == [solver._EXACT]
+    assert (result.p_entry("y", "x"), result.lam_entry("x", "x"),
+            result.lam_entry("y", "y")) == (ONE, w, HalfLaurent({4: 1}))
 
 
 def test_coefficient_past_a_digit_is_decided_by_the_exact_run(reruns):
