@@ -12,7 +12,9 @@ Products have one kernel, `dot(xs, ys)`: the sum of x*y over paired
 polynomials, multiplied term by term into one coefficient map whose zero
 entries are dropped once, at the end.  A sum of products, such as one entry
 of a matrix product, thus builds one polynomial instead of one per term; a
-single product `f * g` is `dot((f,), (g,))`.
+single product `f * g` is `dot((f,), (g,))`.  Packing has one kernel too,
+`_pack`/`_unpack`: digits d_k as sum_k d_k * 2^(width * k), width in whole
+words, one `struct` call and one int conversion each way at 64 bits.
 
 Values are immutable after construction and all operations are pure, so they
 may be shared freely between workers.  Coefficients are plain Python ints,
@@ -25,10 +27,11 @@ value, raises DataFormatError.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterable, ItemsView, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter, lshift
+from operator import attrgetter
 
 # Largest doubled exponent, in absolute value, that decoding accepts; the
 # omega of springer-a n <= 8 reaches 56 and the shipped datasets 6.
@@ -68,24 +71,27 @@ def decode_str(value, what: str) -> str:
     return value
 
 
-@lru_cache(maxsize=4096, typed=True)
-def _decode_exponent(key) -> int:
-    # JSON object keys are strings; only the canonical decimal form is taken.
-    # Files repeat few keys; typed, so True and 1.0 never hit the entry of 1
-    if isinstance(key, str):
+class _ExponentMemo(dict):
+    """Canonical str exponent keys, each decoded on its first lookup; 4096 at most."""
+
+    def __missing__(self, key) -> int:
+        # JSON object keys are strings; only the canonical decimal form is taken,
+        # and only a str key is held, so True and 1.0 never meet the entry of "1"
         try:
-            e = int(key)
+            e = int(key) if isinstance(key, str) and str(int(key)) == key else key
         except ValueError:
-            pass
-        else:
-            if str(e) == key:
-                key = e
-    if type(key) is not int:
-        raise DataFormatError(f"exponent key {key!r} is not an integer")
-    if abs(key) > MAX_EXPONENT:
-        raise DataFormatError(
-            f"exponent key {key} is beyond the bound {MAX_EXPONENT} in absolute value")
-    return key
+            e = key
+        if type(e) is not int:
+            raise DataFormatError(f"exponent key {key!r} is not an integer")
+        if abs(e) > MAX_EXPONENT:
+            raise DataFormatError(
+                f"exponent key {e} is beyond the bound {MAX_EXPONENT} in absolute value")
+        if type(key) is str and len(self) < 4096:
+            self[key] = e
+        return e
+
+
+_EXPONENTS = _ExponentMemo()
 
 
 class HalfLaurent:
@@ -225,9 +231,9 @@ class HalfLaurent:
         if not isinstance(obj, Mapping):
             raise DataFormatError(f"a polynomial must be a JSON object, got {obj!r}")
         # the exponent is decoded first; of two keys for one exponent, the last wins
-        c = {_decode_exponent(e): v if type(v) is int else decode_int(v, "a coefficient")
+        c = {_EXPONENTS[e]: v if type(v) is int else decode_int(v, "a coefficient")
              for e, v in obj.items()}
-        return _raw({e: v for e, v in c.items() if v})
+        return _raw({e: v for e, v in c.items() if v} if 0 in c.values() else c)
 
     def pretty(self) -> str:
         """Human-readable form, ascending exponents: "t^-2 + 2*t^-1 - 1"."""
@@ -317,44 +323,42 @@ def dot(xs: Iterable[HalfLaurent], ys: Iterable[HalfLaurent]) -> HalfLaurent:
     return _raw({e: v for e, v in c.items() if v})
 
 
-# The one signed-digit packing, for the solver and for weyl's coinvariant pairing.
-
-
 def _digit_width(bound: int) -> int:
-    """Bits per packed coefficient for signed digits of absolute value at
-    most bound: one more than bound needs, for the sign."""
-    return bound.bit_length() + 1
+    """Bits per signed digit of absolute value at most bound, in whole words."""
+    return (bound.bit_length() + 64) // 64 * 64
 
 
-def _pack(series: Sequence[int], width: int) -> int:
-    """sum_k series[k] * 2^(width * k); each series[k] in
-    [-2^(width - 1), 2^(width - 1))."""
-    return sum(map(lshift, series, range(0, width * len(series), width)))
+def _pack(digits: Sequence[int], width: int) -> int:
+    """sum_k digits[k] * 2^(width * k) for a width in whole 64-bit words; a
+    digit outside [-2^(width - 1), 2^(width - 1)) raises ArithmeticError."""
+    offset = _digit_offset(width, len(digits))
+    try:  # two's complement words: flipping each top bit adds 2^(width - 1)
+        words = (struct.pack(f"<{len(digits)}q", *digits) if width == 64 else
+                 b"".join(d.to_bytes(width // 8, "little", signed=True) for d in digits))
+    except (struct.error, OverflowError):
+        raise ArithmeticError(
+            f"a series does not fit {len(digits)} digits of {width} bits") from None
+    return (int.from_bytes(words, "little") ^ offset) - offset
 
 
 def _unpack(value: int, width: int, n_terms: int) -> list[int]:
     """The n_terms signed width-bit digits of value, ascending: the inverse
-    of `_pack` for digits in [-2^(width - 1), 2^(width - 1)).  A value that
-    no such digits give raises ArithmeticError."""
-    half = 1 << width - 1
-    mask = (1 << width) - 1
-    # with half added to every digit, each lies in [0, 2^width): no borrows
-    biased = value + _digit_offset(width, n_terms)
-    out = []
-    for _ in range(n_terms):
-        out.append((biased & mask) - half)
-        biased >>= width
-    if biased:
+    of `_pack`.  A value that no such digits give raises ArithmeticError."""
+    offset = _digit_offset(width, n_terms)
+    try:
+        words = ((value + offset) ^ offset).to_bytes(width // 8 * n_terms, "little")
+    except OverflowError:
         raise ArithmeticError(
-            f"a packed series does not fit {n_terms} digits of {width} bits")
-    return out
+            f"a packed series does not fit {n_terms} digits of {width} bits") from None
+    return list(struct.unpack(f"<{n_terms}q", words)) if width == 64 else [
+        int.from_bytes(words[k:k + width // 8], "little", signed=True)
+        for k in range(0, len(words), width // 8)]
 
 
 @lru_cache(maxsize=64)
 def _digit_offset(width: int, n_terms: int) -> int:
-    # sum_k 2^(width - 1) * 2^(width * k) over k < n_terms; the division
-    # costs about half as much as the unpacking it serves, hence the memo
-    return (1 << width - 1) * (((1 << width * n_terms) - 1) // ((1 << width) - 1))
+    # 2^(width - 1) in each of n_terms digits; memoized, as it costs as much as a small pack
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n_terms, "little")
 
 
 def exact_div(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:

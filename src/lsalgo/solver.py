@@ -86,38 +86,38 @@ answer as well: `verify` validates once, calls `_factor` alone for its
 seeded re-solves and compares each with a checked result.  `reconstruct`
 forms the full product as polynomials, one `dot` per entry.
 
-The stages are written once, over two arithmetics.  `_factor` runs them
-first on packed integers: an entry f is (lo, N), f = x^lo * N at
-x = 2^PACK_WIDTH, x standing for t if every orbit dim and omega exponent is
-even, else for t^(1/2).  A product adds the offsets and multiplies the ints;
-a sum shifts to the lesser lo and moves N's zero low digits into lo, a zero
-sum being None; a monomial shift changes lo only; a division is `divmod`, a
-remainder meaning it is not exact.  As evaluation at x is a ring
-homomorphism, each N is the exact value of its entry however large the
-coefficients grow, and an entry that vanishes at x is zero there: omega's
-t - 2^64 is read as (0, 0), and a division by it stops the run.  Only the
-final unpacking, which takes a spare digit and never raises, assumes every
-|coefficient| < 2^63, so a packed result is trusted once certified: in
-`solve` by the check above, in `verify` by equality with a checked result.
-The run over HalfLaurent, which raises the located error, decides a packed
-run that stops (a zero pivot or divisor, a remainder, a nonzero residual
-in stage (iii)), a result the check rejects, a seeded result unequal to the
-checked one, and a block whose omega spans eight packed digits a term or
-more: a digit takes a word, a term of a HalfLaurent about eight.
+The stages are written once, over two arithmetics.  `_factor` runs them first
+on packed integers: an entry f is (lo, N), f = x^lo * N at x = 2^PACK_WIDTH, x
+standing for t if every orbit dim and omega exponent is even, else for
+t^(1/2); omega's entries are packed as signed 64-bit digits.  A product adds
+the offsets and multiplies the ints; a sum shifts to the lesser lo and moves
+N's zero low digits into lo, a zero sum being None; a monomial shift changes
+lo only; a division is `divmod`, a remainder meaning it is not exact.
+Evaluation at x is a ring homomorphism, so each N is exact however large the
+coefficients grow in between.  Only the final unpacking, which takes a spare
+digit and never raises, assumes every |coefficient| < 2^63, so a packed result
+is trusted once certified: in `solve` by the check above, in `verify` by
+equality with a checked result.  The run over HalfLaurent, which raises the
+located error, decides a packed run that stops (an omega coefficient outside
+[-2^63, 2^63), a zero pivot or divisor, a remainder, a nonzero residual in
+stage (iii)), a result the check rejects, a seeded result unequal to the
+checked one, and a block whose omega spans eight packed digits a term or more:
+a digit takes a word, a HalfLaurent term about eight.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
+from operator import itemgetter
 
 from .blockdata import (
     BlockData, Violation, _decode_ids, _decode_matrix, closure_below, linear_extension,
     validate_block)
 from .laurent import (
-    ONE, PACK_WIDTH, ZERO, DataFormatError, HalfLaurent, NonExactDivision, _unpack,
-    decode_str, dot, exact_div, t_half_power)
+    ONE, PACK_WIDTH, ZERO, DataFormatError, HalfLaurent, NonExactDivision, _pack, _raw,
+    _unpack, decode_str, dot, exact_div, t_half_power)
 
 Matrix = tuple[tuple[HalfLaurent, ...], ...]
 
@@ -226,12 +226,22 @@ def _eliminate(matrix: list[list], ar: _Arithmetic = _EXACT):
     return prev, [row[n:] for row in rows]
 
 
+def _normal(lo: int, n: int):  # x^lo * n, n's zero low digits moved into lo; 0 is None
+    k = ((n & -n).bit_length() - 1) // PACK_WIDTH
+    return (lo + k, n >> PACK_WIDTH * k) if n else None
+
+
 def _packed_dot(xs, ys):
     terms = [(x[0] + y[0], x[1] * y[1]) for x, y in zip(xs, ys) if x and y]
     lo = min((lo for lo, _ in terms), default=0)
-    n = sum(n << PACK_WIDTH * (e - lo) for e, n in terms)
-    k = ((n & -n).bit_length() - 1) // PACK_WIDTH  # zero low digits move into lo
-    return (lo + k, n >> PACK_WIDTH * k) if n else None
+    return _normal(lo, sum(n << PACK_WIDTH * (e - lo) for e, n in terms))
+
+
+def _packed_sub(f, g):
+    if not (f and g):
+        return f if g is None else (g[0], -g[1])
+    lo = min(f[0], g[0])
+    return _normal(lo, (f[1] << PACK_WIDTH * (f[0] - lo)) - (g[1] << PACK_WIDTH * (g[0] - lo)))
 
 
 def _packed_div(f, g):
@@ -243,22 +253,22 @@ def _packed_div(f, g):
 
 def _packed(block: BlockData) -> _Arithmetic | None:
     """The packed arithmetic of `block`, or None if omega is sparse."""
-    sup = [f.support() for row in block.omega for f in row if f]
-    step = 1 if any(o.dim % 2 for o in block.orbits) or any(e % 2 for s in sup for e in s) else 2
-    if sup and max(s[-1] for s in sup) - min(s[0] for s in sup) >= 8 * step * sum(map(len, sup)):
+    keys = [f._c.keys() for row in block.omega for f in row if f]
+    exponents = set().union(*keys)
+    step = 1 if any(o.dim % 2 for o in block.orbits) or any(e % 2 for e in exponents) else 2
+    if keys and max(exponents) - min(exponents) >= 8 * step * sum(map(len, keys)):
         return None
-    bits = PACK_WIDTH // step  # per doubled exponent
 
-    def of(f: HalfLaurent):
-        lo = min((e for e, _ in f.items()), default=0)
-        return (lo // step, sum(c << (e - lo) * bits for e, c in f.items())) if f else None
+    def of(f: HalfLaurent):  # omega's coefficients as dense digits, lowest first
+        c = f._c
+        return (min(c) // step, _pack(list(map(c.get, range(min(c), max(c) + 1, step), repeat(0))),
+                                      PACK_WIDTH)) if c else None
 
-    def out(v) -> HalfLaurent:
-        return HalfLaurent(dict(zip(count(step * v[0], step), _unpack(
-            v[1], PACK_WIDTH, v[1].bit_length() // PACK_WIDTH + 2)))) if v else ZERO
+    def out(v) -> HalfLaurent:  # with a spare digit, which never raises
+        return _raw(dict(filter(itemgetter(1), zip(count(step * v[0], step), _unpack(
+            v[1], PACK_WIDTH, v[1].bit_length() // PACK_WIDTH + 2))))) if v else ZERO
 
-    return _Arithmetic(None, (0, 1), of, out, _packed_dot,
-                       lambda a, b: _packed_dot((a, b), ((0, 1), (0, -1))), _packed_div,
+    return _Arithmetic(None, (0, 1), of, out, _packed_dot, _packed_sub, _packed_div,
                        lambda v, k: v and (v[0] + k // step, v[1]))
 
 
@@ -497,6 +507,5 @@ def dualize_p(result: SolveResult, block: BlockData) -> Matrix:
 
 
 def _dual_stalks(p: Matrix, dual: list[int], dims: list[int]) -> Matrix:
-    k = len(p)
-    return tuple(tuple(p[dual[a]][dual[b]].bar().shift(-2 * dims[b]) for b in range(k))
-                 for a in range(k))
+    return tuple(tuple(_raw({-2 * d - e: v for e, v in p[i][j].items()}) if p[i][j] else ZERO
+                       for j, d in zip(dual, dims)) for i in dual)

@@ -355,10 +355,10 @@ def char_table_sn(n: int, char_ids: Iterable[str] | None = None) -> CharTable:
 # also held packed: each class's series as the one integer sum_k c_w[k] *
 # 2^(width * k), so a pairing sums one product per class and reads its
 # coefficients back as signed width-bit digits.  Packing, reading back and
-# the width are laurent's `_pack`, `_unpack` and `_digit_width`, the kernels
-# of the packed branch of `dot`.  The width comes from a bound on every
-# digit, taken from the table's own class sizes and values, so it holds
-# whether or not the table is consistent.  Series used once, such as the
+# the width, in whole 64-bit words, are laurent's `_pack`, `_unpack` and
+# `_digit_width`, the one kernel, which the solver's elimination shares.  The
+# width bounds every digit by the table's own class sizes and values, so it
+# holds whether or not the table is consistent.  Series used once, such as the
 # inverse determinants of `class_pair_series`, are summed column by column:
 # packing them would cost more than it saves.
 

@@ -435,6 +435,28 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match="exponent key '01'"):
             HalfLaurent.from_json({"01": 1.5})
 
+    # of two bad terms, the first in key order is named, whether or not the
+    # good keys were decoded before
+    @pytest.mark.parametrize("obj, message", [
+        ({"0": 1.5, "01": 1}, "a coefficient must be an integer, got 1.5"),
+        ({"01": 1, "0": 1.5}, "exponent key '01' is not an integer"),
+        ({"0": 1, "1": True, "2": 1.5}, "a coefficient must be an integer, got True"),
+        ({"2": 1.5, "0": 1, "1": True}, "a coefficient must be an integer, got 1.5"),
+    ])
+    def test_the_first_bad_term_is_named(self, obj, message):
+        for _ in range(2):
+            with pytest.raises(DataFormatError, match=re.escape(message)):
+                HalfLaurent.from_json(obj)
+            assert HalfLaurent.from_json({"0": 1, "1": 0, "2": -1}) == ONE - T
+
+    def test_more_distinct_keys_than_the_memo_holds(self):
+        exponents = range(-2500, 2500)
+        expected = HalfLaurent(dict(zip(exponents, range(1, 5001))))
+        for _ in range(2):
+            assert HalfLaurent.from_json(
+                {str(e): v for e, v in zip(exponents, range(1, 5001))}) == expected
+        assert len(laurent._EXPONENTS) <= 4096
+
     def test_two_keys_for_one_exponent_the_last_wins(self):
         assert HalfLaurent.from_json({"1": 1}) == t_half_power(1)
         assert HalfLaurent.from_json({1: 1, "1": 0}) == ZERO

@@ -6,18 +6,22 @@ arithmetics must give equal results on every block that solves, with no exact
 rerun.  Where the packed run cannot finish, or its result fails the
 certificate, the exact run decides: every error keeps the kind, message,
 stage, orbit and row that the exact stages give it, and a packed result that
-breaks the final unpacking is caught, not returned.  A block whose omega
-spans eight or more packed digits per term is solved exact alone.
+breaks the final unpacking is caught, not returned.  An omega coefficient
+outside the signed 64-bit digit range stops the packed run before any
+elimination, with the same bytes.  A block whose omega spans eight or more
+packed digits per term is solved exact alone.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from lsalgo import cli, solver
 from lsalgo.blockdata import (
-    BlockData, OrbitInfo, SimpleLabel, build_springer_block_a, closure_below)
+    BlockData, OrbitInfo, SimpleLabel, block_to_json, build_springer_block_a, closure_below,
+    write_json)
 from lsalgo.laurent import ONE, HalfLaurent, NonExactDivision
 from lsalgo.solver import SolveResult, reconstruct, solve
 
@@ -77,7 +81,8 @@ def failure_blocks():
         "singular_and_support_fault_block", "non_ring_solution_block",
         "non_ring_dual_pair_block", "dual_symmetry_breaking_block"))
     blocks["incomparable_orbits_block(ONE)"] = conftest.incomparable_orbits_block(ONE)
-    # t - 2^64 is nonzero but vanishes at x = 2^64: the packed run divides by it
+    # t - 2^64 vanishes at x = 2^64; its coefficient -2^64 fits no digit, so
+    # the packed run stops before it could divide by it
     blocks["vanishing_at_x_block"] = two_orbit_block(
         "vanishing", ((HalfLaurent({2: 1, 0: -2**64}), ONE), (ONE, ONE)))
     return blocks
@@ -182,6 +187,49 @@ def test_coefficient_past_a_digit_is_decided_by_the_exact_run(reruns):
     assert reruns == [("wide", None)]
     assert result.lam_entry("y", "y") == HalfLaurent({4: 1 - a * a})
     assert result.p_entry("y", "x") == HalfLaurent({0: a})
+    assert reconstruct(result, block) == block.omega
+
+
+# the bytes `solve` writes for omega = [[a, a], [a, a + t^-2]], pinned before
+# the packed run range-checked omega's digits
+EDGE_DIGESTS = {
+    2**63 - 1: "eb151b150e4a40d16acf162220819a4c1a9a7e6489beac55a07599dda035ae54",
+    -2**63: "90567495d1736d3fe5510296b74e0736d1b972dced0e81a95659065855c910d6",
+    2**63: "6a953bcc2cedb379af178b7af1dc56d66d6147f2ee2c09065429cabcf324f956",
+    -2**63 - 1: "b03344c956df2cd09dced17d13c17d8deb8d135cc15f8aa98c51146cf7c17808",
+}
+
+
+@pytest.mark.parametrize("a", sorted(EDGE_DIGESTS))
+def test_an_omega_coefficient_past_a_digit_is_solved_exact(a, tmp_path, monkeypatch, reruns):
+    # lambda is a on lo and t^2 on hi, p[y][x] = 1: every coefficient of the
+    # result is one of omega's.  An a outside [-2^63, 2^63) cannot be packed,
+    # so the packed run stops before any elimination and reaches no check
+    block = two_orbit_block("edge", ((a * ONE, a * ONE), (a * ONE, a * ONE + HalfLaurent({-4: 1}))))
+    source, out = tmp_path / "edge.json", tmp_path / "edge.out.json"
+    with open(source, "w", encoding="utf-8") as fh:
+        write_json([block_to_json(block)], fh)
+    checks = []
+    check = solver._check_invariants
+
+    def counted(*args):
+        checks.append(args[1].name)
+        return check(*args)
+
+    monkeypatch.setattr(solver, "_check_invariants", counted)
+    assert cli.main(["solve", str(source), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EDGE_DIGESTS[a]
+    fits = -2**63 <= a < 2**63
+    assert (reruns, checks) == ([] if fits else [("edge", None)], ["edge"])
+
+
+def test_a_residual_vanishing_at_x_is_decided_by_the_exact_run(reruns):
+    # omega's digits fit, but the residual t - 2^32 * 2^32 of the upper
+    # orbit is 0 at x = t = 2^64: the packed run finds a singular Lambda block
+    block = two_orbit_block("vanishing", ((ONE, 2**32 * ONE), (2**32 * ONE, HalfLaurent({2: 1}))))
+    result = solve(block)
+    assert reruns == [("vanishing", None)]
+    assert result.lam_entry("y", "y") == HalfLaurent({6: 1, 4: -2**64})
     assert reconstruct(result, block) == block.omega
 
 

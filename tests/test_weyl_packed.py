@@ -171,7 +171,24 @@ def test_unpack_leaves_nothing_over():
     with pytest.raises(ArithmeticError, match="does not fit"):
         _unpack(_pack([1, 2, 5], width), width, 2)
     with pytest.raises(ArithmeticError, match="does not fit"):
-        _unpack(_pack([9], width), width, 1)
+        _unpack(2**63, width, 1)
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_pack_at_the_digit_edges(width):
+    low, high = -2 ** (width - 1), 2 ** (width - 1) - 1
+    digits = [low, high, 0, 0, 0, high, low, 0, 1, -1, 0, 0]
+    value = _pack(digits, width)
+    assert value == sum(d << width * k for k, d in enumerate(digits))
+    assert _unpack(value, width, len(digits)) == digits
+    assert _unpack(value, width, len(digits) + 1) == digits + [0]  # a spare digit
+    assert _pack([], width) == 0 and _unpack(0, width, 0) == []
+    for bad in ([high + 1], [0, low - 1, 0]):
+        with pytest.raises(ArithmeticError, match="does not fit"):
+            _pack(bad, width)
+    for bad in (high + 1, low - 1):
+        with pytest.raises(ArithmeticError, match="does not fit"):
+            _unpack(bad, width, 1)
 
 
 @st.composite
