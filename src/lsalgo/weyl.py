@@ -399,11 +399,13 @@ def _packing(table: CharTable, series: tuple[tuple[int, ...], ...]) -> _Packing:
     characters."""
     # |w_c| <= |c| * peak_c^2, with peak_c >= 1 the largest |value| on
     # class c: for the class sizes, and for any pair of rows, each of which
-    # has one value per class by construction
+    # has one value per class by construction.  Each bound is at least 1, so
+    # the width also holds every digit of the series themselves, as packed
     peaks = [1] * len(table.classes)
     for irr in table.irreducibles:
         peaks = list(map(max, peaks, map(abs, irr.values)))
-    weight_bounds = [abs(c.size) * peak * peak for c, peak in zip(table.classes, peaks)]
+    weight_bounds = [max(abs(c.size), 1) * peak * peak
+                     for c, peak in zip(table.classes, peaks)]
     bound = max((sum(map(mul, weight_bounds, map(abs, column)))
                  for column in zip_longest(*series, fillvalue=0)), default=0)
     width = _digit_width(bound)

@@ -218,6 +218,16 @@ def test_packed_average_matches_column_sums(table_and_series, data):
                 == outcome(_average, table, weights, series))
 
 
+def test_packing_holds_the_series_when_every_weight_is_zero():
+    # class sizes of 0 bound every weighted sum by 0; the width must still
+    # hold the packed series' own digits
+    table = CharTable(1, (ClassData("0", 0, (1,)), ClassData("1", 0, (1,))),
+                      (IrrData("0", (0, 0)),))
+    series = ((), (2**63, -(2**80)))
+    packing = _packing(table, series)
+    assert _packed_average(table, [0, 0], packing) == _average(table, [0, 0], series) == (0, 0)
+
+
 class TestInverseMemo:
     """`class_pair_series` on one table at several lengths: each is a prefix
     of the longest, an inconsistent table raises on every call, and nothing
