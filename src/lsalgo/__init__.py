@@ -8,10 +8,9 @@ return or raise; every other name is imported from its own module.
 """
 
 from .laurent import DataFormatError, HalfLaurent, NonExactDivision
-from .weyl import coinvariant_pairing
+from .weyl import coinvariant_pairing, graded_hom_dims
 from .blockdata import build_springer_block_a
 from .solver import InvalidBlock, SolveResult, SolverError, dualize_p, reconstruct, solve
 from .oracle import kostka_foulkes
-from .exthom import graded_hom_dims
 
 __version__ = "0.1.0"

@@ -40,11 +40,10 @@ from .blockdata import (
     write_json,
     MAX_SPRINGER_N,
 )
-from .exthom import graded_hom_dims
 from .laurent import NonExactDivision, max_abs_coefficient
 from .oracle import kostka_foulkes
-from .solver import SolveResult, SolverError, _factor, solve
-from .weyl import CharTable, char_table_sn, partitions_of
+from .solver import SolveResult, SolverError, _runs, solve
+from .weyl import CharTable, char_table_sn, graded_hom_dims, partitions_of
 
 # exthom size bounds: the truncation degree and the built-in S_n table both
 # stay well under a second at these values
@@ -155,9 +154,8 @@ def _verify_one_n(n: int, diagnostics: list[dict]) -> bool:
     # `result` passed the self-check, so it is the constrained factorization,
     # which is unique: a seeded factorization equal to it is certified by that
     # equality alone; where a packed one differs, the exact one decides
-    below = closure_below(block)
-    if any(_factor(block, below, seed) != result
-           and _factor(block, below, seed, exact=True) != result for seed in range(5)):
+    below, checked = closure_below(block), (result.p, result.lam)
+    if any(all(run != checked for run in _runs(block, below, seed)) for seed in range(5)):
         ok = False
         diagnostics.append(_diag(
             "error", "OrderDependence",

@@ -52,9 +52,9 @@ by default, or drawn at random from a seed.  The returned matrices are
 always indexed by the block's own label order.
 
 `solve` validates the block with `validate_block`, builds the closure order
-once with `closure_below`, eliminates with `_factor` and checks the result
-with `_check_invariants`, so a block is validated before solving, always,
-and a result is checked before it is returned, always: p must be invariant
+once with `closure_below`, and returns the first run of `_runs` that passes
+`_check_invariants`, so a block is validated before solving, always, and a
+result is checked before it is returned, always: p must be invariant
 under duality, Lambda symmetric, and P * Lambda * P^T must equal omega
 exactly.  The check compares only the upper triangle j >= i of that product
 with omega's: validation rejects an asymmetric omega, and with Lambda symmetric,
@@ -82,27 +82,28 @@ diagonal t^(-dim/2), Lambda zero off the orbit blocks.  A result that
 passes is a constrained factorization of omega, so by uniqueness it is the
 answer, whatever the elimination did (Lusztig, Character sheaves V, 1986,
 section 24; Shoji 1987).  So a result equal to one that passed is the
-answer as well: `verify` validates once, calls `_factor` alone for its
+answer as well: `verify` validates once, reads `_runs` alone for its
 seeded re-solves and compares each with a checked result.  `reconstruct`
 forms the full product as polynomials, one `dot` per entry.
 
-The stages are written once, over two arithmetics.  `_factor` runs them first
-on packed integers: an entry f is (lo, N), f = x^lo * N at x = 2^PACK_WIDTH, x
-standing for t if every orbit dim and omega exponent is even, else for
-t^(1/2); omega's entries are packed as signed 64-bit digits.  A product adds
-the offsets and multiplies the ints; a sum shifts to the lesser lo and moves
-N's zero low digits into lo, a zero sum being None; a monomial shift changes
-lo only; a division is `divmod`, a remainder meaning it is not exact.
-Evaluation at x is a ring homomorphism, so each N is exact however large the
-coefficients grow in between.  Only the final unpacking, which takes a spare
-digit and never raises, assumes every |coefficient| < 2^63, so a packed result
-is trusted once certified: in `solve` by the check above, in `verify` by
-equality with a checked result.  The run over HalfLaurent, which raises the
-located error, decides a packed run that stops (an omega coefficient outside
-[-2^63, 2^63), a zero pivot or divisor, a remainder, a nonzero residual in
-stage (iii)), a result the check rejects, a seeded result unequal to the
-checked one, and a block whose omega spans eight packed digits a term or more:
-a digit takes a word, a HalfLaurent term about eight.
+The stages are written once, over two arithmetics, and `_runs` yields their
+runs lazily, packed first: an entry f is (lo, N), f = x^lo * N at x =
+2^PACK_WIDTH, x standing for t if every orbit dim and omega exponent is even,
+else for t^(1/2); omega's entries are packed as signed 64-bit digits.  A
+product adds the offsets and multiplies the ints; a sum shifts to the lesser
+lo and moves N's zero low digits into lo, a zero sum being None; a monomial
+shift changes lo only; a division is `divmod`, a remainder meaning it is not
+exact.  Evaluation at x is a ring homomorphism, so each N is exact however
+large the coefficients grow in between.  Only the final unpacking, which
+takes a spare digit and never raises, assumes every |coefficient| < 2^63, so
+a packed result is trusted once certified: in `solve` by the check above, in
+`verify` by equality with a checked result.  The run over HalfLaurent, which
+raises the located error, comes next, so it is made only where it decides: a
+packed run that stops (an omega coefficient outside [-2^63, 2^63), a zero
+pivot or divisor, a remainder, a nonzero residual in stage (iii)), a result
+the check rejects, a seeded result unequal to the checked one, and a block
+whose omega spans eight packed digits a term or more, where it runs alone: a
+digit takes a word, a HalfLaurent term about eight.
 """
 
 from __future__ import annotations
@@ -282,31 +283,34 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
     if violations:
         raise InvalidBlock(violations)
     below = closure_below(block)
-    result = _factor(block, below, order_seed)
-    try:
-        _check_invariants(result, block, below)
-    except SolverError:
-        result = _factor(block, below, order_seed, exact=True)
-        _check_invariants(result, block, below)
-    return result
+    duals = _duals(block)
+    for p, lam in _runs(block, below, order_seed):
+        result = SolveResult(block.name, block.label_ids(), p, lam, _dual_stalks(p, *duals))
+        try:
+            _check_invariants(result, block, below)
+            return result
+        except SolverError as exc:
+            rejection = exc
+    raise rejection
 
 
-def _factor(block: BlockData, below: dict[str, frozenset[str]],
-            order_seed: int | None, exact: bool = False) -> SolveResult:
-    """Eliminate a validated `block`, whose closure order is `below`, along
-    the extension drawn from `order_seed`, unchecked, on packed integers
-    unless `exact` or omega is sparse; a packed run that stops is rerun exact."""
-    packed = None if exact else _packed(block)
-    if packed is None:
-        return _stages(block, below, order_seed, _EXACT)
-    try:
-        return _stages(block, below, order_seed, packed)
-    except (SolverError, ArithmeticError):
-        return _factor(block, below, order_seed, exact=True)
+def _runs(block: BlockData, below: dict[str, frozenset[str]], order_seed: int | None):
+    """The unchecked (p, lam) of each elimination of a validated `block`, whose
+    closure order is `below`, along the extension drawn from `order_seed`: the
+    packed run's, unless omega is sparse or the run stops, then the exact run's."""
+    packed = _packed(block)
+    if packed is not None:
+        try:
+            run = _stages(block, below, order_seed, packed)
+        except (SolverError, ArithmeticError):
+            pass
+        else:
+            yield run
+    yield _stages(block, below, order_seed, _EXACT)
 
 
 def _stages(block: BlockData, below: dict[str, frozenset[str]],
-            order_seed: int | None, ar: _Arithmetic) -> SolveResult:
+            order_seed: int | None, ar: _Arithmetic) -> tuple[Matrix, Matrix]:
     # the stages (i)-(iii) of the module docstring over `ar`, whose zero alone is falsy
     of, dot, sub, div, shift = ar.of, ar.dot, ar.sub, ar.div, ar.shift
     labels = block.label_ids()
@@ -373,9 +377,7 @@ def _stages(block: BlockData, below: dict[str, frozenset[str]],
                     f"omega[{labels[i]}][...] is nonzero on orbit {orbit_id!r}, "
                     f"which the closure order forbids"), "iii", orbit_id, labels[i])
 
-    p_matrix: Matrix = tuple(tuple(map(ar.out, row)) for row in p)
-    return SolveResult(block.name, labels, p_matrix, tuple(tuple(map(ar.out, row)) for row in lam),
-                       _dual_stalks(p_matrix, *_duals(block)))
+    return tuple(tuple(tuple(map(ar.out, row)) for row in m) for m in (p, lam))
 
 
 def _located(exc: Exception, stage: str, orbit: str, row: str | None = None) -> Exception:

@@ -359,7 +359,7 @@ def char_table_sn(n: int, char_ids: Iterable[str] | None = None) -> CharTable:
 # `_digit_width`, the one kernel, which the solver's elimination shares.  The
 # width bounds every digit by the table's own class sizes and values, so it
 # holds whether or not the table is consistent.  Series used once, such as the
-# inverse determinants of `class_pair_series`, are summed column by column:
+# inverse determinants of `graded_hom_dims`, are summed column by column:
 # packing them would cost more than it saves.
 
 # Largest coinvariant degree N + r, the length of a quadratic Molien inversion,
@@ -451,15 +451,27 @@ def _inverse_dets(table: CharTable, n_terms: int):
     return out, molien
 
 
-def class_pair_series(table: CharTable, chi: str, psi: str, n_terms: int) -> tuple[int, ...]:
-    """First n_terms coefficients of (1/|W|) * sum_c |c| * chi * psi / det(1 - q*w).
-
-    This is the graded multiplicity series of the pair in the full symmetric
-    algebra; index k is the coefficient of q^k.
+def graded_hom_dims(table: CharTable, chi: str, psi: str, max_k: int) -> tuple[int, ...]:
+    """Graded Hom dimensions between the simples chi and psi of one block:
+    entry k, for k = 0..max_k, is the dimension in cohomological degree 2k,
+    the coefficient of q^k in the pair's Molien series on the rank-r
+    polynomial algebra with generators in degree 2,
+    (1/|W|) * sum_c |c| * chi(c) * psi(c) / det(1 - q*w_c).  Odd degrees
+    vanish and are never stored; the series is infinite, so degrees above
+    2 * max_k are not represented and are *not* implicitly zero.  The class
+    sum is an integer power series, divided by |W| coefficient by
+    coefficient: a remainder raises NonExactDivision and a negative dimension
+    ArithmeticError, as either proves the table inconsistent.  Symmetric in
+    chi and psi; the k = 0 entry is 1 on the diagonal and 0 off it.
     """
-    if n_terms < 1:
-        raise ValueError("n_terms must be positive")
-    return _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, n_terms)[0])
+    if max_k < 0:
+        raise ValueError("max_k must be nonnegative")
+    dims = _average(table, _pair_weights(table, chi, psi), _inverse_dets(table, max_k + 1)[0])
+    for k, value in enumerate(dims):
+        if value < 0:
+            raise ArithmeticError(f"negative graded dimension {value} at degree {2 * k}: "
+                                  f"the character table is inconsistent")
+    return dims
 
 
 def _coinvariant_setup(table: CharTable) -> tuple[tuple[int, ...], _Packing]:

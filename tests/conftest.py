@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from lsalgo.blockdata import BlockData, OrbitInfo, SimpleLabel
-from lsalgo.exthom import graded_hom_dims
 from lsalgo.laurent import (
     ONE,
     ZERO,
@@ -21,7 +20,8 @@ from lsalgo.laurent import (
     t_power,
 )
 from lsalgo.solver import solve
-from lsalgo.weyl import CharTable, Partition, SizeMismatch, coinvariant_pairing, degrees_product
+from lsalgo.weyl import (
+    CharTable, Partition, SizeMismatch, coinvariant_pairing, degrees_product, graded_hom_dims)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATASETS = REPO_ROOT / "datasets"

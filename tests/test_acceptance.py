@@ -22,7 +22,6 @@ from lsalgo.blockdata import (
     validate_dataset,
 )
 from lsalgo.cli import main as cli_main
-from lsalgo.exthom import graded_hom_dims
 from lsalgo.laurent import ZERO, HalfLaurent, t_power
 from lsalgo.oracle import kostka_foulkes, ssyt_enumerate
 from lsalgo.solver import (
@@ -31,7 +30,7 @@ from lsalgo.solver import (
     reconstruct,
     solve,
 )
-from lsalgo.weyl import char_table_sn, partitions_of
+from lsalgo.weyl import char_table_sn, graded_hom_dims, partitions_of
 
 from conftest import (
     DATASETS,

@@ -364,11 +364,11 @@ class TestVerify:
         factored, checked, validated = Counter(), Counter(), Counter()
         exact_runs = []
 
-        def counting_factor(block, below, order_seed, exact=False):
+        def counting_stages(block, below, order_seed, ar):
             factored[block.name] += 1
-            if exact:
+            if ar is solver._EXACT:
                 exact_runs.append((block.name, order_seed))
-            return real_factor(block, below, order_seed, exact)
+            return real_stages(block, below, order_seed, ar)
 
         def counting_check(result, block, below):
             checked[block.name] += 1
@@ -378,10 +378,9 @@ class TestVerify:
             validated[block.name] += 1
             return real_validate(block)
 
-        real_factor, real_check = solver._factor, solver._check_invariants
+        real_stages, real_check = solver._stages, solver._check_invariants
         real_validate = blockdata.validate_block
-        monkeypatch.setattr(cli, "_factor", counting_factor)
-        monkeypatch.setattr(solver, "_factor", counting_factor)
+        monkeypatch.setattr(solver, "_stages", counting_stages)
         monkeypatch.setattr(solver, "_check_invariants", counting_check)
         monkeypatch.setattr(solver, "validate_block", counting_validate)
         monkeypatch.setattr(blockdata, "validate_block", counting_validate)
@@ -398,18 +397,15 @@ class TestVerify:
         # failing a self-check
         tampered = []
 
-        def tampered_factor(block, below, order_seed, exact=False):
-            result = real_factor(block, below, order_seed, exact)
+        def tampered_stages(block, below, order_seed, ar):
+            p, lam = real_stages(block, below, order_seed, ar)
             if block.name == "springer-a-2" and order_seed == 3:
-                tampered.append(exact)
-                lam = (tuple(v + ONE if j == 0 else v for j, v in enumerate(result.lam[0])),
-                       *result.lam[1:])
-                result = dataclasses.replace(result, lam=lam)
-            return result
+                tampered.append(ar is solver._EXACT)
+                lam = (tuple(v + ONE if j == 0 else v for j, v in enumerate(lam[0])), *lam[1:])
+            return p, lam
 
-        real_factor = solver._factor
-        monkeypatch.setattr(cli, "_factor", tampered_factor)
-        monkeypatch.setattr(solver, "_factor", tampered_factor)
+        real_stages = solver._stages
+        monkeypatch.setattr(solver, "_stages", tampered_stages)
         code, out = run(capsys, "verify", "--n-max", "3")
         assert code == 1
         report = read_report(out)

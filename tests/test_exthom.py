@@ -2,8 +2,7 @@ from math import comb
 
 import pytest
 
-from lsalgo.exthom import graded_hom_dims
-from lsalgo.weyl import CharTable, char_table_sn
+from lsalgo.weyl import CharTable, char_table_sn, graded_hom_dims
 
 from conftest import induced_endo_dims, series_consistency
 

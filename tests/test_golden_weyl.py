@@ -14,8 +14,8 @@ import json
 import pytest
 
 from lsalgo.blockdata import write_json
-from lsalgo.exthom import graded_hom_dims
-from lsalgo.weyl import CharTable, char_table_sn, coinvariant_pairing, degrees_product
+from lsalgo.weyl import (
+    CharTable, char_table_sn, coinvariant_pairing, degrees_product, graded_hom_dims)
 
 from test_weyl import B2_TABLE_JSON
 

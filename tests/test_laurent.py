@@ -44,6 +44,11 @@ class TestAdd:
     def test_half_powers_combine(self):
         assert t_half_power(1) + t_half_power(1) == hl({1: 2})
 
+    def test_degree(self):
+        assert hl({-3: 1, 5: -2}).degree() == 5
+        with pytest.raises(ValueError, match="zero polynomial has no degree"):
+            ZERO.degree()
+
     @given(polys, polys)
     def test_commutative(self, f, g):
         assert f + g == g + f

@@ -1,9 +1,9 @@
 """The elimination on packed integers against the same stages over HalfLaurent.
 
-`_factor` holds each entry as its value at x = 2^64, where x is t^(1/2), or t
-when every orbit dim and every omega exponent is even.  The packed and exact
-arithmetics must give equal results on every block that solves, with no exact
-rerun.  Where the packed run cannot finish, or its result fails the
+The packed run holds each entry as its value at x = 2^64, where x is t^(1/2),
+or t when every orbit dim and every omega exponent is even.  The packed and
+exact arithmetics must give equal results on every block that solves, with no
+exact rerun.  Where the packed run cannot finish, or its result fails the
 certificate, the exact run decides: every error keeps the kind, message,
 stage, orbit and row that the exact stages give it, and a packed result that
 breaks the final unpacking is caught, not returned.  An omega coefficient
@@ -12,7 +12,6 @@ elimination, with the same bytes.  A block whose omega spans eight or more
 packed digits per term is solved exact alone.
 """
 
-import dataclasses
 import hashlib
 import json
 
@@ -23,28 +22,27 @@ from lsalgo.blockdata import (
     BlockData, OrbitInfo, SimpleLabel, block_to_json, build_springer_block_a, closure_below,
     write_json)
 from lsalgo.laurent import ONE, HalfLaurent, NonExactDivision
-from lsalgo.solver import SolveResult, reconstruct, solve
+from lsalgo.solver import reconstruct, solve
 
 import conftest
 from test_oracles import PLANTED, planted_block
 from test_reconstruct import dataset_blocks
 from test_solver_roundtrip import random_factorized_block
 
-EXACT_FACTOR = solver._factor
+STAGES = solver._stages
 
 
 @pytest.fixture
 def reruns(monkeypatch):
-    """The exact runs that `_factor` is asked for, as (block, order seed)."""
+    """The exact runs of the stages, as (block, order seed)."""
     calls = []
 
-    def spy(block, below, order_seed, exact=False):
-        if exact:
+    def spy(block, below, order_seed, ar):
+        if ar is solver._EXACT:
             calls.append((block.name, order_seed))
-        return EXACT_FACTOR(block, below, order_seed, exact)
+        return STAGES(block, below, order_seed, ar)
 
-    monkeypatch.setattr(solver, "_factor", spy)
-    monkeypatch.setattr(cli, "_factor", spy)
+    monkeypatch.setattr(solver, "_stages", spy)
     return calls
 
 
@@ -61,9 +59,10 @@ def agreement_cases():
 def test_packed_and_exact_results_are_equal(block, seed, reruns):
     assert solver._packed(block) is not None
     below = closure_below(block)
-    packed = solver._factor(block, below, seed)
+    runs = solver._runs(block, below, seed)
+    packed = next(runs)
     assert reruns == []
-    assert packed == solver._factor(block, below, seed, exact=True)
+    assert packed == next(runs)
     assert reruns == [(block.name, seed)]
 
 
@@ -158,11 +157,17 @@ def wide_block(a: int) -> BlockData:
     return two_orbit_block("wide", ((ONE, a * ONE), (a * ONE, ONE)))
 
 
-def test_a_sparse_omega_is_solved_exact_alone(monkeypatch):
+SPARSE = HalfLaurent({-100_000: 1, 100_000: 1})
+
+
+def sparse_block() -> BlockData:
     # t^-50000 + t^50000 packs into 50,001 digits for two terms; as a dict it
     # is two entries, so the block is never packed
-    w = HalfLaurent({-100_000: 1, 100_000: 1})
-    block = two_orbit_block("sparse", ((w, w), (w, w + ONE)))
+    return two_orbit_block("sparse", ((SPARSE, SPARSE), (SPARSE, SPARSE + ONE)))
+
+
+def test_a_sparse_omega_is_solved_exact_alone(monkeypatch):
+    block = sparse_block()
     assert solver._packed(block) is None
     arithmetics = []
     stages = solver._stages
@@ -175,7 +180,20 @@ def test_a_sparse_omega_is_solved_exact_alone(monkeypatch):
     result = solve(block)
     assert arithmetics == [solver._EXACT]
     assert (result.p_entry("y", "x"), result.lam_entry("x", "x"),
-            result.lam_entry("y", "y")) == (ONE, w, HalfLaurent({4: 1}))
+            result.lam_entry("y", "y")) == (ONE, SPARSE, HalfLaurent({4: 1}))
+
+
+def reject(result, block, below):
+    raise solver.SolverError("rejected")
+
+
+def test_a_rejected_sparse_result_is_run_exact_once(monkeypatch, reruns):
+    # the exact run is the sparse block's only run: its rejection is raised,
+    # and the block is not run exact a second time
+    monkeypatch.setattr(solver, "_check_invariants", reject)
+    with pytest.raises(solver.SolverError, match="rejected"):
+        solve(sparse_block())
+    assert reruns == [("sparse", None)]
 
 
 def test_coefficient_past_a_digit_is_decided_by_the_exact_run(reruns):
@@ -236,19 +254,14 @@ def test_a_residual_vanishing_at_x_is_decided_by_the_exact_run(reruns):
 def test_a_result_whose_certificate_fails_again_raises(monkeypatch, reruns):
     # the exact run's result is checked too: a certificate that rejects every
     # result rejects the rerun's as well
-    def reject(result, block, below):
-        raise solver.SolverError("rejected")
-
     monkeypatch.setattr(solver, "_check_invariants", reject)
     with pytest.raises(solver.SolverError, match="rejected"):
         solve(build_springer_block_a(3))
     assert reruns == [("springer-a-3", None)]
 
 
-def tamper(result: SolveResult) -> SolveResult:
-    lam = (tuple(v + ONE if j == 0 else v for j, v in enumerate(result.lam[0])),
-           *result.lam[1:])
-    return dataclasses.replace(result, lam=lam)
+def tamper(lam):
+    return (tuple(v + ONE if j == 0 else v for j, v in enumerate(lam[0])), *lam[1:])
 
 
 def verify_report(capsys, n_max: int):
@@ -262,18 +275,34 @@ def test_verify_lets_the_exact_run_decide(capsys, monkeypatch, exact_is_wrong, c
     # the packed seed-3 re-solve of n = 2 is wrong; the exact one decides
     seen = []
 
-    def factor(block, below, order_seed, exact=False):
-        result = EXACT_FACTOR(block, below, order_seed, exact)
+    def stages(block, below, order_seed, ar):
+        p, lam = STAGES(block, below, order_seed, ar)
         if block.name == "springer-a-2" and order_seed == 3:
+            exact = ar is solver._EXACT
             seen.append(exact)
             if exact_is_wrong or not exact:
-                result = tamper(result)
-        return result
+                lam = tamper(lam)
+        return p, lam
 
-    monkeypatch.setattr(cli, "_factor", factor)
-    monkeypatch.setattr(solver, "_factor", factor)
+    monkeypatch.setattr(solver, "_stages", stages)
     got, report = verify_report(capsys, 3)
     assert (got, report["status"]) == (code, status)
     assert seen == [False, True]
     errors = [d["kind"] for d in report["diagnostics"] if d["severity"] == "error"]
     assert errors == (["OrderDependence"] if exact_is_wrong else [])
+
+
+def test_verify_reruns_a_stopped_seeded_run_exact(capsys, monkeypatch, reruns):
+    # the packed seed-3 re-solve of n = 2 stops; its exact run is compared
+    # instead, once, and matches
+    spy = solver._stages
+
+    def stopping(block, below, order_seed, ar):
+        if ar is not solver._EXACT and (block.name, order_seed) == ("springer-a-2", 3):
+            raise ArithmeticError("the packed run stops")
+        return spy(block, below, order_seed, ar)
+
+    monkeypatch.setattr(solver, "_stages", stopping)
+    code, report = verify_report(capsys, 3)
+    assert (code, report["status"]) == (0, "ok")
+    assert reruns == [("springer-a-2", 3)]

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsalgo import cli
-from lsalgo.exthom import graded_hom_dims
 from lsalgo.laurent import ONE, DataFormatError, HalfLaurent, NonExactDivision, t_power
 from lsalgo.weyl import (
     MAX_COINVARIANT_DEGREE,
@@ -23,6 +22,7 @@ from lsalgo.weyl import (
     coinvariant_pairing,
     conjugacy_classes,
     degrees_product,
+    graded_hom_dims,
     mn_character,
     partitions_of,
     perm_molien_det,
@@ -50,6 +50,16 @@ class TestPartition:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+    def test_repr(self):
+        assert repr(Partition((2, 1, 1))) == "Partition((2, 1, 1))"
+        assert repr(Partition(())) == "Partition(())"
+
+    def test_sizes_out_of_range(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            partitions_of(-1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            conjugacy_classes(0)
 
     def test_key_roundtrip(self):
         # a key is the parts joined by dots

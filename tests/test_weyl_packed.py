@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from lsalgo.exthom import graded_hom_dims
+from lsalgo import weyl
 from lsalgo.laurent import ONE, NonExactDivision, _digit_width, _pack, _unpack, t_power
 from lsalgo.weyl import (
     MAX_COINVARIANT_DEGREE,
@@ -26,8 +26,8 @@ from lsalgo.weyl import (
     _packed_average,
     _packing,
     char_table_sn,
-    class_pair_series,
     coinvariant_pairing,
+    graded_hom_dims,
 )
 
 from conftest import coinvariant_pairing_by_columns
@@ -149,6 +149,24 @@ def test_top_degree_below_the_cap_pairs():
         assert coinvariant_pairing(table, chi, psi) == coinvariant_pairing(base, chi, psi)
 
 
+def test_a_packing_fault_fails_the_coinvariant_certificate(monkeypatch):
+    # with correct packing, the vanishing of each c_w's last r terms and the
+    # Molien certificate imply this one; a packed digit that differs from its
+    # series is caught by it alone.  Digit 1 of the identity class, of size
+    # 1, gains |W|: the certificate reads 1 there, with no remainder
+    packing = weyl._packing
+
+    def faulty(table, series):
+        packs, width, n_terms = packing(table, series)
+        return (*packs[:-1], packs[-1] + (table.group_order << width)), width, n_terms
+
+    monkeypatch.setattr(weyl, "_packing", faulty)
+    table = char_table_sn(4)
+    assert table.classes[-1].size == 1
+    with pytest.raises(NonExactDivision, match="not a polynomial of degree N [+] r"):
+        coinvariant_pairing(table, "4", "4")
+
+
 def test_largest_exthom_sn_table_pairs():
     # S_12: top = 12 + 66 = 78; the trivial and sign characters meet in the
     # top degree N = 66 only
@@ -229,15 +247,15 @@ def test_packing_holds_the_series_when_every_weight_is_zero():
 
 
 class TestInverseMemo:
-    """`class_pair_series` on one table at several lengths: each is a prefix
+    """`graded_hom_dims` on one table at several lengths: each is a prefix
     of the longest, an inconsistent table raises on every call, and nothing
     keeps a table alive."""
 
     def test_one_entry_the_longest(self):
         table = replace(char_table_sn(5))
-        series = {m: class_pair_series(table, "3.2", "2.2.1", m) for m in (7, 30, 12)}
+        series = {m: graded_hom_dims(table, "3.2", "2.2.1", m - 1) for m in (7, 30, 12)}
         for m, value in series.items():
-            assert value == class_pair_series(replace(table), "3.2", "2.2.1", m)
+            assert value == graded_hom_dims(replace(table), "3.2", "2.2.1", m - 1)
             assert len(value) == m
             assert value == series[30][:m]
 
@@ -251,7 +269,7 @@ class TestInverseMemo:
 
     def test_freed_with_the_table(self):
         table = replace(char_table_sn(4))
-        class_pair_series(table, "4", "4", 10)
+        graded_hom_dims(table, "4", "4", 9)
         dropped = weakref.ref(table)
         del table
         gc.collect()
