@@ -304,14 +304,15 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
                     f"label {lb.id!r} appears in blocks "
                     f"{ds.blocks[owner[lb.id]].name!r} and {block.name!r}"))
         out.extend(validate_block(block))
+    reported: set[tuple[str, str]] = set()  # (block, foreign label) pairs named once
     for entry in ds.cross_entries:
         unknown = [x for x in (entry.row, entry.col) if x not in owner]
+        for label_id in unknown:
+            if (entry.block, label_id) not in reported:
+                reported.add((entry.block, label_id))
+                out.append(Violation("UnknownLabel", f"omega of block {entry.block!r} mentions "
+                                     f"{label_id!r}, which no block defines"))
         if unknown:
-            for label_id in unknown:
-                out.append(Violation(
-                    "UnknownLabel",
-                    f"omega of block {entry.block!r} mentions {label_id!r}, "
-                    f"which no block defines"))
             continue
         if owner[entry.row] == owner[entry.col]:
             # a redundant copy of some single block's own pairing; it only

@@ -137,12 +137,6 @@ class HalfLaurent:
         """Doubled exponents carrying a nonzero coefficient, ascending."""
         return tuple(sorted(self._c))
 
-    def degree(self) -> int:
-        """Largest doubled exponent; undefined on zero."""
-        if not self._c:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._c)
-
     # -- ring structure ---------------------------------------------------
 
     def _merge(self, other: HalfLaurent | int, sign: int) -> HalfLaurent:
@@ -285,12 +279,6 @@ def _coerce(x: HalfLaurent | int) -> HalfLaurent:
 
 ZERO = HalfLaurent()
 ONE = HalfLaurent({0: 1})
-T = HalfLaurent({2: 1})
-
-
-def t_power(k: int) -> HalfLaurent:
-    """The monomial t^k."""
-    return HalfLaurent({2 * k: 1})
 
 
 def t_half_power(double_exp: int) -> HalfLaurent:

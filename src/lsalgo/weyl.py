@@ -119,9 +119,10 @@ def conjugacy_classes(n: int) -> list[tuple[Partition, int]]:
 
 @lru_cache(maxsize=None)
 def _mn(beta: int, rho: tuple[int, ...]) -> int:
-    # beta is a beta-set as a bitmask, bit b for a bead at b on the abacus;
-    # a border strip of length k is a bead b moved to an empty b - k, with
-    # sign (-1)^(beads passed)
+    # chi_lam(rho) by Murnaghan-Nakayama, beta being lam's beta-set as a bitmask,
+    # bit b for a bead at b on the abacus; a border strip of length k is a bead
+    # b moved to an empty b - k, with sign (-1)^(beads passed).  The one-row
+    # partition gives the trivial character, the one-column one the sign
     if not rho:
         return 1
     k, rest = rho[0], rho[1:]
@@ -135,18 +136,6 @@ def _mn(beta: int, rho: tuple[int, ...]) -> int:
         # bead - 2 * low has the bits strictly between b - k and b
         total += -value if (beta & (bead - (low << 1))).bit_count() & 1 else value
     return total
-
-
-def mn_character(lam: Partition, rho: Partition) -> int:
-    """Murnaghan-Nakayama evaluation of the character chi_lam on cycle type rho.
-
-    Recursively strips border strips of length rho_1 from lam, with sign
-    (-1)^(leg length).  The single-row partition gives the trivial character;
-    the single-column partition gives the sign character.
-    """
-    if lam.n != rho.n:
-        raise SizeMismatch(f"|{lam.parts}| != |{rho.parts}|")
-    return _mn(_beta_set(lam), rho.parts)
 
 
 def _beta_set(lam: Partition) -> int:

@@ -17,7 +17,6 @@ from lsalgo.laurent import (
     NonExactDivision,
     exact_div,
     t_half_power,
-    t_power,
 )
 from lsalgo.solver import solve
 from lsalgo.weyl import (
@@ -37,6 +36,11 @@ def leibniz_det(m) -> HalfLaurent:
             term = term * m[row][col]
         total = total + term
     return total
+
+
+def t_power(k: int) -> HalfLaurent:
+    """The monomial t^k."""
+    return t_half_power(2 * k)
 
 
 def value_at_one(f: HalfLaurent) -> int:
@@ -75,7 +79,7 @@ def coinvariant_pairing_by_columns(table: CharTable, chi: str, psi: str) -> Half
     graded = []
     for c in table.classes:
         c_w = exact_div(product, in_q(c.molien_det))
-        graded.append([c_w.coefficient(2 * k) for k in range(c_w.degree() // 2 + 1)])
+        graded.append([c_w.coefficient(2 * k) for k in range(max(c_w.support()) // 2 + 1)])
     weights = [c.size * x * y for c, x, y in zip(
         table.classes, table.character(chi).values, table.character(psi).values, strict=True)]
     acc = [sum(map(mul, weights, column)) for column in zip_longest(*graded, fillvalue=0)]

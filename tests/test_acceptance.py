@@ -22,7 +22,7 @@ from lsalgo.blockdata import (
     validate_dataset,
 )
 from lsalgo.cli import main as cli_main
-from lsalgo.laurent import ZERO, HalfLaurent, t_power
+from lsalgo.laurent import ZERO, HalfLaurent
 from lsalgo.oracle import kostka_foulkes, ssyt_enumerate
 from lsalgo.solver import (
     SingularLambdaBlock,
@@ -40,6 +40,7 @@ from conftest import (
     series_consistency,
     singular_lambda_block,
     synthetic_dual_pair,
+    t_power,
     value_at_one,
 )
 

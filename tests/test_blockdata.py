@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lsalgo import blockdata
-from lsalgo.laurent import ONE, ZERO, HalfLaurent, t_power
+from lsalgo.laurent import ONE, ZERO, HalfLaurent
 from lsalgo.blockdata import (
     BlockData,
     DataFormatError,
     Dataset,
     OrbitInfo,
     SimpleLabel,
+    Violation,
     block_from_json,
     block_to_json,
     build_springer_block_a,
@@ -28,7 +29,7 @@ from lsalgo.blockdata import (
 )
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 
-from conftest import DATASETS, singleton_cuspidal_block, top_first_chain
+from conftest import DATASETS, singleton_cuspidal_block, t_power, top_first_chain
 
 P = lambda *parts: Partition(tuple(parts))
 
@@ -360,8 +361,9 @@ class TestCrossBlock:
             row.append({})
         springer["omega"]["entries"].append([{}, {}, {}])
         ds = dataset_from_json([springer])
-        kinds = {v.kind for v in validate_dataset(ds)}
-        assert "UnknownLabel" in kinds
+        # one violation for the block, not one per entry in ghost's row and column
+        assert validate_dataset(ds) == [Violation("UnknownLabel", (
+            "omega of block 'springer-a-2' mentions 'ghost', which no block defines"))]
 
     def test_duplicate_label_across_blocks(self):
         ds = Dataset((build_springer_block_a(2), build_springer_block_a(2)))

@@ -20,7 +20,7 @@ from lsalgo.blockdata import (
     save_dataset,
 )
 from lsalgo.cli import EXTHOM_MAX_K, EXTHOM_MAX_SN, main
-from lsalgo.laurent import MAX_EXPONENT, ONE, T, t_half_power
+from lsalgo.laurent import MAX_EXPONENT, ONE, t_half_power
 from lsalgo.weyl import char_table_sn
 
 from conftest import (
@@ -31,6 +31,7 @@ from conftest import (
     singular_lambda_block,
     singular_maximal_orbit_blocks,
     synthetic_dual_pair,
+    t_power,
     top_first_chain,
 )
 
@@ -420,7 +421,7 @@ class TestVerify:
         # multiset and its value at t = 1 both differ from p's
         def tampered_kostka(lam, mu):
             value = real_kostka(lam, mu)
-            return value + T if (lam.key(), mu.key()) == ("2.1", "1.1.1") else value
+            return value + t_power(1) if (lam.key(), mu.key()) == ("2.1", "1.1.1") else value
 
         real_kostka = cli.kostka_foulkes
         monkeypatch.setattr(cli, "kostka_foulkes", tampered_kostka)
@@ -440,7 +441,7 @@ class TestVerify:
             if block.name != "springer-a-3":
                 return result
             i, j = result.labels.index("1.1.1"), result.labels.index("3")
-            p = tuple(tuple(T if (a, b) == (i, j) else v for b, v in enumerate(row))
+            p = tuple(tuple(t_power(1) if (a, b) == (i, j) else v for b, v in enumerate(row))
                       for a, row in enumerate(result.p))
             return dataclasses.replace(result, p=p)
 
@@ -462,7 +463,7 @@ class TestVerify:
             if block.name != "springer-a-3":
                 return result
             i, j = result.labels.index("2.1"), result.labels.index("1.1.1")
-            p = tuple(tuple(v * T if (a, b) == (i, j) else v for b, v in enumerate(row))
+            p = tuple(tuple(v * t_power(1) if (a, b) == (i, j) else v for b, v in enumerate(row))
                       for a, row in enumerate(result.p))
             return dataclasses.replace(result, p=p)
 

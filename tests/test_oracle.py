@@ -4,12 +4,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from lsalgo.laurent import ONE, ZERO, t_power
+from lsalgo.laurent import ONE, ZERO
 from lsalgo.oracle import charge, kostka_foulkes, ssyt_enumerate
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 from lsalgo.blockdata import dominates
 
-from conftest import charge_by_subwords, ssyt_by_cells, value_at_one
+from conftest import charge_by_subwords, ssyt_by_cells, t_power, value_at_one
 
 P = lambda *parts: Partition(tuple(parts))
 

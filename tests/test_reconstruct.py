@@ -12,10 +12,10 @@ import dataclasses
 import pytest
 
 from lsalgo.blockdata import build_springer_block_a, load_dataset
-from lsalgo.laurent import ONE, ZERO, t_power
+from lsalgo.laurent import ONE, ZERO
 from lsalgo.solver import reconstruct, solve
 
-from conftest import DATASETS, synthetic_dual_pair
+from conftest import DATASETS, synthetic_dual_pair, t_power
 from test_solver_roundtrip import random_factorized_block
 
 

@@ -26,10 +26,10 @@ import pytest
 from lsalgo import solver
 from lsalgo.blockdata import (
     BlockData, OrbitInfo, SimpleLabel, build_springer_block_a, closure_below)
-from lsalgo.laurent import ONE, ZERO, HalfLaurent, dot, t_power
+from lsalgo.laurent import ONE, ZERO, HalfLaurent, dot
 from lsalgo.solver import SolverError, reconstruct, solve
 
-from conftest import synthetic_dual_pair
+from conftest import synthetic_dual_pair, t_power
 from test_reconstruct import dataset_blocks
 from test_solver import planted_block
 from test_solver_roundtrip import random_factorized_block

@@ -15,7 +15,7 @@ from lsalgo.blockdata import (
     load_dataset,
     validate_block,
 )
-from lsalgo.laurent import ONE, ZERO, HalfLaurent, NonExactDivision, dot, t_power
+from lsalgo.laurent import ONE, ZERO, HalfLaurent, NonExactDivision, dot
 from lsalgo.solver import (
     DualSymmetryViolation,
     InvalidBlock,
@@ -46,6 +46,7 @@ from conftest import (
     singular_and_support_fault_block,
     singular_lambda_block,
     singular_maximal_orbit_blocks,
+    t_power,
 )
 
 

@@ -13,16 +13,19 @@ from hypothesis import given, strategies as st
 
 from lsalgo import cli
 from lsalgo.laurent import NonExactDivision, exact_div
-from lsalgo.weyl import _quotient_series, mn_character, partitions_of, perm_molien_det
+from lsalgo.weyl import _quotient_series, char_table_sn, partitions_of, perm_molien_det
 
 from conftest import in_q, inverse_series_by_terms, mn_by_partitions, molien_det_product
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_mn_matches_partition_oracle(n):
-    for lam in partitions_of(n):
-        for rho in partitions_of(n):
-            assert mn_character(lam, rho) == mn_by_partitions(lam.parts, rho.parts)
+    rhos = partitions_of(n)
+    table = char_table_sn(n)
+    assert [c.id for c in table.classes] == [rho.key() for rho in rhos]
+    for lam in rhos:
+        expected = tuple(mn_by_partitions(lam.parts, rho.parts) for rho in rhos)
+        assert table.character(lam.key()).values == expected
 
 
 @pytest.mark.parametrize("n", range(1, 13))

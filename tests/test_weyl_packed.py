@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lsalgo import weyl
-from lsalgo.laurent import ONE, NonExactDivision, _digit_width, _pack, _unpack, t_power
+from lsalgo.laurent import ONE, NonExactDivision, _digit_width, _pack, _unpack
 from lsalgo.weyl import (
     MAX_COINVARIANT_DEGREE,
     CharTable,
@@ -30,7 +30,7 @@ from lsalgo.weyl import (
     graded_hom_dims,
 )
 
-from conftest import coinvariant_pairing_by_columns
+from conftest import coinvariant_pairing_by_columns, t_power
 from test_weyl import B2_TABLE_JSON
 
 RANK_ZERO_TABLE_JSON = {
