@@ -29,7 +29,8 @@ from lsalgo.blockdata import (
 )
 from lsalgo.weyl import Partition, SizeMismatch, partitions_of
 
-from conftest import DATASETS, singleton_cuspidal_block, t_power, top_first_chain
+from conftest import (
+    DATASETS, singleton_cuspidal_block, synthetic_dual_pair, t_power, top_first_chain)
 
 P = lambda *parts: Partition(tuple(parts))
 
@@ -364,6 +365,35 @@ class TestCrossBlock:
         # one violation for the block, not one per entry in ghost's row and column
         assert validate_dataset(ds) == [Violation("UnknownLabel", (
             "omega of block 'springer-a-2' mentions 'ghost', which no block defines"))]
+
+    def test_mixed_cross_violations_keep_their_order(self):
+        # springer-a-2's omega order adds a (nonzero against the block), then
+        # zz (no block defines it), then b; its copy of a x b disagrees with
+        # synthetic-dual-pair's t^-2
+        springer = block_to_json(build_springer_block_a(2))
+        own, entries = springer["omega"]["order"], springer["omega"]["entries"]
+
+        def entry(row, col):
+            if row in own and col in own:
+                return entries[own.index(row)][own.index(col)]
+            if {row, col} <= {"a", "b"}:
+                return {"0": 1 if row == col else 2}
+            return {"0": 1} if "a" in (row, col) else {}
+
+        order = own + ["a", "zz", "b"]
+        springer["omega"] = {"order": order,
+                             "entries": [[entry(row, col) for col in order] for row in order]}
+        ds = dataset_from_json([springer, block_to_json(synthetic_dual_pair())])
+        assert [str(v) for v in validate_dataset(ds)] == [
+            "CrossBlockNonzero: omega[1.1][a] = 1 pairs labels of different blocks and must vanish",
+            "UnknownLabel: omega of block 'springer-a-2' mentions 'zz', which no block defines",
+            "CrossBlockNonzero: omega[2][a] = 1 pairs labels of different blocks and must vanish",
+            "CrossBlockNonzero: omega[a][1.1] = 1 pairs labels of different blocks and must vanish",
+            "CrossBlockNonzero: omega[a][2] = 1 pairs labels of different blocks and must vanish",
+            "InconsistentDuplicate: omega[a][b] recorded in 'springer-a-2' disagrees with "
+            "block 'synthetic-dual-pair'",
+            "InconsistentDuplicate: omega[b][a] recorded in 'springer-a-2' disagrees with "
+            "block 'synthetic-dual-pair'"]
 
     def test_duplicate_label_across_blocks(self):
         ds = Dataset((build_springer_block_a(2), build_springer_block_a(2)))
