@@ -275,28 +275,22 @@ def validate_block(block: BlockData) -> list[Violation]:
 
 
 @dataclass(frozen=True)
-class CrossEntry:
-    """A pairing recorded between labels that live in different blocks."""
-
-    block: str
-    row: str
-    col: str
-    value: HalfLaurent
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """A decomposition into blocks, plus any cross-block pairings found in
-    the file (which must all be zero for the dataset to be valid)."""
+    """A decomposition into blocks, plus, per block in block order, the dict
+    (row, col) -> value of the pairings its file records with foreign labels."""
 
     blocks: tuple[BlockData, ...]
-    cross_entries: tuple[CrossEntry, ...] = ()
+    cross_entries: tuple[dict[tuple[str, str], HalfLaurent], ...] = ()
 
 
 def validate_dataset(ds: Dataset) -> list[Violation]:
     out: list[Violation] = []
     owner: dict[str, int] = {}
+    first: dict[str, int] = {}  # the position of each block name's first block
     for pos, block in enumerate(ds.blocks):
+        if first.setdefault(block.name, pos) != pos:
+            out.append(Violation("DuplicateBlockName",
+                                 f"block name {block.name!r} is used by more than one block"))
         for lb in block.labels:  # a label repeated within one block is validate_block's
             if owner.setdefault(lb.id, pos) != pos:
                 out.append(Violation(
@@ -304,31 +298,31 @@ def validate_dataset(ds: Dataset) -> list[Violation]:
                     f"label {lb.id!r} appears in blocks "
                     f"{ds.blocks[owner[lb.id]].name!r} and {block.name!r}"))
         out.extend(validate_block(block))
-    reported: set[tuple[str, str]] = set()  # (block, foreign label) pairs named once
-    for entry in ds.cross_entries:
-        unknown = [x for x in (entry.row, entry.col) if x not in owner]
-        for label_id in unknown:
-            if (entry.block, label_id) not in reported:
-                reported.add((entry.block, label_id))
-                out.append(Violation("UnknownLabel", f"omega of block {entry.block!r} mentions "
-                                     f"{label_id!r}, which no block defines"))
-        if unknown:
-            continue
-        if owner[entry.row] == owner[entry.col]:
-            # a redundant copy of some single block's own pairing; it only
-            # has to agree with the authoritative omega of that block
-            home = ds.blocks[owner[entry.row]]
-            ids = home.label_ids()
-            if home.omega[ids.index(entry.row)][ids.index(entry.col)] != entry.value:
+    for block, cross in zip(ds.blocks, ds.cross_entries):
+        reported: set[str] = set()  # foreign labels this block has named
+        for (row, col), value in cross.items():
+            for label_id in (row, col):
+                if label_id not in owner and label_id not in reported:
+                    reported.add(label_id)
+                    out.append(Violation("UnknownLabel", f"omega of block {block.name!r} mentions "
+                                         f"{label_id!r}, which no block defines"))
+            if row not in owner or col not in owner:
+                continue
+            if owner[row] == owner[col]:
+                # a redundant copy of some single block's own pairing; it only
+                # has to agree with the authoritative omega of that block
+                home = ds.blocks[owner[row]]
+                ids = home.label_ids()
+                if home.omega[ids.index(row)][ids.index(col)] != value:
+                    out.append(Violation(
+                        "InconsistentDuplicate",
+                        f"omega[{row}][{col}] recorded in "
+                        f"{block.name!r} disagrees with block {home.name!r}"))
+            elif value != ZERO:
                 out.append(Violation(
-                    "InconsistentDuplicate",
-                    f"omega[{entry.row}][{entry.col}] recorded in "
-                    f"{entry.block!r} disagrees with block {home.name!r}"))
-        elif entry.value != ZERO:
-            out.append(Violation(
-                "CrossBlockNonzero",
-                f"omega[{entry.row}][{entry.col}] = {entry.value} pairs labels "
-                f"of different blocks and must vanish"))
+                    "CrossBlockNonzero",
+                    f"omega[{row}][{col}] = {value} pairs labels "
+                    f"of different blocks and must vanish"))
     return out
 
 
@@ -375,10 +369,11 @@ def _decode_matrix(value, size: int, what: str) -> tuple[tuple[HalfLaurent, ...]
     return tuple(tuple(HalfLaurent.from_json(v) for v in row) for row in value)
 
 
-def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
+def block_from_json(obj: Mapping) -> tuple[BlockData, dict[tuple[str, str], HalfLaurent]]:
     """Decode one block.  `omega.order` may be a superset of the block's own
-    labels (a file may record the full decomposition matrix); entries that
-    touch a foreign label are returned separately as cross entries."""
+    labels (a file may record the full decomposition matrix); the entries
+    that touch a foreign label are returned beside the block, as one dict
+    keyed (row, col) in file order."""
     try:
         name = decode_str(obj["name"], "a block name")
         orbits = tuple(
@@ -414,13 +409,8 @@ def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
     omega = tuple(
         tuple(matrix[position[a]][position[b]] for b in own_ids) for a in own_ids
     )
-    cross: list[CrossEntry] = []
-    for a in order:
-        for b in order:
-            if a in own and b in own:
-                continue
-            value = matrix[position[a]][position[b]]
-            cross.append(CrossEntry(name, a, b, value))
+    cross = {(a, b): matrix[position[a]][position[b]]
+             for a in order for b in order if a not in own or b not in own}
     block = BlockData(name, orbits, labels, omega, dict(provenance))
     return block, cross
 
@@ -428,13 +418,8 @@ def block_from_json(obj: Mapping) -> tuple[BlockData, list[CrossEntry]]:
 def dataset_from_json(obj) -> Dataset:
     if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
         raise DataFormatError("a dataset file must hold a JSON array of blocks")
-    blocks: list[BlockData] = []
-    cross: list[CrossEntry] = []
-    for entry in obj:
-        block, more = block_from_json(entry)
-        blocks.append(block)
-        cross.extend(more)
-    return Dataset(tuple(blocks), tuple(cross))
+    decoded = [block_from_json(entry) for entry in obj]
+    return Dataset(tuple(block for block, _ in decoded), tuple(cross for _, cross in decoded))
 
 
 def read_json(path):
@@ -492,6 +477,9 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path) -> None:
+    """Write each block over its own labels; foreign pairings raise ValueError."""
+    if any(ds.cross_entries):  # before `path` is opened, so a file there keeps its bytes
+        raise ValueError("a dataset with pairings between blocks cannot be saved")
     with open(path, "w", encoding="utf-8") as fh:
         write_json([block_to_json(b) for b in ds.blocks], fh)
         fh.write("\n")

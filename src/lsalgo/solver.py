@@ -81,10 +81,12 @@ constraints above of every entry: p zero off the closure order with
 diagonal t^(-dim/2), Lambda zero off the orbit blocks.  A result that
 passes is a constrained factorization of omega, so by uniqueness it is the
 answer, whatever the elimination did (Lusztig, Character sheaves V, 1986,
-section 24; Shoji 1987).  So a result equal to one that passed is the
-answer as well: `verify` validates once, reads `_runs` alone for its
-seeded re-solves and compares each with a checked result.  `reconstruct`
-forms the full product as polynomials, one `dot` per entry.
+section 24; Shoji 1987), if every Lambda orbit block is nonsingular.  The
+check does not test that premise; stage (i) proves it for every checked run,
+as a zero determinant raises SingularLambdaBlock.  So a result equal to one
+that passed is the answer as well: `verify` validates once, reads `_runs`
+alone for its seeded re-solves and compares each with a checked result.
+`reconstruct` forms the full product as polynomials, one `dot` per entry.
 
 The stages are written once, over two arithmetics, and `_runs` yields their
 runs lazily, packed first: an entry f is (lo, N), f = x^lo * N at x =

@@ -264,7 +264,7 @@ class TestJson:
         block = build_springer_block_a(n)
         decoded, cross = block_from_json(block_to_json(block))
         assert decoded == block
-        assert cross == []
+        assert cross == {}
 
     def test_dataset_roundtrip(self, tmp_path):
         ds = Dataset((build_springer_block_a(2), singleton_cuspidal_block("s", 2, ONE)))
@@ -347,7 +347,7 @@ class TestCrossBlock:
 
     def test_zero_cross_entries_are_valid(self):
         ds = dataset_from_json(self.full_matrix_file(nonzero_cross=False))
-        assert len(ds.cross_entries) == 5
+        assert [len(c) for c in ds.cross_entries] == [5, 0]
         assert validate_dataset(ds) == []
 
     def test_nonzero_cross_entry_rejected(self):
@@ -394,6 +394,22 @@ class TestCrossBlock:
             "block 'synthetic-dual-pair'",
             "InconsistentDuplicate: omega[b][a] recorded in 'springer-a-2' disagrees with "
             "block 'synthetic-dual-pair'"]
+
+    def test_save_refuses_foreign_pairings(self, tmp_path):
+        # saving writes each block over its own labels, so the nonzero
+        # pairings of a with springer-a-2's labels would vanish from the file
+        springer = block_to_json(build_springer_block_a(2))
+        springer["omega"]["order"].append("a")
+        for row in springer["omega"]["entries"]:
+            row.append({"0": 2})
+        springer["omega"]["entries"].append([{"0": 2}, {"0": 2}, {"0": 1}])
+        ds = dataset_from_json([springer, block_to_json(synthetic_dual_pair())])
+        assert [v.kind for v in validate_dataset(ds)] == ["CrossBlockNonzero"] * 4
+        path = tmp_path / "ds.json"
+        path.write_text("sentinel\n")
+        with pytest.raises(ValueError):
+            save_dataset(ds, path)
+        assert path.read_text() == "sentinel\n"
 
     def test_duplicate_label_across_blocks(self):
         ds = Dataset((build_springer_block_a(2), build_springer_block_a(2)))

@@ -15,9 +15,11 @@ from lsalgo.blockdata import (
     Dataset,
     OrbitInfo,
     SimpleLabel,
+    Violation,
     block_to_json,
     build_springer_block_a,
     save_dataset,
+    validate_dataset,
 )
 from lsalgo.cli import EXTHOM_MAX_K, EXTHOM_MAX_SN, main
 from lsalgo.laurent import MAX_EXPONENT, ONE, t_half_power
@@ -164,6 +166,24 @@ class TestSolve:
         assert report["status"] == "violation"
         assert [(d["kind"], d["message"]) for d in report["diagnostics"]] == [
             ("UnknownLabel", "label '1.1' has unknown dual ''")]
+
+    def test_repeated_block_name_is_refused(self, tmp_path, capsys):
+        # results are keyed by block name, so two blocks with one name
+        # would give results that cannot be told apart
+        renamed = dataclasses.replace(synthetic_dual_pair(), name="springer-a-2")
+        blocks = (build_springer_block_a(2), renamed)
+        repeated = Violation("DuplicateBlockName",
+                             "block name 'springer-a-2' is used by more than one block")
+        assert validate_dataset(Dataset(blocks)) == [repeated]
+        third = singleton_cuspidal_block("springer-a-2", 2, t_power(2) - 1)
+        assert validate_dataset(Dataset(blocks + (third,))) == [repeated] * 2
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps([block_to_json(b) for b in blocks]))
+        code, out = run(capsys, "solve", str(path), "--out", str(tmp_path / "r.json"))
+        assert code == 1
+        report = read_report(out)
+        assert report["status"] == "violation"
+        assert [d["kind"] for d in report["diagnostics"]] == ["DuplicateBlockName"]
 
     @pytest.mark.parametrize("edit", [
         lambda b: b["omega"]["entries"][0].__setitem__(0, {"0": 1.9}),

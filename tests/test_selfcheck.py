@@ -29,7 +29,7 @@ from lsalgo.blockdata import (
 from lsalgo.laurent import ONE, ZERO, HalfLaurent, dot
 from lsalgo.solver import SolverError, reconstruct, solve
 
-from conftest import synthetic_dual_pair, t_power
+from conftest import singular_lambda_block, synthetic_dual_pair, t_power
 from test_reconstruct import dataset_blocks
 from test_solver import planted_block
 from test_solver_roundtrip import random_factorized_block
@@ -263,3 +263,19 @@ def test_lam_off_the_orbit_blocks_is_caught():
     with pytest.raises(SolverError, match=re.escape(
             "lambda[1.1.1][3] is nonzero off the orbit blocks")):
         check(tampered, block)
+
+
+def test_a_singular_lambda_block_passes_the_check_with_many_results():
+    # the check certifies a factorization, not that it is the only one: over
+    # this omega of all ones, Lambda's lower orbit block is singular and each
+    # p[c] below passes, so only stage (i) of the elimination refuses the block
+    block = singular_lambda_block()
+    lam = ((ONE, ONE, ZERO), (ONE, ONE, ZERO), (ZERO, ZERO, ZERO))
+    five_t = 5 * t_power(1)
+    for p_c in [(ONE, ZERO, t_power(-1)), (ZERO, ONE, t_power(-1)),
+                (five_t, ONE - five_t, t_power(-1))]:
+        p = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), p_c)
+        p_dual = solver._dual_stalks(p, *solver._duals(block))
+        check(solver.SolveResult(block.name, block.label_ids(), p, lam, p_dual), block)
+    with pytest.raises(solver.SingularLambdaBlock):
+        solve(block)
