@@ -34,8 +34,9 @@ from .weyl import Partition, SizeMismatch, char_table_sn, coinvariant_pairing, p
 MAX_SPRINGER_N = 8
 
 # Largest orbit dimension a decoded block may carry; Springer blocks up to
-# MAX_SPRINGER_N reach 56.  The solver shifts exponents by up to twice an
-# orbit dimension, so this bound and MAX_EXPONENT bound every solved exponent.
+# MAX_SPRINGER_N reach 56.  It does not bound a solved exponent, which can
+# drift by twice an orbit dimension per orbit: `solve` refuses a result with
+# one beyond MAX_EXPONENT, as decoding would.
 MAX_ORBIT_DIM = 10_000
 
 

@@ -40,7 +40,7 @@ from .blockdata import (
     write_json,
     MAX_SPRINGER_N,
 )
-from .laurent import NonExactDivision, max_abs_coefficient
+from .laurent import MAX_EXPONENT, NonExactDivision, max_abs_coefficient
 from .oracle import kostka_foulkes
 from .solver import SolveResult, SolverError, _runs, solve
 from .weyl import CharTable, char_table_sn, graded_hom_dims, partitions_of
@@ -114,12 +114,16 @@ def cmd_solve(args) -> tuple[int, dict]:
                           block=block.name, **where) from exc
 
     # a coefficient past the int-to-string limit (0: none, as before Python
-    # 3.10.7) can be neither written nor read back: refused before --out is opened
+    # 3.10.7) can be neither written nor read back, and an exponent past
+    # MAX_EXPONENT not read back: refused before --out is opened
     limit = getattr(sys, "get_int_max_str_digits", int)()
     for r in results:
         if limit and max_abs_coefficient(r.p + r.lam) >= 10**limit:
             raise Failure(ERROR, "ResourceLimit", f"block {r.block!r}: a coefficient has over "
                           f"{limit} digits (sys.get_int_max_str_digits())", block=r.block)
+        if (e := max_abs_coefficient(r.p + r.lam + r.p_dual, dict.keys)) > MAX_EXPONENT:
+            raise Failure(ERROR, "ResourceLimit", f"block {r.block!r}: an exponent key of absolute "
+                          f"value {e} is beyond the bound {MAX_EXPONENT}", block=r.block)
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.format == "json":

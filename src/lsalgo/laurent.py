@@ -8,13 +8,15 @@ exponents to nonzero integer coefficients, so t^(k/2) is stored under the
 integer key k and exponent arithmetic never leaves the integers.  The only
 division is `exact_div`, which either returns a ring element or raises.
 
-Products have one kernel, `dot(xs, ys)`: the sum of x*y over paired
-polynomials, multiplied term by term into one coefficient map whose zero
-entries are dropped once, at the end.  A sum of products, such as one entry
-of a matrix product, thus builds one polynomial instead of one per term; a
-single product `f * g` is `dot((f,), (g,))`.  Packing has one kernel too,
-`_pack`/`_unpack`: digits d_k as sum_k d_k * 2^(width * k), width in whole
-words, one `struct` call and one int conversion each way at 64 bits.
+Every sum, difference and product is one `dot(xs, ys)`: the sum of x*y over
+paired polynomials, multiplied term by term into one coefficient map whose
+zero entries are dropped once, at the end.  A sum of products, such as one
+entry of a matrix product, thus builds one polynomial instead of one per
+term; `f * g` is `dot((f,), (g,))` and `f - g` is `dot((f, g), (ONE, -ONE))`.
+Every quotient is one `exact_div`, a long division from the top term on the
+exponents as given.  Packing has one kernel too, `_pack`/`_unpack`: digits
+d_k as sum_k d_k * 2^(width * k), width in whole words, one `struct` call
+and one int conversion each way at 64 bits.
 
 Values are immutable after construction and all operations are pure, so they
 may be shared freely between workers.  Coefficients are plain Python ints,
@@ -139,22 +141,14 @@ class HalfLaurent:
 
     # -- ring structure ---------------------------------------------------
 
-    def _merge(self, other: HalfLaurent | int, sign: int) -> HalfLaurent:
-        # self + sign * other in one pass over other's terms
+    def _plus(self, other: HalfLaurent | int, sign: HalfLaurent) -> HalfLaurent:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            s = c.get(e, 0) + sign * v
-            if s:
-                c[e] = s
-            else:
-                c.pop(e, None)
-        return _raw(c)
+        return dot((self, other), (ONE, sign))
 
     def __add__(self, other: HalfLaurent | int) -> HalfLaurent:
-        return self._merge(other, 1)
+        return self._plus(other, ONE)
 
     __radd__ = __add__
 
@@ -162,13 +156,10 @@ class HalfLaurent:
         return _raw({e: -v for e, v in self._c.items()})
 
     def __sub__(self, other: HalfLaurent | int) -> HalfLaurent:
-        return self._merge(other, -1)
+        return self._plus(other, -ONE)
 
     def __rsub__(self, other: int) -> HalfLaurent:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return (-self).__add__(other)
 
     def __mul__(self, other: HalfLaurent | int) -> HalfLaurent:
         other = _coerce(other)
@@ -286,9 +277,10 @@ def t_half_power(double_exp: int) -> HalfLaurent:
     return HalfLaurent({double_exp: 1})
 
 
-def max_abs_coefficient(rows: Iterable[Iterable[HalfLaurent]]) -> int:
-    """The largest absolute value of a coefficient in `rows`, 0 if all are zero."""
-    return max(map(abs, chain.from_iterable(map(dict.values, filter(None, map(
+def max_abs_coefficient(rows: Iterable[Iterable[HalfLaurent]], part=dict.values) -> int:
+    """The largest absolute value of a coefficient in `rows`, or with
+    part=dict.keys of a doubled exponent; 0 if all are zero."""
+    return max(map(abs, chain.from_iterable(map(part, filter(None, map(
         attrgetter("_c"), chain.from_iterable(rows)))))), default=0)
 
 
@@ -357,29 +349,21 @@ def exact_div(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
     """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    if not f:
-        return ZERO
-    fv, gv = min(f._c), min(g._c)
-    shift = fv - gv
-    gd = max(g._c) - gv
-    g0 = {e - gv: v for e, v in g._c.items()}
-    rem = {e - fv: v for e, v in f._c.items()}
-    glead = g0[gd]
+    gd = max(g._c)
+    qmin = min(f._c, default=0) - min(g._c)  # the lowest exponent of any q with f = q*g
+    rem = dict(f._c)
     q: dict[int, int] = {}
     while rem:
-        rd = max(rem)
-        if rd < gd:
+        qe = max(rem) - gd
+        c, r = divmod(rem[qe + gd], g._c[gd])
+        if r or qe < qmin:
             raise NonExactDivision(f"({f}) is not divisible by ({g})")
-        c, r = divmod(rem[rd], glead)
-        if r:
-            raise NonExactDivision(f"({f}) is not divisible by ({g})")
-        qe = rd - gd
         q[qe] = c
-        for e, v in g0.items():
+        for e, v in g._c.items():
             k = e + qe
             s = rem.get(k, 0) - c * v
             if s:
                 rem[k] = s
             else:
                 rem.pop(k, None)
-    return _raw({e + shift: v for e, v in q.items()})
+    return _raw(q)

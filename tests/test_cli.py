@@ -336,6 +336,32 @@ class TestSolve:
         assert capsys.readouterr().err == ""
         assert out_path.read_bytes() == b"earlier bytes"
 
+    @pytest.mark.parametrize("exponent, fmt, code", [
+        (MAX_EXPONENT, "json", 2), (MAX_EXPONENT, "csv", 2),
+        (MAX_EXPONENT - 2 * MAX_ORBIT_DIM + 1, "json", 2),
+        (MAX_EXPONENT - 2 * MAX_ORBIT_DIM, "json", 0)])
+    def test_exponent_past_the_bound_is_a_resource_limit(self, tmp_path, capsys, exponent,
+                                                         fmt, code):
+        # omega and the dim both decode, but lambda = t^(dim) * omega can pass
+        # the exponent bound, and dualize could not read such a result back
+        block = {"name": "deep", "orbits": [{"id": "o", "dim": MAX_ORBIT_DIM}],
+                 "labels": [{"id": "a", "orbit": "o"}],
+                 "omega": {"order": ["a"], "entries": [[{str(exponent): 1}]]}}
+        path, out_path = tmp_path / "deep.json", tmp_path / f"r.{fmt}"
+        path.write_text(json.dumps([block]))
+        out_path.write_bytes(b"earlier bytes")
+        got, out = run(capsys, "solve", str(path), "--out", str(out_path), "--format", fmt)
+        assert got == code
+        if code:
+            (diag,) = read_report(out)["diagnostics"]
+            assert (diag["kind"], diag["block"]) == ("ResourceLimit", "deep")
+            assert diag["message"] == (f"block 'deep': an exponent key of absolute value "
+                                       f"{exponent + 2 * MAX_ORBIT_DIM} is beyond the bound "
+                                       f"{MAX_EXPONENT}")
+            assert out_path.read_bytes() == b"earlier bytes"
+        else:
+            assert run(capsys, "dualize", str(out_path))[0] == 0
+
     def test_negative_dim_is_a_violation(self, tmp_path, capsys):
         # decoding bounds a dim only from above; validation refuses one below 0
         path = tmp_path / "negative.json"

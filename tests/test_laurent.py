@@ -33,6 +33,14 @@ polys = st.dictionaries(exps, coeffs, max_size=5).map(HalfLaurent)
 nonzero_polys = polys.filter(bool)
 
 
+def merged(f, g, sign=1):
+    """f + sign * g by merging the coefficient maps, independent of `dot`."""
+    c = dict(f.items())
+    for e, v in g.items():
+        c[e] = c.get(e, 0) + sign * v
+    return HalfLaurent(c)
+
+
 class TestAdd:
     def test_cancellation(self):
         assert (t_power(1) - 1) + ONE == t_power(1)
@@ -51,6 +59,10 @@ class TestAdd:
     @given(polys, polys, polys)
     def test_associative(self, f, g, h):
         assert (f + g) + h == f + (g + h)
+
+    @given(polys, polys)
+    def test_is_the_merged_sum(self, f, g):
+        assert f + g == merged(f, g)
 
 
 class TestMul:
@@ -91,6 +103,10 @@ class TestMul:
 
 
 class TestSub:
+    @given(polys, polys)
+    def test_is_the_merged_difference(self, f, g):
+        assert f - g == merged(f, g, -1)
+
     @given(polys, polys)
     def test_is_adding_the_negative(self, f, g):
         assert f - g == f + (-g)
@@ -144,7 +160,7 @@ def schoolbook(f, g):
 def fold(xs, ys, mul=lambda x, y: x * y):
     acc = ZERO
     for x, y in zip(xs, ys):
-        acc = acc + mul(x, y)
+        acc = merged(acc, mul(x, y))
     return acc
 
 
@@ -367,6 +383,13 @@ class TestExactDiv:
     @given(polys, wide_sparse_polys)
     def test_mul_roundtrip_wide_sparse_divisor(self, q, g):
         assert exact_div(q * g, g) == q
+
+    @given(polys, st.dictionaries(exps, nonzero_coeffs, min_size=2, max_size=5).map(HalfLaurent),
+           monomials)
+    def test_monomial_remainder_raises(self, q, g, r):
+        # a monomial is a unit, so a g of two or more terms never divides it
+        with pytest.raises(NonExactDivision):
+            exact_div(q * g + r, g)
 
     def test_wide_sparse_divisor_off_valuation_zero(self):
         g = hl({-7: 3, 93: 1, 191: -2})
