@@ -89,23 +89,27 @@ alone for its seeded re-solves and compares each with a checked result.
 `reconstruct` forms the full product as polynomials, one `dot` per entry.
 
 The stages are written once, over two arithmetics, and `_runs` yields their
-runs lazily, packed first: an entry f is (lo, N), f = x^lo * N at x =
-2^PACK_WIDTH, x standing for t if every orbit dim and omega exponent is even,
-else for t^(1/2); omega's entries are packed as signed 64-bit digits.  A
-product adds the offsets and multiplies the ints; a sum shifts to the lesser
-lo and moves N's zero low digits into lo, a zero sum being None; a monomial
-shift changes lo only; a division is `divmod`, a remainder meaning it is not
-exact.  Evaluation at x is a ring homomorphism, so each N is exact however
-large the coefficients grow in between.  Only the final unpacking, which
-takes a spare digit and never raises, assumes every |coefficient| < 2^63, so
-a packed result is trusted once certified: in `solve` by the check above, in
-`verify` by equality with a checked result.  The run over HalfLaurent, which
-raises the located error, comes next, so it is made only where it decides: a
-packed run that stops (an omega coefficient outside [-2^63, 2^63), a zero
-pivot or divisor, a remainder, a nonzero residual in stage (iii)), a result
-the check rejects, a seeded result unequal to the checked one, and a block
-whose omega spans eight packed digits a term or more, where it runs alone: a
-digit takes a word, a HalfLaurent term about eight.
+runs lazily, packed first: an entry f is (lo, N), f = t^(lo/2) * N at x =
+2^PACK_WIDTH, lo a doubled exponent and x standing for t if every omega
+exponent is even, whatever the orbit dims, else for t^(1/2); omega's entries
+are packed as signed 64-bit digits.  With omega even, every entry in the
+column of an orbit of dim d has doubled exponents of the parity of d, so each
+sum above adds terms of one parity.  A product adds the offsets and
+multiplies the ints; a sum shifts to the least lo and moves N's zero low
+digits into lo, a zero sum being None; a monomial shift changes lo only; a
+division is `divmod`, a remainder meaning it is not exact.  Evaluation at x
+is a ring homomorphism, so each N is exact however large the coefficients
+grow in between.  Only the final unpacking, which takes a spare digit and
+never raises, assumes every |coefficient| < 2^63, so a packed result is
+trusted once certified: in `solve` by the check above, in `verify` by
+equality with a checked result.  The run over HalfLaurent, which raises the
+located error, comes next, so it is made only where it decides: a packed run
+that stops (an omega coefficient outside [-2^63, 2^63), a zero pivot or
+divisor, a remainder, a nonzero residual in stage (iii), a sum at x = t of
+both parities), a result the check rejects, a seeded result unequal to the
+checked one, and a block whose omega spans eight packed digits a term or
+more, where it runs alone: a digit takes a word, a HalfLaurent term about
+eight.
 """
 
 from __future__ import annotations
@@ -229,24 +233,6 @@ def _eliminate(matrix: list[list], ar: _Arithmetic = _EXACT):
     return prev, [row[n:] for row in rows]
 
 
-def _normal(lo: int, n: int):  # x^lo * n, n's zero low digits moved into lo; 0 is None
-    k = ((n & -n).bit_length() - 1) // PACK_WIDTH
-    return (lo + k, n >> PACK_WIDTH * k) if n else None
-
-
-def _packed_dot(xs, ys):
-    terms = [(x[0] + y[0], x[1] * y[1]) for x, y in zip(xs, ys) if x and y]
-    lo = min((lo for lo, _ in terms), default=0)
-    return _normal(lo, sum(n << PACK_WIDTH * (e - lo) for e, n in terms))
-
-
-def _packed_sub(f, g):
-    if not (f and g):
-        return f if g is None else (g[0], -g[1])
-    lo = min(f[0], g[0])
-    return _normal(lo, (f[1] << PACK_WIDTH * (f[0] - lo)) - (g[1] << PACK_WIDTH * (g[0] - lo)))
-
-
 def _packed_div(f, g):
     q, r = divmod(f[1], g[1]) if f else (None, 0)
     if r:
@@ -258,21 +244,44 @@ def _packed(block: BlockData) -> _Arithmetic | None:
     """The packed arithmetic of `block`, or None if omega is sparse."""
     keys = [f._c.keys() for row in block.omega for f in row if f]
     exponents = set().union(*keys)
-    step = 1 if any(o.dim % 2 for o in block.orbits) or any(e % 2 for e in exponents) else 2
+    step = 1 if any(e % 2 for e in exponents) else 2
     if keys and max(exponents) - min(exponents) >= 8 * step * sum(map(len, keys)):
         return None
+    odd = step - 1  # at x = t, a sum's doubled exponents must share one parity
+
+    def total(lo: int, terms):  # the sum of c * t^(e/2) over the pairs (e, c), e >= lo
+        n = 0
+        for e, c in terms:
+            if (e - lo) & odd:
+                raise ArithmeticError("a packed sum mixes doubled exponents of both parities")
+            n += c << PACK_WIDTH * ((e - lo) >> odd)
+        k = ((n & -n).bit_length() - 1) // PACK_WIDTH  # n's zero low digits move into lo
+        return (lo + step * k, n >> PACK_WIDTH * k) if n else None
+
+    def dot(xs, ys):  # products summed per offset, then one shift per offset
+        terms: dict[int, int] = {}
+        for x, y in zip(xs, ys):
+            if x and y:
+                e = x[0] + y[0]
+                terms[e] = terms.get(e, 0) + x[1] * y[1]
+        return total(min(terms, default=0), terms.items())
+
+    def sub(f, g):
+        if not (f and g):
+            return f if g is None else (g[0], -g[1])
+        return total(min(f[0], g[0]), (f, (g[0], -g[1])))
 
     def of(f: HalfLaurent):  # omega's coefficients as dense digits, lowest first
         c = f._c
-        return (min(c) // step, _pack(list(map(c.get, range(min(c), max(c) + 1, step), repeat(0))),
-                                      PACK_WIDTH)) if c else None
+        return (min(c), _pack(list(map(c.get, range(min(c), max(c) + 1, step), repeat(0))),
+                              PACK_WIDTH)) if c else None
 
     def out(v) -> HalfLaurent:  # with a spare digit, which never raises
-        return _raw(dict(filter(itemgetter(1), zip(count(step * v[0], step), _unpack(
+        return _raw(dict(filter(itemgetter(1), zip(count(v[0], step), _unpack(
             v[1], PACK_WIDTH, v[1].bit_length() // PACK_WIDTH + 2))))) if v else ZERO
 
-    return _Arithmetic(None, (0, 1), of, out, _packed_dot, _packed_sub, _packed_div,
-                       lambda v, k: v and (v[0] + k // step, v[1]))
+    return _Arithmetic(None, (0, 1), of, out, dot, sub, _packed_div,
+                       lambda v, k: v and (v[0] + k, v[1]))
 
 
 def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
@@ -336,9 +345,7 @@ def _stages(block: BlockData, below: dict[str, frozenset[str]],
         # omega minus the contributions of the processed orbits, at (i, j),
         # over the columns where p[j] is nonzero; each (i, j) is read once
         pj = p[j]
-        pairs = [(r, pj[c]) for r, c in zip(rhs_of[i], cols_of[i]) if pj[c]]
-        omega_ij = of(block.omega[i][j])
-        return sub(omega_ij, dot(*zip(*pairs))) if pairs else omega_ij
+        return sub(of(block.omega[i][j]), dot(rhs_of[i], [pj[c] for c in cols_of[i]]))
 
     live = range(k)
 

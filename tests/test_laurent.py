@@ -234,13 +234,13 @@ huge_coeffs = st.one_of(
 DIGIT_MAX = (1 << 63) - 1
 
 
-class TestPackedDot:
+class TestDotLoop:
     """dot on long operands, on coefficients near and past 2^63, and on mixed
     parities and sparse operands, the cases an evaluation at t = 2^64 would
     have to guard: the dict loop against `schoolbook` and `fold`."""
 
     @given(long_pairs)
-    def test_long_pairs_are_packed_and_exact(self, terms):
+    def test_long_pairs_are_exact(self, terms):
         xs, ys = [x for x, _ in terms], [y for _, y in terms]
         result = dot(xs, ys)
         assert result == fold(xs, ys, schoolbook) == fold(xs, ys)
@@ -252,7 +252,7 @@ class TestPackedDot:
         xs, ys = [x for x, _ in terms], [y for _, y in terms]
         assert dot(xs, ys) == dot(ys, xs) == fold(xs, ys, schoolbook)
 
-    def test_pairs_past_the_digit_bound_take_the_dict_branch(self):
+    def test_products_past_a_64_bit_digit_are_exact(self):
         ones = HalfLaurent({2 * k: 1 for k in range(10)})
         for peak in (2**63, 2**63 - 1, 2**62):
             big = HalfLaurent({2 * k - 5: -peak for k in range(10)})
@@ -272,7 +272,7 @@ class TestPackedDot:
         assert result.coefficient(13) == -20 * peak
 
     @given(long_polys(), long_polys())
-    def test_cancellation_across_branches_is_zero(self, x, y):
+    def test_cancellation_at_any_coefficient_size_is_zero(self, x, y):
         # x*y and x*(-y), then with x scaled so that a product's coefficients
         # near or pass 2^63: the sum is the zero polynomial either way
         peak = max(abs(c) for _, c in x.items()) * max(abs(c) for _, c in y.items())
@@ -283,7 +283,7 @@ class TestPackedDot:
             assert result.support() == () and not result.items()
 
     @given(long_pairs, pairs, st.integers(2**62, 2**64), st.sampled_from((1, -1)))
-    def test_one_call_mixes_both_branches(self, long, short, big, sign):
+    def test_long_short_and_huge_pairs_in_one_call(self, long, short, big, sign):
         # long pairs, short ones and one far past 2^63, interleaved
         past = (long[0][0] * (sign * big * big), long[0][1])
         terms = [t for pair in zip(long, short) for t in pair] + long[len(short):] + [past]
@@ -311,7 +311,7 @@ class TestPackedDot:
         assert dot([sparse], [f]) == schoolbook(sparse, f)
 
     @given(long_polys(), long_polys())
-    def test_packed_form_changes_nothing_observable(self, x, y):
+    def test_operands_are_left_unchanged(self, x, y):
         # a product leaves its operands as they were
         fresh = HalfLaurent(dict(x.items()))
         before = (hash(x), x.to_json(), x.pretty())

@@ -1,7 +1,9 @@
 """The elimination on packed integers against the same stages over HalfLaurent.
 
-The packed run holds each entry as its value at x = 2^64, where x is t^(1/2),
-or t when every orbit dim and every omega exponent is even.  The packed and
+The packed run holds each entry as t^(lo/2) times its value at x = 2^64,
+where x is t when every omega exponent is even, whatever the orbit dims, and
+t^(1/2) otherwise; at x = t a sum of terms whose doubled exponents differ in
+parity raises ArithmeticError, so the exact run decides.  The packed and
 exact arithmetics must give equal results on every block that solves, with no
 exact rerun.  Where the packed run cannot finish, or its result fails the
 certificate, the exact run decides: every error keeps the kind, message,
@@ -21,7 +23,7 @@ from lsalgo import cli, solver
 from lsalgo.blockdata import (
     BlockData, OrbitInfo, SimpleLabel, block_to_json, build_springer_block_a, closure_below,
     write_json)
-from lsalgo.laurent import ONE, HalfLaurent, NonExactDivision
+from lsalgo.laurent import ONE, PACK_WIDTH, HalfLaurent, NonExactDivision
 from lsalgo.solver import reconstruct, solve
 
 import conftest
@@ -150,6 +152,116 @@ def two_orbit_block(name: str, omega) -> BlockData:
     orbits = (OrbitInfo("lo", 0), OrbitInfo("hi", 2, ("lo",)))
     labels = (SimpleLabel("x", "lo"), SimpleLabel("y", "hi"))
     return BlockData(name, orbits, labels, omega)
+
+
+def ladder_block(name: str, a: HalfLaurent, b: HalfLaurent) -> BlockData:
+    """Orbits lo (dim 1) < hi (dim 3), label x on lo and y on hi, and omega =
+    [[a, a], [a, a + b]]: p[y][x] = t^(-1/2), lambda is t * a on lo and
+    t^3 * b on hi."""
+    orbits = (OrbitInfo("lo", 1), OrbitInfo("hi", 3, ("lo",)))
+    labels = (SimpleLabel("x", "lo"), SimpleLabel("y", "hi"))
+    return BlockData(name, orbits, labels, ((a, a), (a, a + b)))
+
+
+def digits(value: int) -> int:
+    return value.bit_length() // PACK_WIDTH + 1
+
+
+def test_odd_orbit_dims_with_even_omega_pack_at_t(reruns):
+    block = ladder_block("odd-dims", ONE, HalfLaurent({4: 1}))
+    packed = solver._packed(block)
+    f = HalfLaurent({0: 1, 4: 1})
+    assert packed.of(f) == (0, 1 + (1 << 2 * PACK_WIDTH))
+    assert digits(packed.of(f)[1]) == 3
+    assert packed.out(packed.of(f)) == f
+    runs = solver._runs(block, closure_below(block), None)
+    assert next(runs) == next(runs)
+    assert reruns == [("odd-dims", None)]
+    result = solve(block)
+    assert (result.p_entry("y", "x"), result.lam_entry("y", "y")) == (
+        HalfLaurent({-1: 1}), HalfLaurent({10: 1}))
+
+
+@pytest.mark.parametrize("seed, n_orbits", PLANTED)
+def test_planted_blocks_pack_at_t(seed, n_orbits):
+    # every planted block has odd orbit dims and only even omega exponents
+    block = planted_block(seed, n_orbits)
+    assert any(o.dim % 2 for o in block.orbits)
+    assert digits(solver._packed(block).of(HalfLaurent({0: 1, 4: 1}))[1]) == 3
+
+
+def test_an_odd_omega_exponent_packs_at_the_half_power(reruns):
+    block = ladder_block("odd-exponent", HalfLaurent({1: 1}), HalfLaurent({4: 1}))
+    packed = solver._packed(block)
+    assert packed.of(HalfLaurent({0: 1, 4: 1})) == (0, 1 + (1 << 4 * PACK_WIDTH))
+    runs = solver._runs(block, closure_below(block), None)
+    assert next(runs) == next(runs)
+    assert reruns == [("odd-exponent", None)]
+
+
+def test_a_mixed_parity_sum_raises_at_t():
+    packed = solver._packed(ladder_block("odd-dims", ONE, HalfLaurent({4: 1})))
+    one = packed.one
+    with pytest.raises(ArithmeticError, match="both parities"):
+        packed.dot([(0, 1), (1, 1)], [one, one])
+    with pytest.raises(ArithmeticError, match="both parities"):
+        packed.sub((0, 1), (1, 1))
+    # offsets of one parity are aligned, at t^(1/2) any two are
+    assert packed.dot([(1, 1), (-3, 1)], [one, (4, 2)]) == (1, 3)
+    assert packed.sub((3, 1), (-1, 1)) == (-1, (1 << 2 * PACK_WIDTH) - 1)
+    half = solver._packed(ladder_block("odd-exponent", HalfLaurent({1: 1}), ONE))
+    assert half.dot([(0, 1), (1, 1)], [one, one]) == (0, 1 + (1 << PACK_WIDTH))
+    assert half.sub((0, 1), (1, 1)) == (0, 1 - (1 << PACK_WIDTH))
+
+
+def test_a_packed_run_that_mixes_parities_is_rerun_exact(monkeypatch):
+    # an `of` that reads omega's entries 3 at t^(1/2) * 3: the residual of
+    # the upper orbit subtracts t^(1/2) * 3 from omega[y][y], a sum of both
+    # parities, so the packed run raises and the exact run gives the answer
+    block = ladder_block("misread", 3 * ONE, HalfLaurent({4: 1}))
+    packed = solver._packed
+
+    def misreading(block):
+        ar = packed(block)
+        return ar._replace(of=lambda f: ar.shift(ar.of(f), 1) if f == 3 * ONE else ar.of(f))
+
+    runs = []
+
+    def spy(block, below, order_seed, ar):
+        try:
+            return STAGES(block, below, order_seed, ar)
+        except ArithmeticError as exc:
+            runs.append(str(exc))
+            raise
+        finally:
+            runs.append(ar is solver._EXACT)
+
+    monkeypatch.setattr(solver, "_packed", misreading)
+    monkeypatch.setattr(solver, "_stages", spy)
+    result = solve(block)
+    assert runs == ["a packed sum mixes doubled exponents of both parities", False, True]
+    assert (result.p, result.lam) == STAGES(block, closure_below(block), None, solver._EXACT)
+    assert (result.p_entry("y", "x"), result.lam_entry("y", "y")) == (
+        HalfLaurent({-1: 1}), HalfLaurent({10: 1}))
+
+
+@pytest.mark.parametrize("span, sparse", [(40, True), (39, False)])
+def test_the_sparse_rule_counts_digits_at_t(span, sparse, monkeypatch):
+    # five terms, the widest t^span: 8 * 5 digits of t or more are sparse.
+    # At t^(1/2) the span would be 2 * span digits, sparse either way
+    block = ladder_block("edge-span", ONE, HalfLaurent({2 * span: 1}))
+    assert (solver._packed(block) is None) == sparse
+    arithmetics = []
+
+    def spy(block, below, order_seed, ar):
+        arithmetics.append(ar)
+        return STAGES(block, below, order_seed, ar)
+
+    monkeypatch.setattr(solver, "_stages", spy)
+    result = solve(block)
+    assert len(arithmetics) == 1 and (arithmetics[0] is solver._EXACT) == sparse
+    assert result.lam_entry("y", "y") == HalfLaurent({6 + 2 * span: 1})
+    assert reconstruct(result, block) == block.omega
 
 
 def wide_block(a: int) -> BlockData:
