@@ -108,7 +108,7 @@ class HalfLaurent:
     TypeError.  Zero coefficients are dropped on construction; the zero
     polynomial has an empty coefficient map.  Supports +, -, *, ** (by an
     int n >= 0, else ValueError) and mixing with ints, but not with bools:
-    ONE + True raises TypeError and ONE == True is False.
+    ONE + True and t ** True raise TypeError and ONE == True is False.
     """
 
     __slots__ = ("_c",)
@@ -170,6 +170,8 @@ class HalfLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> HalfLaurent:
+        if type(n) is not int:
+            return NotImplemented
         if n < 0:
             raise ValueError(f"negative exponent {n}")
         result = ONE

@@ -89,27 +89,25 @@ alone for its seeded re-solves and compares each with a checked result.
 `reconstruct` forms the full product as polynomials, one `dot` per entry.
 
 The stages are written once, over two arithmetics, and `_runs` yields their
-runs lazily, packed first: an entry f is (lo, N), f = t^(lo/2) * N at x =
-2^PACK_WIDTH, lo a doubled exponent and x standing for t if every omega
-exponent is even, whatever the orbit dims, else for t^(1/2); omega's entries
-are packed as signed 64-bit digits.  With omega even, every entry in the
-column of an orbit of dim d has doubled exponents of the parity of d, so each
-sum above adds terms of one parity.  A product adds the offsets and
-multiplies the ints; a sum shifts to the least lo and moves N's zero low
-digits into lo, a zero sum being None; a monomial shift changes lo only; a
-division is `divmod`, a remainder meaning it is not exact.  Evaluation at x
-is a ring homomorphism, so each N is exact however large the coefficients
-grow in between.  Only the final unpacking, which takes a spare digit and
-never raises, assumes every |coefficient| < 2^63, so a packed result is
-trusted once certified: in `solve` by the check above, in `verify` by
-equality with a checked result.  The run over HalfLaurent, which raises the
-located error, comes next, so it is made only where it decides: a packed run
-that stops (an omega coefficient outside [-2^63, 2^63), a zero pivot or
-divisor, a remainder, a nonzero residual in stage (iii), a sum at x = t of
-both parities), a result the check rejects, a seeded result unequal to the
-checked one, and a block whose omega spans eight packed digits a term or
-more, where it runs alone: a digit takes a word, a HalfLaurent term about
-eight.
+runs lazily, packed first: an entry f is (lo, N), f = t^(lo/2) * N at x = t =
+2^PACK_WIDTH, lo a doubled exponent; omega's entries are packed as signed
+64-bit digits.  The exact run runs alone if omega has an odd exponent, which no
+geometric block has, or spans eight packed digits a term or more, as a digit
+takes a word and a HalfLaurent term about eight.  Else the parity of each lo
+follows from its indices alone, whatever the digits hold: column m of P has the
+parity of dim O_m, and residuals, Lambda, E and d are even, so no sum mixes
+parities.  A product adds the offsets and multiplies the ints; a sum shifts to
+the least lo and moves N's zero low digits into lo, a zero sum being None; a
+monomial shift changes lo only; a division is `divmod`, a remainder meaning it
+is not exact.  Evaluation at x is a ring homomorphism, so each N is exact
+however large the coefficients grow in between.  Only the final unpacking,
+which takes a spare digit and never raises, assumes every |coefficient| < 2^63,
+so a packed result is trusted once certified: in `solve` by the check above, in
+`verify` by equality with a checked result.  The run over HalfLaurent, which
+raises the located error, comes next, so it is made only where it decides: a
+packed run that stops (an omega coefficient outside [-2^63, 2^63), a zero pivot
+or divisor, a remainder, a nonzero residual in stage (iii)), a result the check
+rejects and a seeded result unequal to the checked one.
 """
 
 from __future__ import annotations
@@ -241,22 +239,20 @@ def _packed_div(f, g):
 
 
 def _packed(block: BlockData) -> _Arithmetic | None:
-    """The packed arithmetic of `block`, or None if omega is sparse."""
+    """The packed arithmetic of `block` at x = t, or None if omega has an odd
+    exponent or is sparse, as the module docstring sets out."""
     keys = [f._c.keys() for row in block.omega for f in row if f]
     exponents = set().union(*keys)
-    step = 1 if any(e % 2 for e in exponents) else 2
-    if keys and max(exponents) - min(exponents) >= 8 * step * sum(map(len, keys)):
+    if any(e % 2 for e in exponents) or (
+            keys and max(exponents) - min(exponents) >= 16 * sum(map(len, keys))):
         return None
-    odd = step - 1  # at x = t, a sum's doubled exponents must share one parity
 
     def total(lo: int, terms):  # the sum of c * t^(e/2) over the pairs (e, c), e >= lo
         n = 0
         for e, c in terms:
-            if (e - lo) & odd:
-                raise ArithmeticError("a packed sum mixes doubled exponents of both parities")
-            n += c << PACK_WIDTH * ((e - lo) >> odd)
+            n += c << PACK_WIDTH * ((e - lo) >> 1)
         k = ((n & -n).bit_length() - 1) // PACK_WIDTH  # n's zero low digits move into lo
-        return (lo + step * k, n >> PACK_WIDTH * k) if n else None
+        return (lo + 2 * k, n >> PACK_WIDTH * k) if n else None
 
     def dot(xs, ys):  # products summed per offset, then one shift per offset
         terms: dict[int, int] = {}
@@ -273,11 +269,11 @@ def _packed(block: BlockData) -> _Arithmetic | None:
 
     def of(f: HalfLaurent):  # omega's coefficients as dense digits, lowest first
         c = f._c
-        return (min(c), _pack(list(map(c.get, range(min(c), max(c) + 1, step), repeat(0))),
+        return (min(c), _pack(list(map(c.get, range(min(c), max(c) + 1, 2), repeat(0))),
                               PACK_WIDTH)) if c else None
 
     def out(v) -> HalfLaurent:  # with a spare digit, which never raises
-        return _raw(dict(filter(itemgetter(1), zip(count(v[0], step), _unpack(
+        return _raw(dict(filter(itemgetter(1), zip(count(v[0], 2), _unpack(
             v[1], PACK_WIDTH, v[1].bit_length() // PACK_WIDTH + 2))))) if v else ZERO
 
     return _Arithmetic(None, (0, 1), of, out, dot, sub, _packed_div,
@@ -308,7 +304,7 @@ def solve(block: BlockData, *, order_seed: int | None = None) -> SolveResult:
 def _runs(block: BlockData, below: dict[str, frozenset[str]], order_seed: int | None):
     """The unchecked (p, lam) of each elimination of a validated `block`, whose
     closure order is `below`, along the extension drawn from `order_seed`: the
-    packed run's, unless omega is sparse or the run stops, then the exact run's."""
+    packed run's, unless omega is odd or sparse or the run stops, then the exact run's."""
     packed = _packed(block)
     if packed is not None:
         try:

@@ -89,6 +89,12 @@ class TestMul:
             f ** n
         assert f ** 0 == ONE
 
+    @pytest.mark.parametrize("n", [True, False, 2.0])
+    def test_an_exponent_that_is_not_an_int_raises(self, n):
+        # a bool is not coerced to 1 or 0, nor a float to an int
+        with pytest.raises(TypeError, match="unsupported operand"):
+            t_power(1) ** n
+
     @given(polys, polys)
     def test_commutative(self, f, g):
         assert f * g == g * f

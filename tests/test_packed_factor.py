@@ -1,17 +1,17 @@
 """The elimination on packed integers against the same stages over HalfLaurent.
 
-The packed run holds each entry as t^(lo/2) times its value at x = 2^64,
-where x is t when every omega exponent is even, whatever the orbit dims, and
-t^(1/2) otherwise; at x = t a sum of terms whose doubled exponents differ in
-parity raises ArithmeticError, so the exact run decides.  The packed and
-exact arithmetics must give equal results on every block that solves, with no
-exact rerun.  Where the packed run cannot finish, or its result fails the
-certificate, the exact run decides: every error keeps the kind, message,
-stage, orbit and row that the exact stages give it, and a packed result that
-breaks the final unpacking is caught, not returned.  An omega coefficient
-outside the signed 64-bit digit range stops the packed run before any
-elimination, with the same bytes.  A block whose omega spans eight or more
-packed digits per term is solved exact alone.
+The packed run holds each entry as t^(lo/2) times its value at x = t = 2^64.
+A block whose omega has an odd exponent or is sparse, spanning eight or more
+packed digits per term, is solved exact alone.  With omega even, the parity
+of each offset lo follows from its indices alone: the column of an orbit has
+the parity of its dim, and residuals, Lambda, E and d are even, so no packed
+sum mixes parities.  The packed and exact arithmetics must give equal results
+on every block that solves, with no exact rerun.  Where the packed run cannot
+finish, or its result fails the certificate, the exact run decides: every
+error keeps the kind, message, stage, orbit and row that the exact stages
+give it, and a packed result that breaks the final unpacking is caught, not
+returned.  An omega coefficient outside the signed 64-bit digit range stops
+the packed run before any elimination, with the same bytes.
 """
 
 import hashlib
@@ -190,34 +190,55 @@ def test_planted_blocks_pack_at_t(seed, n_orbits):
     assert digits(solver._packed(block).of(HalfLaurent({0: 1, 4: 1}))[1]) == 3
 
 
-def test_an_odd_omega_exponent_packs_at_the_half_power(reruns):
-    block = ladder_block("odd-exponent", HalfLaurent({1: 1}), HalfLaurent({4: 1}))
-    packed = solver._packed(block)
-    assert packed.of(HalfLaurent({0: 1, 4: 1})) == (0, 1 + (1 << 4 * PACK_WIDTH))
-    runs = solver._runs(block, closure_below(block), None)
-    assert next(runs) == next(runs)
-    assert reruns == [("odd-exponent", None)]
+@pytest.mark.parametrize("a", [HalfLaurent({1: 1}), HalfLaurent({0: 1, 1: 1})],
+                         ids=["t-half", "1+t-half"])
+def test_an_odd_omega_exponent_is_solved_exact_alone(a, monkeypatch):
+    block = ladder_block("odd-exponent", a, HalfLaurent({4: 1}))
+    assert solver._packed(block) is None
+    arithmetics = []
+
+    def spy(block, below, order_seed, ar):
+        arithmetics.append(ar)
+        return STAGES(block, below, order_seed, ar)
+
+    monkeypatch.setattr(solver, "_stages", spy)
+    result = solve(block)
+    assert arithmetics == [solver._EXACT]
+    assert reconstruct(result, block) == block.omega
 
 
-def test_a_mixed_parity_sum_raises_at_t():
+@pytest.mark.parametrize("block, seed", agreement_cases(),
+                         ids=lambda case: getattr(case, "name", str(case)))
+def test_no_packed_sum_mixes_parities(block, seed):
+    # the packed sums align digits by the offsets' halves, so they are right
+    # only while the offsets of each sum share one parity
+    ar = solver._packed(block)
+    parities = []
+
+    def dot(xs, ys):
+        parities.append({(x[0] + y[0]) % 2 for x, y in zip(xs, ys) if x and y})
+        return ar.dot(xs, ys)
+
+    def sub(f, g):
+        parities.append({v[0] % 2 for v in (f, g) if v})
+        return ar.sub(f, g)
+
+    STAGES(block, closure_below(block), seed, ar._replace(dot=dot, sub=sub))
+    assert parities and all(len(offsets) <= 1 for offsets in parities)
+
+
+def test_packed_sums_align_offsets_of_one_parity():
     packed = solver._packed(ladder_block("odd-dims", ONE, HalfLaurent({4: 1})))
     one = packed.one
-    with pytest.raises(ArithmeticError, match="both parities"):
-        packed.dot([(0, 1), (1, 1)], [one, one])
-    with pytest.raises(ArithmeticError, match="both parities"):
-        packed.sub((0, 1), (1, 1))
-    # offsets of one parity are aligned, at t^(1/2) any two are
     assert packed.dot([(1, 1), (-3, 1)], [one, (4, 2)]) == (1, 3)
     assert packed.sub((3, 1), (-1, 1)) == (-1, (1 << 2 * PACK_WIDTH) - 1)
-    half = solver._packed(ladder_block("odd-exponent", HalfLaurent({1: 1}), ONE))
-    assert half.dot([(0, 1), (1, 1)], [one, one]) == (0, 1 + (1 << PACK_WIDTH))
-    assert half.sub((0, 1), (1, 1)) == (0, 1 - (1 << PACK_WIDTH))
 
 
-def test_a_packed_run_that_mixes_parities_is_rerun_exact(monkeypatch):
+def test_a_misread_packed_result_is_rejected_and_rerun_exact(monkeypatch):
     # an `of` that reads omega's entries 3 at t^(1/2) * 3: the residual of
     # the upper orbit subtracts t^(1/2) * 3 from omega[y][y], a sum of both
-    # parities, so the packed run raises and the exact run gives the answer
+    # parities whose digits misalign, so the packed run finishes with a wrong
+    # result, the certificate rejects it and the exact run gives the answer
     block = ladder_block("misread", 3 * ONE, HalfLaurent({4: 1}))
     packed = solver._packed
 
@@ -228,18 +249,14 @@ def test_a_packed_run_that_mixes_parities_is_rerun_exact(monkeypatch):
     runs = []
 
     def spy(block, below, order_seed, ar):
-        try:
-            return STAGES(block, below, order_seed, ar)
-        except ArithmeticError as exc:
-            runs.append(str(exc))
-            raise
-        finally:
-            runs.append(ar is solver._EXACT)
+        run = STAGES(block, below, order_seed, ar)
+        runs.append(ar is solver._EXACT)
+        return run
 
     monkeypatch.setattr(solver, "_packed", misreading)
     monkeypatch.setattr(solver, "_stages", spy)
     result = solve(block)
-    assert runs == ["a packed sum mixes doubled exponents of both parities", False, True]
+    assert runs == [False, True]
     assert (result.p, result.lam) == STAGES(block, closure_below(block), None, solver._EXACT)
     assert (result.p_entry("y", "x"), result.lam_entry("y", "y")) == (
         HalfLaurent({-1: 1}), HalfLaurent({10: 1}))
@@ -247,8 +264,7 @@ def test_a_packed_run_that_mixes_parities_is_rerun_exact(monkeypatch):
 
 @pytest.mark.parametrize("span, sparse", [(40, True), (39, False)])
 def test_the_sparse_rule_counts_digits_at_t(span, sparse, monkeypatch):
-    # five terms, the widest t^span: 8 * 5 digits of t or more are sparse.
-    # At t^(1/2) the span would be 2 * span digits, sparse either way
+    # five terms, the widest t^span: 8 * 5 digits of t or more are sparse
     block = ladder_block("edge-span", ONE, HalfLaurent({2 * span: 1}))
     assert (solver._packed(block) is None) == sparse
     arithmetics = []
